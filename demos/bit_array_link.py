@@ -36,14 +36,8 @@ def run_rate(rate, noise=0.02):
 
 def save_eye(eye, tag):
     cols = ["t_s"] + [f"seg_{k:03d}" for k in range(eye.segments.shape[0])]
-    rows = []
-    for j, t in enumerate(eye.t):
-        row = {"t_s": float(t)}
-        row.update({f"seg_{k:03d}": float(eye.segments[k, j])
-                    for k in range(eye.segments.shape[0])})
-        rows.append(row)
     path = os.path.join(OUT_DIR, f"eye_{tag}.csv")
-    write_table(path, cols, rows)
+    write_table(path, cols, np.vstack([eye.t, eye.segments]).T)
     print(f"wrote {path}")
 
 

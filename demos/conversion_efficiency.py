@@ -46,15 +46,13 @@ def main():
     for p_dbm in powers_dbm:
         pump = PumpState(detuning=dev.f_m, p_on_chip=dbm_to_w(p_dbm))
         n_c = resolve_photon_number(dev, pump)
-        rows.append({
-            "p_on_chip_dbm": float(p_dbm),
-            "n_c": n_c,
-            "c_om": cooperativity(dev, n_c, dev.gamma_m),
-            "eta_tot_blue": total_efficiency(dev, pump, "blue"),
-            "eta_tot_red": total_efficiency(dev, pump, "red"),
-        })
+        rows.append([p_dbm, n_c, cooperativity(dev, n_c, dev.gamma_m),
+                     total_efficiency(dev, pump, "blue"),
+                     total_efficiency(dev, pump, "red")])
+    table = np.array(rows)
     path = os.path.join(OUT_DIR, "efficiency_vs_power.csv")
-    write_table(path, list(rows[0]), rows)
+    write_table(path, ["p_on_chip_dbm", "n_c", "c_om", "eta_tot_blue",
+                       "eta_tot_red"], table)
     print(f"\nwrote {path}")
 
     try:
@@ -64,8 +62,8 @@ def main():
     except ImportError:
         return
     fig, ax = plt.subplots(figsize=(5, 3.4))
-    ax.semilogy(powers_dbm, [r["eta_tot_blue"] for r in rows], label="blue")
-    ax.semilogy(powers_dbm, [r["eta_tot_red"] for r in rows], "--", label="red")
+    ax.semilogy(powers_dbm, table[:, 3], label="blue")
+    ax.semilogy(powers_dbm, table[:, 4], "--", label="red")
     ax.set_xlabel("on-chip pump power (dBm)")
     ax.set_ylabel("total conversion efficiency")
     ax.legend()

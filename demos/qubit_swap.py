@@ -39,12 +39,11 @@ def main():
     t = np.linspace(0.0, 3.0 / rep.g_em, 1601)
     qu_damped, ph_damped = rabi_swap_sim(dev, measured.qubit, t)
     qu_ideal, ph_ideal = rabi_swap_sim(dev, measured.qubit, t, lossless=True)
-    rows = [{"t_s": float(ti), "qubit_damped": float(a), "phonons_damped": float(b),
-             "qubit_lossless": float(c), "phonons_lossless": float(d)}
-            for ti, a, b, c, d in zip(t, qu_damped.y, ph_damped.y,
-                                      qu_ideal.y, ph_ideal.y)]
     path = os.path.join(OUT_DIR, "rabi_exchange.csv")
-    write_table(path, list(rows[0]), rows)
+    write_table(path, ["t_s", "qubit_damped", "phonons_damped",
+                       "qubit_lossless", "phonons_lossless"],
+                np.column_stack([t, qu_damped.y, ph_damped.y,
+                                 qu_ideal.y, ph_ideal.y]))
     print(f"\nwrote {path}")
     print(f"first swap completes near t = {1 / (4 * rep.g_em) * 1e9:.0f} ns")
 

@@ -11,6 +11,7 @@ import math
 import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import FitError, TransducerError
 from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
                       fit_optical_dip, fit_phase_detuning)
 from .link import (LinkConfig, eye_diagram, link_metrics, parse_bits, run_link)
-from .spectra import (MechanicalMode, driven_spectrum, s_oe_spectrum,
+from .spectra import (driven_spectrum, lumped_mode, s_oe_spectrum,
                       thermal_spectrum)
 from .swap import rabi_swap_sim, swap_feasibility
 from .sweep import SweepSpec, run_sweep
@@ -108,18 +109,10 @@ def cmd_efficiency(args) -> int:
     return 0
 
 
-def _default_mode(dev) -> MechanicalMode:
-    """Principal mode built from the lumped record when the file lists none."""
-    return MechanicalMode(f=dev.f_m, gamma=dev.gamma_m, g=dev.g_om,
-                          phi=0.0, gamma_e=dev.gamma_me)
-
-
 def cmd_spectrum(args) -> int:
     bundle = load_device(args.device)
     dev = bundle.device
-    modes = bundle.modes
-    if not modes:
-        modes = (_default_mode(dev),)
+    modes = bundle.modes or (lumped_mode(dev),)
     grid = _default_grid(bundle, args)
     n_th = core.thermal_occupation(dev.f_m, args.temperature)
     pump = _pump_from_args(args, bundle)
@@ -166,7 +159,7 @@ def cmd_fit(args) -> int:
 
 def cmd_link(args) -> int:
     bits = parse_bits(args.bits) if args.bits else \
-        parse_bits(open(args.bits_file).read())
+        parse_bits(Path(args.bits_file).read_text())
     spb = args.samples_per_bit
     if spb is None:     # resolve gamma_m and f_if at the requested rate
         spb = max(32, math.ceil(20.0 * args.gamma_m / args.rate),
@@ -180,20 +173,13 @@ def cmd_link(args) -> int:
     write_trace(run.envelope, env_path)
     iq_path = f"{args.out_prefix}_iq.csv"
     write_table(iq_path, ["t_s", "i_v", "q_v"],
-                [{"t_s": float(t), "i_v": float(i), "q_v": float(q)}
-                 for t, i, q in zip(run.time, run.i_trace.y, run.q_trace.y)])
+                np.column_stack([run.time, run.i_trace.y, run.q_trace.y]))
     outputs = [("envelope", env_path), ("iq", iq_path)]
     try:
         eye = eye_diagram(run, cfg)
         eye_path = f"{args.out_prefix}_eye.csv"
         cols = ["t_s"] + [f"seg_{k:03d}" for k in range(eye.segments.shape[0])]
-        rows = []
-        for j, t in enumerate(eye.t):
-            row = {"t_s": float(t)}
-            for k in range(eye.segments.shape[0]):
-                row[f"seg_{k:03d}"] = float(eye.segments[k, j])
-            rows.append(row)
-        write_table(eye_path, cols, rows)
+        write_table(eye_path, cols, np.vstack([eye.t, eye.segments]).T)
         outputs.append(("eye", eye_path))
     except TransducerError as err:
         print(f"note: no eye diagram ({err})", file=sys.stderr)
@@ -227,9 +213,7 @@ def cmd_swap(args) -> int:
         qubit_tr, mech_tr = rabi_swap_sim(bundle.device, qubit, t_grid,
                                           lossless=args.lossless)
         write_table(args.rabi_out, ["t_s", "qubit_excitation", "phonons"],
-                    [{"t_s": float(t), "qubit_excitation": float(a),
-                      "phonons": float(b)}
-                     for t, a, b in zip(t_grid, qubit_tr.y, mech_tr.y)])
+                    np.column_stack([t_grid, qubit_tr.y, mech_tr.y]))
         print(f"rabi_out = {args.rabi_out}")
     return 0
 
@@ -252,10 +236,10 @@ def cmd_sweep(args) -> int:
                                     args.count, args.scale, args.quantity)
     drive_p_mu = parse_power(args.power_mu) if args.power_mu else None
     rows = run_sweep(spec, bundle, temperature=args.temperature,
-                     drive_p_mu=drive_p_mu, max_workers=args.workers)
+                     drive_p_mu=drive_p_mu)
     columns = [path for path, _ in spec.targets] + list(spec.quantities)
     if args.out:
-        write_table(args.out, columns, rows)
+        write_table(args.out, columns, [[row[c] for c in columns] for row in rows])
         print(f"rows = {len(rows)}")
         print(f"out = {args.out}")
     else:
@@ -359,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output quantity (repeatable)")
     p.add_argument("--temperature", type=float, default=300.0)
     p.add_argument("--power-mu", help="microwave drive power for phonon counts")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
@@ -400,7 +383,7 @@ def main(argv=None) -> int:
     except TransducerError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -320,9 +320,8 @@ def load_device(name: str) -> DeviceBundle:
 
 def write_trace(trace: Trace, path) -> None:
     """Two-column CSV with a `x_unit,y_unit` header, 17 significant digits."""
-    lines = [f"{trace.x_unit},{trace.y_unit}"]
-    lines += [f"{x:.17g},{y:.17g}" for x, y in zip(trace.x, trace.y)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, [trace.x_unit, trace.y_unit],
+                np.column_stack([trace.x, trace.y]))
 
 
 def read_trace(path) -> Trace:
@@ -346,8 +345,8 @@ def read_trace(path) -> Trace:
             x, y = float(a), float(b)
         except ValueError:
             raise TraceError(f"{path}:{no}: cannot parse numbers in {line!r}")
-        if math.isnan(x) or math.isnan(y):
-            raise TraceError(f"{path}:{no}: NaN value")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise TraceError(f"{path}:{no}: non-finite value")
         xs.append(x)
         ys.append(y)
     if not xs:
@@ -358,12 +357,16 @@ def read_trace(path) -> Trace:
     return Trace(x, np.array(ys), header[0], header[1])
 
 
-def write_table(path, columns, rows) -> None:
-    """CSV table; floats printed with 17 significant digits."""
-    def cell(v):
-        return f"{v:.17g}" if isinstance(v, float) else str(v)
-    lines = [",".join(columns)]
-    lines += [",".join(cell(row[c]) for c in columns) for row in rows]
+def write_table(path, header, rows) -> None:
+    """CSV with one header line and one line per row of a 2-D numeric array.
+
+    rows is any rectangular array-like with len(header) columns; every
+    cell is printed as a float with 17 significant digits, so reading
+    it back with float() reproduces the value bit for bit.
+    """
+    fmt = ",".join(["{:.17g}"] * len(header))
+    lines = [",".join(header)]
+    lines += [fmt.format(*row) for row in np.asarray(rows, dtype=float).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -9,12 +9,13 @@ the caller.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DeviceParams
 from .errors import FitError, ParameterError
+from .spectra import _lorentzian_density
 from .trace import Trace
 
 MAX_ITER = 200
@@ -323,8 +324,7 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
 # ---------------------------------------------------------- multi-Lorentzian
 
 def _lorentz(f, center, gamma, area):
-    hw = 0.5 * gamma
-    return area * (hw / np.pi) / ((f - center) ** 2 + hw ** 2)
+    return area * _lorentzian_density(f, center, gamma)
 
 
 def _half_max_width(f, y, idx):

@@ -127,24 +127,20 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     t = np.arange(n_steps + 1) * dt
     decay = math.exp(-math.pi * cfg.gamma_m * dt)
 
-    beta = np.zeros(n_steps + 1, dtype=complex)
     gate = np.repeat(np.asarray(cfg.bits, dtype=float), spb)
     if cfg.drive_mode == "coherent":
         # settled drive level is v0: u/(pi*gamma) = v0
-        kick = cfg.v0 * (1.0 - decay) * gate
-        b = 0.0 + 0.0j
-        for k in range(n_steps):
-            b = b * decay + kick[k]
-            beta[k + 1] = b
+        u = cfg.v0 * (1.0 - decay) * gate
     else:
         # gated white-noise bath; stationary mean square |beta|^2 = v0^2
         sigma = cfg.v0 * math.sqrt(max(1.0 - decay ** 2, 0.0) / 2.0)
-        xi = sigma * (rng.standard_normal(n_steps)
-                      + 1j * rng.standard_normal(n_steps)) * gate
-        b = 0.0 + 0.0j
-        for k in range(n_steps):
-            b = b * decay + xi[k]
-            beta[k + 1] = b
+        u = sigma * (rng.standard_normal(n_steps)
+                     + 1j * rng.standard_normal(n_steps)) * gate
+    beta = np.zeros(n_steps + 1, dtype=complex)
+    b = 0.0 + 0.0j
+    for k in range(n_steps):
+        b = b * decay + u[k]
+        beta[k + 1] = b
 
     carrier = np.exp(1j * 2 * np.pi * cfg.f_if * t)
     v_det = beta * carrier

@@ -54,6 +54,12 @@ class MechanicalMode:
         object.__setattr__(self, "phi", self.phi % (2 * math.pi))
 
 
+def lumped_mode(dev: DeviceParams) -> MechanicalMode:
+    """Principal mode built from the lumped record, for files with no [[modes]]."""
+    return MechanicalMode(f=dev.f_m, gamma=dev.gamma_m, g=dev.g_om,
+                          phi=0.0, gamma_e=dev.gamma_me)
+
+
 def mech_susceptibility(f, f_mode: float, gamma: float):
     """chi(f) = 1 / (i 2*pi (f_mode - f) + pi gamma), units 1/(angular Hz)."""
     return 1.0 / (1j * 2 * np.pi * (f_mode - f) + np.pi * gamma)

@@ -2,12 +2,9 @@
 
 A sweep walks one or more parameter paths (zipped when several are
 given), rebuilds the immutable device records for each row, and
-evaluates the requested quantities. Rows are independent, so they may
-be fanned out to worker threads; output order always follows the value
-lists.
+evaluates the requested quantities. Row order follows the value lists.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +13,8 @@ from . import core
 from .core import DeviceParams, PumpState
 from .deviceio import DeviceBundle
 from .errors import ParameterError
-from .spectra import MechanicalMode, sideband_rate, steady_state_coherent_phonons
+from .spectra import (MechanicalMode, lumped_mode, sideband_rate,
+                      steady_state_coherent_phonons)
 from .swap import QubitConfig, coupling_g_em, qubit_impedance, swap_feasibility
 
 
@@ -88,11 +86,7 @@ class SweepContext:
         return self.qubit
 
     def principal_mode(self) -> MechanicalMode:
-        if self.modes:
-            return self.modes[0]
-        d = self.device
-        return MechanicalMode(f=d.f_m, gamma=d.gamma_m, g=d.g_om,
-                              phi=0.0, gamma_e=d.gamma_me)
+        return self.modes[0] if self.modes else lumped_mode(self.device)
 
     def sign(self) -> str:
         return self.require_pump().sign
@@ -200,8 +194,8 @@ def apply_param(ctx: SweepContext, path: str, value: float) -> SweepContext:
 
 
 def run_sweep(spec: SweepSpec, bundle: DeviceBundle, *,
-              temperature: float = 300.0, drive_p_mu: float | None = None,
-              max_workers: int | None = None) -> list[dict]:
+              temperature: float = 300.0,
+              drive_p_mu: float | None = None) -> list[dict]:
     """One row per value set; row order follows the value lists."""
     base = context_from_bundle(bundle, temperature, drive_p_mu)
 
@@ -219,8 +213,4 @@ def run_sweep(spec: SweepSpec, bundle: DeviceBundle, *,
             out[name] = float(QUANTITIES[name](ctx))
         return out
 
-    indices = range(spec.n_rows)
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(row, indices))
-    return [row(i) for i in indices]
+    return [row(i) for i in range(spec.n_rows)]

@@ -6,7 +6,7 @@ e.g. x_unit "hz" or "s", y_unit "lin" (linear power / flux density),
 "db", or "v".
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

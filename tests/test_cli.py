@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -168,6 +169,25 @@ def test_sweep_writes_table(tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_fit_dip_on_directory_exits_2(tmp_path, capsys):
+    assert main(["fit", "dip", "--trace", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_fit_dip_on_non_utf8_trace_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"hz,lin\n1.0,\xff\n")
+    assert main(["fit", "dip", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_out_to_directory_exits_2(tmp_path, capsys):
+    assert main(["sweep", "--device", MEASURED, "--param", "pump.n_c",
+                 "--start", "1e3", "--stop", "1e4", "--quantity", "c_om",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sweep_unknown_quantity_exits_2(capsys):
     assert main(["sweep", "--device", MEASURED, "--param", "pump.n_c",
                  "--start", "1", "--stop", "2", "--quantity", "bogus"]) == 2
@@ -209,3 +229,24 @@ def test_seed_changes_noisy_output(tmp_path):
     a = (tmp_path / "seed_a_envelope.csv").read_bytes()
     b = (tmp_path / "seed_b_envelope.csv").read_bytes()
     assert a != b
+
+
+# sha256 of the CSVs this run writes: any change to a written byte fails
+# here. f_if = 0 keeps the carrier exactly 1, so only the recursion, the
+# seeded noise and the formatting reach the files.
+LINK_CSV_SHA256 = {
+    "envelope": "e3a72679659bf492b012f1e3f3d5c42d86ebc76ec79237a936e4a5a494d34dc8",
+    "iq": "154b35e21264162bf36956fe0f3aeb52edf07ffe814cc6c828cf0b480ebe8085",
+    "eye": "9d241ca707cbea5cd9b66d5599c3f1ba0f2830ef6321fb61343acf97946bac00",
+}
+
+
+def test_link_csv_bytes_are_pinned(tmp_path):
+    prefix = str(tmp_path / "pin")
+    assert main(["--seed", "7", "link", "--bits", "0110100111", "--rate", "1e6",
+                 "--gamma-m", "7.9e6", "--f-if", "0", "--samples-per-bit", "160",
+                 "--noise-rms", "0.05", "--out-prefix", prefix]) == 0
+    digests = {name: hashlib.sha256(
+        (tmp_path / f"pin_{name}.csv").read_bytes()).hexdigest()
+        for name in LINK_CSV_SHA256}
+    assert digests == LINK_CSV_SHA256

@@ -140,10 +140,11 @@ def test_trace_rejects_descending_x(tmp_path):
 
 def test_trace_rejects_nan(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("hz,lin\n1.0,nan\n2.0,1.0\n")
-    with pytest.raises(TraceError) as err:
-        read_trace(path)
-    assert "NaN" in str(err.value)
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"hz,lin\n1.0,1.0\n2.0,{value}\n")
+        with pytest.raises(TraceError) as err:
+            read_trace(path)
+        assert f"{path}:3: non-finite value" in str(err.value)
 
 
 def test_trace_mixed_delimiters_names_line(tmp_path):
@@ -216,14 +217,6 @@ def test_sweep_zipped_idt_scaling(measured):
     assert np.allclose(g_em, expected, rtol=1e-12)
 
 
-def test_sweep_parallel_matches_serial(measured):
-    spec = SweepSpec.from_range("pump.n_c", 1e3, 3e4, 16, "log",
-                                ["c_om", "eta_tot", "gamma_tot"])
-    serial = run_sweep(spec, measured)
-    parallel = run_sweep(spec, measured, max_workers=4)
-    assert serial == parallel
-
-
 def test_sweep_unknown_quantity():
     with pytest.raises(ParameterError) as err:
         SweepSpec.from_range("pump.n_c", 1.0, 2.0, 3, "linear", ["bogus"])
@@ -248,7 +241,12 @@ def test_sweep_range_validation():
 
 def test_write_table(tmp_path):
     path = tmp_path / "table.csv"
-    write_table(path, ["a", "b"], [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 4.5}])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "a,b"
-    assert len(lines) == 3
+    write_table(path, ["a", "b"], [[1.0, 2.0], [3.0, 4.5]])
+    assert path.read_bytes() == b"a,b\n1,2\n3,4.5\n"
+
+
+@pytest.mark.parametrize("value", [-0.0, 5e-324, 1e308, 0.1, 3.0])
+def test_write_table_cell_is_17g(tmp_path, value):
+    path = tmp_path / "cell.csv"
+    write_table(path, ["v"], np.array([[value]]))
+    assert path.read_text().splitlines()[1] == f"{value:.17g}"
