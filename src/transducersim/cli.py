@@ -11,14 +11,13 @@ import math
 import re
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from . import core
 from .core import PumpState
-from .deviceio import (load_device, parse_power, read_points, read_trace,
-                       write_table, write_trace)
+from .deviceio import (load_device, parse_power, read_points, read_text,
+                       read_trace, write_table, write_trace)
 from .errors import FitError, TransducerError
 from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
                       fit_optical_dip, fit_phase_detuning)
@@ -159,7 +158,7 @@ def cmd_fit(args) -> int:
 
 def cmd_link(args) -> int:
     bits = parse_bits(args.bits) if args.bits else \
-        parse_bits(Path(args.bits_file).read_text())
+        parse_bits(read_text(args.bits_file))
     spb = args.samples_per_bit
     if spb is None:     # resolve gamma_m and f_if at the requested rate
         spb = max(32, math.ceil(20.0 * args.gamma_m / args.rate),
@@ -383,7 +382,7 @@ def main(argv=None) -> int:
     except TransducerError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

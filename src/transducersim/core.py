@@ -18,6 +18,32 @@ DetuningSign = Literal["blue", "red"]
 N_C_CONSISTENCY_TOL = 0.05
 
 
+def range_errors(record, positive=(), nonnegative=(), finite=()) -> list:
+    """One message per named field of record outside its range.
+
+    Every test is a chained comparison, so NaN and +-inf fail it:
+    positive 0 < v < inf, nonnegative 0 <= v < inf, finite -inf < v < inf.
+    Fields set to None (optional and absent) are skipped. Plain loops
+    and getattr, because run_sweep rebuilds records on every row (reading
+    record.__dict__ would materialise a dict on every instance and slow
+    each later attribute read).
+    """
+    inf, bad = math.inf, []
+    for n in positive:
+        v = getattr(record, n)
+        if v is not None and not 0 < v < inf:
+            bad.append(f"{n} must be finite and > 0 (got {v!r})")
+    for n in nonnegative:
+        v = getattr(record, n)
+        if v is not None and not 0 <= v < inf:
+            bad.append(f"{n} must be finite and >= 0 (got {v!r})")
+    for n in finite:
+        v = getattr(record, n)
+        if v is not None and not -inf < v < inf:
+            bad.append(f"{n} must be finite (got {v!r})")
+    return bad
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Lumped transducer record.
@@ -46,13 +72,9 @@ class DeviceParams:
     z0: float
 
     def __post_init__(self):
-        bad = []
-        for name in ("f_o", "kappa_o", "kappa_oe", "f_m", "gamma_mi", "z0"):
-            if getattr(self, name) <= 0:
-                bad.append(f"{name} must be > 0 (got {getattr(self, name)!r})")
-        for name in ("gamma_me", "g_om", "c_idt"):
-            if getattr(self, name) < 0:
-                bad.append(f"{name} must be >= 0 (got {getattr(self, name)!r})")
+        bad = range_errors(
+            self, positive=("f_o", "kappa_o", "kappa_oe", "f_m", "gamma_mi", "z0"),
+            nonnegative=("gamma_me", "g_om", "c_idt"))
         if self.kappa_oe > self.kappa_o:
             bad.append(
                 f"kappa_oe ({self.kappa_oe!r}) exceeds kappa_o ({self.kappa_o!r})")
@@ -88,10 +110,10 @@ class PumpState:
     def __post_init__(self):
         if self.p_on_chip is None and self.n_c is None:
             raise ParameterError("PumpState needs p_on_chip or n_c")
-        if self.p_on_chip is not None and self.p_on_chip < 0:
-            raise ParameterError(f"p_on_chip must be >= 0 (got {self.p_on_chip!r})")
-        if self.n_c is not None and self.n_c < 0:
-            raise ParameterError(f"n_c must be >= 0 (got {self.n_c!r})")
+        bad = range_errors(self, finite=("detuning",),
+                           nonnegative=("p_on_chip", "n_c"))
+        if bad:
+            raise ParameterError("; ".join(bad))
 
     @property
     def sign(self) -> DetuningSign:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DeviceParams, PumpState
-from .errors import DeviceFileError, ParameterError, TraceError
+from .errors import DeviceFileError, ParameterError, TraceError, TransducerError
 from .spectra import MechanicalMode
 from .swap import QubitConfig
 from .trace import Trace
@@ -26,6 +26,15 @@ from .trace import Trace
 DEVICE_PATH_ENV = "TRANSDUCERSIM_DEVICE_PATH"
 
 BUNDLED_DEVICES = ("table1_measured", "table1_sim_adjusted", "table1_sim_initial")
+
+
+def read_text(path) -> str:
+    """Contents of a text file; one that does not decode raises an error
+    that names it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise TransducerError(f"{path}: not a text file ({err})") from err
 
 
 def dbm_to_w(dbm: float) -> float:
@@ -39,13 +48,22 @@ def w_to_dbm(w: float) -> float:
 
 
 def parse_power(text: str) -> float:
-    """'-7.9dbm' or '1.6e-4w' -> watts."""
+    """'-7.9dbm' or '1.6e-4w' -> watts, finite and >= 0."""
     s = text.strip().lower()
     if s.endswith("dbm"):
-        return dbm_to_w(float(s[:-3]))
-    if s.endswith("w"):
-        return float(s[:-1])
-    raise ParameterError(f"power needs a dbm or w suffix (got {text!r})")
+        number, to_w = s[:-3], dbm_to_w
+    elif s.endswith("w"):
+        number, to_w = s[:-1], float
+    else:
+        raise ParameterError(f"power needs a dbm or w suffix (got {text!r})")
+    try:
+        value = float(number)
+        w = to_w(value)
+    except (ValueError, OverflowError):
+        value = w = math.nan
+    if not (-math.inf < value < math.inf and 0 <= w < math.inf):
+        raise ParameterError(f"power must be finite and >= 0 W (got {text!r})")
+    return w
 
 
 @dataclass(frozen=True)
@@ -248,7 +266,7 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
 
 def parse_device(path) -> DeviceBundle:
     p = Path(path)
-    return parse_device_text(p.read_text(), source=str(p))
+    return parse_device_text(read_text(p), source=str(p))
 
 
 def write_device(bundle: DeviceBundle, path) -> None:
@@ -325,8 +343,7 @@ def write_trace(trace: Trace, path) -> None:
 
 
 def read_trace(path) -> Trace:
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise TraceError(f"{path}: empty file")
     header = [tok.strip() for tok in lines[0].split(",")]
@@ -373,7 +390,7 @@ def write_table(path, header, rows) -> None:
 def read_points(path) -> np.ndarray:
     """Two-column CSV (with or without a non-numeric header) -> (N, 2) array."""
     rows = []
-    for no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split(",")

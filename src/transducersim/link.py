@@ -1,12 +1,14 @@
 """Classical bit-array transmission through the mechanical channel.
 
 The RF carrier is never simulated: only the complex baseband envelope
-of the mechanical mode is integrated, with an exact per-sample
-exponential update (the drive is piecewise constant, so the first-order
-linear ODE has a closed form). The detected quadratures oscillate at
-the intermediate frequency and demodulate exactly; additive Gaussian
-noise is applied on I and Q after demodulation with a caller-seeded
-generator.
+of the mechanical mode is computed. The drive is constant within each
+sample, so the first-order linear ODE has an exact solution: every bit
+is propagated in closed form from its start value (a coherent bit is a
+broadcast of exp(-pi*gamma_m*t); a thermal bit is a stable scan of its
+noise samples), and only the bit-start values recur from bit to bit.
+The detected quadratures oscillate at the intermediate frequency and
+demodulate exactly; additive Gaussian noise is applied on I and Q after
+demodulation with a caller-seeded generator.
 """
 
 import math
@@ -14,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import range_errors
 from .errors import FitError, ParameterError, SamplingError
 from .fitting import FitResult, _gauss_newton
 from .trace import Trace
@@ -54,22 +57,13 @@ class LinkConfig:
     drive_mode: str = "coherent"
 
     def __post_init__(self):
-        bad = []
+        bad = range_errors(self, positive=("rate", "gamma_m", "v0"),
+                           nonnegative=("f_if", "noise_rms"))
         if not self.bits:
             bad.append("bits must be nonempty")
         elif any(b not in (0, 1) for b in self.bits):
             bad.append("bits must contain only 0 and 1")
-        if self.rate <= 0:
-            bad.append(f"rate must be > 0 (got {self.rate!r})")
-        if self.gamma_m <= 0:
-            bad.append(f"gamma_m must be > 0 (got {self.gamma_m!r})")
-        if self.f_if < 0:
-            bad.append(f"f_if must be >= 0 (got {self.f_if!r})")
-        if self.v0 <= 0:
-            bad.append(f"v0 must be > 0 (got {self.v0!r})")
-        if self.noise_rms < 0:
-            bad.append(f"noise_rms must be >= 0 (got {self.noise_rms!r})")
-        if self.samples_per_bit < 8:
+        if not 8 <= self.samples_per_bit < math.inf:
             bad.append(f"samples_per_bit must be >= 8 (got {self.samples_per_bit!r})")
         if self.drive_mode not in ("coherent", "thermal"):
             bad.append(f"drive_mode must be 'coherent' or 'thermal' "
@@ -110,37 +104,70 @@ def _check_sampling(cfg: LinkConfig) -> None:
             "raise samples_per_bit or set f_if = 0")
 
 
-def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
-    """Integrate the mechanical envelope for the bit array and demodulate.
+def _scan_rows(x: np.ndarray, d_m: np.ndarray) -> None:
+    """In place: x[:, k] <- sum over i <= k of d^(k-i) * x[:, i].
 
-    dbeta/dt = -pi*gamma_m*beta + drive(t), drive on for 1-bits. The
-    update per sample is the exact exponential solution, so an isolated
-    0->1 step follows v0*(1 - exp(-pi*gamma_m*t)) to machine precision
-    and a settled 1->0 edge decays as exp(-pi*gamma_m*t).
+    d_m[s - 1] = d^s. Log2 doubling steps each add d^s (<= 1) times the
+    row shifted by s, so no term is ever amplified; scaling by d^-k
+    before a cumsum would lose log10(d^-len) digits.
+    """
+    tmp = np.empty_like(x)
+    s = 1
+    while s < x.shape[1]:
+        np.multiply(x[:, :-s], d_m[s - 1], out=tmp[:, :-s])
+        x[:, s:] += tmp[:, :-s]
+        s *= 2
+
+
+def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
+    """Compute the mechanical envelope for the bit array and demodulate.
+
+    dbeta/dt = -pi*gamma_m*beta + drive(t), drive on for 1-bits. With
+    d = exp(-pi*gamma_m*dt), sample m of a bit that starts at s_j is
+
+        coherent: beta = d^m * s_j + v0 * bit_j * (1 - d^m)
+        thermal:  beta = d^m * s_j + sum_{i<m} d^(m-1-i) * u_i
+
+    (u_i the bit's gated noise drive). This is the exact solution of
+    the per-sample update beta <- d*beta + u, so an isolated 0->1 step
+    follows v0*(1 - exp(-pi*gamma_m*t)) to machine precision and a
+    settled 1->0 edge decays as exp(-pi*gamma_m*t). Only the bit-start
+    values recur: s_{j+1} = d^spb * s_j + (bit j's response from 0).
     """
     _check_sampling(cfg)
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
     spb = cfg.samples_per_bit
-    n_steps = len(cfg.bits) * spb
+    n_bits = len(cfg.bits)
+    n_steps = n_bits * spb
     dt = 1.0 / cfg.sample_rate
     t = np.arange(n_steps + 1) * dt
-    decay = math.exp(-math.pi * cfg.gamma_m * dt)
+    rate_dt = math.pi * cfg.gamma_m * dt
+    m = np.arange(1, spb + 1)
+    d_m = np.exp(-rate_dt * m)                  # d^m, m = 1..spb
 
-    gate = np.repeat(np.asarray(cfg.bits, dtype=float), spb)
+    bits = np.asarray(cfg.bits, dtype=float)
     if cfg.drive_mode == "coherent":
-        # settled drive level is v0: u/(pi*gamma) = v0
-        u = cfg.v0 * (1.0 - decay) * gate
+        # settled drive level is v0; response of each bit from rest
+        rise = cfg.v0 * np.multiply.outer(bits, -np.expm1(-rate_dt * m))
     else:
         # gated white-noise bath; stationary mean square |beta|^2 = v0^2
+        decay = math.exp(-rate_dt)
         sigma = cfg.v0 * math.sqrt(max(1.0 - decay ** 2, 0.0) / 2.0)
         u = sigma * (rng.standard_normal(n_steps)
-                     + 1j * rng.standard_normal(n_steps)) * gate
-    beta = np.zeros(n_steps + 1, dtype=complex)
-    b = 0.0 + 0.0j
-    for k in range(n_steps):
-        b = b * decay + u[k]
-        beta[k + 1] = b
+                     + 1j * rng.standard_normal(n_steps)) \
+            * np.repeat(bits, spb)
+        rise = u.reshape(n_bits, spb)
+        _scan_rows(rise, d_m)
+    starts, s = [], 0.0
+    for end in rise[:, -1].tolist():
+        starts.append(s)
+        s = s * d_m[-1] + end
+    beta = np.empty(n_steps + 1, dtype=complex)
+    beta[0] = 0.0
+    per_bit = beta[1:].reshape(n_bits, spb)
+    np.multiply(np.asarray(starts)[:, None], d_m, out=per_bit)
+    per_bit += rise
 
     carrier = np.exp(1j * 2 * np.pi * cfg.f_if * t)
     v_det = beta * carrier

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA
-from .core import DeviceParams, PumpState, resolve_photon_number
+from .core import DeviceParams, PumpState, range_errors, resolve_photon_number
 from .errors import FitError, ParameterError
 from .trace import Trace
 
@@ -40,15 +40,8 @@ class MechanicalMode:
     gamma_e: float = 0.0
 
     def __post_init__(self):
-        bad = []
-        if self.f <= 0:
-            bad.append(f"f must be > 0 (got {self.f!r})")
-        if self.gamma <= 0:
-            bad.append(f"gamma must be > 0 (got {self.gamma!r})")
-        if self.g < 0:
-            bad.append(f"g must be >= 0 (got {self.g!r})")
-        if self.gamma_e < 0:
-            bad.append(f"gamma_e must be >= 0 (got {self.gamma_e!r})")
+        bad = range_errors(self, positive=("f", "gamma"),
+                           nonnegative=("g", "gamma_e"), finite=("phi",))
         if bad:
             raise ParameterError("; ".join(bad))
         object.__setattr__(self, "phi", self.phi % (2 * math.pi))

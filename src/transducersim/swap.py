@@ -5,12 +5,13 @@ excitation: two coupled lossy amplitude equations with coupling g_em
 and decay rates kappa_mu (qubit) and gamma_mi (mechanics).
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DeviceParams
+from .core import DeviceParams, range_errors
 from .errors import ParameterError, SamplingError
 from .trace import Trace
 
@@ -24,8 +25,7 @@ class QubitConfig:
     kappa_mu: float  # Hz
 
     def __post_init__(self):
-        bad = [f"{n} must be > 0 (got {getattr(self, n)!r})"
-               for n in ("c_q", "f_mu", "kappa_mu") if getattr(self, n) <= 0]
+        bad = range_errors(self, positive=("c_q", "f_mu", "kappa_mu"))
         if bad:
             raise ParameterError("; ".join(bad))
 
@@ -77,13 +77,22 @@ def rabi_swap_sim(dev: DeviceParams, q: QubitConfig, t_grid,
                   lossless: bool = False) -> tuple[Trace, Trace]:
     """Excitation exchange between the qubit and the mechanical mode.
 
-    Integrates
+    Solves
         da/dt = -pi*kappa_mu*a - i*2*pi*g_em*b
         db/dt = -pi*gamma_mi*b - i*2*pi*g_em*a
     from a = 1, b = 0 (qubit excited, mechanics in the ground state)
-    with a fixed-substep RK4 and returns (|a|^2, |b|^2) on t_grid. In
-    the lossless limit the exchange oscillates at 2*g_em with the first
-    full swap at t = 1/(4*g_em).
+    and returns (|a|^2, |b|^2) on t_grid. The generator M is a constant
+    2x2 matrix, so by Cayley-Hamilton the exact propagator is
+
+        exp(M t) = e^(mu t) [cosh(W t) I + sinh(W t)/W (M - mu I)]
+
+    with mu = tr(M)/2 and W^2 = (pi*(gamma_mi - kappa_mu)/2)^2
+    - (2*pi*g_em)^2 (W complex). sinh(W t)/W tends to t as W -> 0, so
+    the result stays finite at the exceptional point W = 0, where M
+    cannot be diagonalized, and the exponentials are combined as
+    e^((mu +- W) t), whose real parts are <= 0, so no large t overflows.
+    In the lossless limit the exchange oscillates at 2*g_em with the
+    first full swap at t = 1/(4*g_em).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -98,27 +107,24 @@ def rabi_swap_sim(dev: DeviceParams, q: QubitConfig, t_grid,
 
     kappa = 0.0 if lossless else q.kappa_mu
     gamma = 0.0 if lossless else dev.gamma_mi
-    m = np.array([[-math.pi * kappa, -1j * 2 * math.pi * g_em],
-                  [-1j * 2 * math.pi * g_em, -math.pi * gamma]])
-    f_char = max(2.0 * g_em, kappa, gamma, 1.0 / float(t[-1]))
-    dt_target = 1.0 / (256.0 * f_char)
-
-    state = np.array([1.0 + 0.0j, 0.0 + 0.0j])
-    out = np.empty((t.size, 2))
-    prev = 0.0
-    for i, ti in enumerate(t):
-        span = ti - prev
-        if span > 0:
-            n_sub = max(int(math.ceil(span / dt_target)), 1)
-            h = span / n_sub
-            for _ in range(n_sub):
-                k1 = m @ state
-                k2 = m @ (state + 0.5 * h * k1)
-                k3 = m @ (state + 0.5 * h * k2)
-                k4 = m @ (state + h * k3)
-                state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = np.abs(state) ** 2
-        prev = ti
-    qubit = Trace(t, out[:, 0], "s", "lin", label="qubit excitation")
-    mech = Trace(t, out[:, 1], "s", "lin", label="phonon occupation")
+    mu = -math.pi * (kappa + gamma) / 2      # tr(M)/2
+    half = math.pi * (gamma - kappa) / 2     # (M - mu I)[0, 0]
+    g2 = 2 * math.pi * g_em                  # (M - mu I)[0, 1] = -i*g2
+    omega = cmath.sqrt(half * half - g2 * g2)
+    e_up = np.exp((mu + omega) * t)
+    e_down = np.exp((mu - omega) * t)
+    cosh_part = 0.5 * (e_up + e_down)        # e^(mu t) cosh(W t)
+    # e^(mu t) sinh(W t)/W: e^(mu t) t at W = 0; below |W t| = 1 the
+    # difference of the exponentials cancels, so scale that by sinh(z)/z
+    sinh_part = (np.exp(mu * t) * t).astype(complex)
+    if omega != 0:
+        z = omega * t
+        far = np.abs(z) >= 1.0
+        sinh_part[far] = (e_up[far] - e_down[far]) / (2 * omega)
+        near = ~far & (t > 0)
+        sinh_part[near] *= np.sinh(z[near]) / z[near]
+    a = cosh_part + half * sinh_part
+    b = -1j * g2 * sinh_part
+    qubit = Trace(t, np.abs(a) ** 2, "s", "lin", label="qubit excitation")
+    mech = Trace(t, np.abs(b) ** 2, "s", "lin", label="phonon occupation")
     return qubit, mech

@@ -1,14 +1,17 @@
 import hashlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from transducersim import Trace, write_trace
+from transducersim import cli
 from transducersim.cli import main
 from transducersim.deviceio import resolve_device_path
 
-from conftest import relerr
+from conftest import reference_run, relerr
 
 MEASURED = str(resolve_device_path("table1_measured"))
 
@@ -63,6 +66,28 @@ def test_invalid_device_file_exits_2(tmp_path, capsys):
     assert main(["efficiency", "--device", str(bad),
                  "--detuning", "blue"]) == 2
     assert "kappa_oe" in capsys.readouterr().err
+
+
+def test_nan_in_device_file_exits_2(tmp_path, capsys):
+    text = Path(MEASURED).read_text()
+    nan_dev = tmp_path / "nan.cfg"
+    nan_dev.write_text(re.sub(r"(?m)^f_o_hz = .*$", "f_o_hz = nan", text))
+    assert main(["efficiency", "--device", str(nan_dev), "--power", "-7.9dbm",
+                 "--detuning", "blue"]) == 2
+    out, err = capsys.readouterr()
+    assert "eta_tot" not in out
+    assert "f_o" in err
+
+
+def test_decode_error_names_the_file(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_trace(Trace(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.4, 0.5])),
+                good)
+    bad.write_bytes(b"hz,rad\n1.0,\xff\n")
+    assert main(["fit", "phase", "--mag", str(good), "--phase", str(bad),
+                 "--device", MEASURED]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.csv" in err
 
 
 def test_spectrum_thermal_writes_csv(tmp_path, capsys):
@@ -232,21 +257,44 @@ def test_seed_changes_noisy_output(tmp_path):
 
 
 # sha256 of the CSVs this run writes: any change to a written byte fails
-# here. f_if = 0 keeps the carrier exactly 1, so only the recursion, the
+# here. f_if = 0 keeps the carrier exactly 1, so only the integrator, the
 # seeded noise and the formatting reach the files.
+PIN_ARGS = ["--seed", "7", "link", "--bits", "0110100111", "--rate", "1e6",
+            "--gamma-m", "7.9e6", "--f-if", "0", "--samples-per-bit", "160",
+            "--noise-rms", "0.05"]
 LINK_CSV_SHA256 = {
+    "envelope": "df5a8a78ee0ccffa884ff751dfa429198e1ae036b5679074d2dece06e47c5d81",
+    "iq": "57930707f1dfb9d219b0563f0218e95b7151ed6984f3ee29e0661940946dde63",
+    "eye": "fe89b5fa2e94b94bcb6310b92c54f34935dd21725f3fb7cf6336aa8d709bc064",
+}
+# the same run through the per-sample loop the closed form replaced
+LOOP_LINK_CSV_SHA256 = {
     "envelope": "e3a72679659bf492b012f1e3f3d5c42d86ebc76ec79237a936e4a5a494d34dc8",
     "iq": "154b35e21264162bf36956fe0f3aeb52edf07ffe814cc6c828cf0b480ebe8085",
     "eye": "9d241ca707cbea5cd9b66d5599c3f1ba0f2830ef6321fb61343acf97946bac00",
 }
 
 
-def test_link_csv_bytes_are_pinned(tmp_path):
-    prefix = str(tmp_path / "pin")
-    assert main(["--seed", "7", "link", "--bits", "0110100111", "--rate", "1e6",
-                 "--gamma-m", "7.9e6", "--f-if", "0", "--samples-per-bit", "160",
-                 "--noise-rms", "0.05", "--out-prefix", prefix]) == 0
-    digests = {name: hashlib.sha256(
-        (tmp_path / f"pin_{name}.csv").read_bytes()).hexdigest()
+def link_csv_digests(tmp_path, tag):
+    assert main(PIN_ARGS + ["--out-prefix", str(tmp_path / tag)]) == 0
+    return {name: hashlib.sha256(
+        (tmp_path / f"{tag}_{name}.csv").read_bytes()).hexdigest()
         for name in LINK_CSV_SHA256}
-    assert digests == LINK_CSV_SHA256
+
+
+def test_link_csv_bytes_are_pinned(tmp_path):
+    assert link_csv_digests(tmp_path, "pin") == LINK_CSV_SHA256
+
+
+def test_link_csvs_match_the_per_sample_loop(tmp_path, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_link", reference_run)
+        assert link_csv_digests(tmp_path, "loop") == LOOP_LINK_CSV_SHA256
+    link_csv_digests(tmp_path, "new")
+    for name in LINK_CSV_SHA256:
+        old, new = (np.loadtxt(tmp_path / f"{tag}_{name}.csv", delimiter=",",
+                               skiprows=1) for tag in ("loop", "new"))
+        scale = np.maximum(np.abs(old), np.abs(new))
+        if name == "iq":     # noise can cancel the signal: floor at v0 = 1
+            scale = np.maximum(scale, 1.0)
+        assert np.all(np.abs(new - old) <= 1e-14 * scale), name

@@ -252,6 +252,39 @@ def test_device_params_validation_is_eager():
         DeviceParams(**{**TABLE, "eta_oc": 1.5})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_records_reject_non_finite_values(bad):
+    from transducersim import LinkConfig, MechanicalMode, QubitConfig
+    for name in TABLE:
+        with pytest.raises(ParameterError):
+            DeviceParams(**{**TABLE, name: bad})
+    for kw in ({"n_c": bad}, {"p_on_chip": bad}, {"n_c": 1e3, "detuning": bad}):
+        with pytest.raises(ParameterError):
+            PumpState(**{"detuning": 4.32e9, **kw})
+    mode = dict(f=4.32e9, gamma=8.4e6, g=130e3, phi=0.5, gamma_e=58.0)
+    for name in mode:
+        with pytest.raises(ParameterError):
+            MechanicalMode(**{**mode, name: bad})
+    qubit = dict(c_q=60e-15, f_mu=4.32e9, kappa_mu=1e6)
+    for name in qubit:
+        with pytest.raises(ParameterError):
+            QubitConfig(**{**qubit, name: bad})
+    link = dict(bits=(0, 1), rate=1e6, gamma_m=7.9e6, f_if=0.0, v0=1.0,
+                noise_rms=0.0)
+    for name in ("rate", "gamma_m", "f_if", "v0", "noise_rms"):
+        with pytest.raises(ParameterError):
+            LinkConfig(**{**link, name: bad})
+
+
+def test_blue_detuned_nan_raises(table_dev):
+    # NaN used to slip past the parametric-threshold comparison
+    with pytest.raises(ParameterError):
+        total_efficiency(table_dev, PumpState(detuning=4.32e9, n_c=math.nan),
+                         "blue")
+    with pytest.raises(ParameterError):
+        DeviceParams(**{**TABLE, "g_om": math.nan})
+
+
 def test_kappa_oi_derived(table_dev):
     assert math.isclose(table_dev.kappa_oi, 2.1e9 - 0.99e9, rel_tol=1e-12)
 

@@ -113,6 +113,9 @@ def test_parse_power():
     assert parse_power("0.1W") == 0.1
     with pytest.raises(ParameterError):
         parse_power("10")
+    for text in ("nandbm", "nanw", "infw", "-infdbm", "1e4dbm", "-1w", "xw"):
+        with pytest.raises(ParameterError):
+            parse_power(text)
 
 
 # ----------------------------------------------------------------- trace CSV

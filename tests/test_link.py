@@ -8,7 +8,7 @@ from transducersim import (LinkConfig, ParameterError, SamplingError, Trace,
                            link_metrics, parse_bits, run_link)
 from transducersim.link import EXTINCTION_CAP, ring_segments
 
-from conftest import relerr
+from conftest import reference_beta, reference_drive, reference_run, relerr
 
 PRBS48 = tuple(int(b) for b in
                "110100101100111011000101001111001010110001110100")
@@ -88,6 +88,45 @@ def test_envelope_satisfies_the_mode_ode():
     scale = math.pi * cfg.gamma_m * cfg.v0
     assert coarse < 1e-4 * scale
     assert fine < 0.3 * coarse                 # half step, ~4x smaller
+
+
+# the closed form against the per-sample loop it replaced; "slow" has
+# d^spb = 0.5, so each bit's start value carries into the next
+ORACLE_CASES = {
+    "prbs": dict(bits=PRBS48, rate=10e6, gamma_m=7.9e6, samples_per_bit=32),
+    "slow": dict(bits=PRBS48, rate=math.pi * 1e6 / math.log(2), gamma_m=1e6,
+                 samples_per_bit=16, v0=2.5),
+    "one_bit": dict(bits=(1,), rate=1e6, gamma_m=7.9e6, samples_per_bit=160),
+    "all_zero": dict(bits=(0,) * 8, rate=1e6, gamma_m=7.9e6,
+                     samples_per_bit=160),
+}
+
+
+@pytest.mark.parametrize("mode", ["coherent", "thermal"])
+@pytest.mark.parametrize("f_if", [0.0, 10e6])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_closed_form_matches_per_sample_loop(case, f_if, mode):
+    cfg = LinkConfig(f_if=f_if, drive_mode=mode, **ORACLE_CASES[case])
+    run = run_link(cfg, seed=4)
+    decay, u = reference_drive(cfg, np.random.default_rng(4))
+    if case == "slow":
+        assert abs(decay ** cfg.samples_per_bit - 0.5) < 1e-12
+    ref = reference_beta(decay, u)
+    assert np.max(np.abs(run.beta - ref)) <= 1e-13 * cfg.v0
+    if case == "all_zero":
+        assert not np.any(run.beta)
+
+
+@pytest.mark.parametrize("mode", ["coherent", "thermal"])
+def test_seeded_noise_draws_unchanged(mode):
+    cfg = cfg_for(PRBS48[:16], 10e6, f_if=0.0, noise_rms=0.05, drive_mode=mode)
+    run = run_link(cfg, seed=9)
+    ref = reference_run(cfg, seed=9)
+    for new, old in ((run.i_trace.y - run.beta.real,
+                      ref.i_trace.y - ref.beta.real),
+                     (run.q_trace.y - run.beta.imag,
+                      ref.q_trace.y - ref.beta.imag)):
+        assert np.max(np.abs(new - old)) < 1e-15
 
 
 def test_sampling_guard():

@@ -150,6 +150,45 @@ def test_rabi_damped_matches_analytic_diagonalization(dev, qubit):
     assert np.max(np.abs(phonons.y - m_ref)) < 1e-4
 
 
+def test_rabi_exceptional_point_stays_finite(dev, qubit):
+    # kappa_mu = 4 g_em and gamma_mi = 8 g_em make the generator defective:
+    # W^2 = (pi*(gamma_mi - kappa_mu)/2)^2 - (2*pi*g_em)^2 = 0 exactly
+    g = coupling_g_em(dev, qubit)
+    ep_qubit = replace(qubit, kappa_mu=4.0 * g)
+    ep_dev = replace(dev, gamma_mi=8.0 * g)
+    m = np.array([[-math.pi * 4.0 * g, -1j * 2 * math.pi * g],
+                  [-1j * 2 * math.pi * g, -math.pi * 8.0 * g]])
+    w = np.linalg.eigvals(m)
+    assert abs(w[0] - w[1]) < 1e-6 * abs(w[0])   # one repeated eigenvalue
+    t = np.linspace(0.0, 2.0 / g, 801)
+    mu = np.trace(m) / 2
+    # e^(mu t) (I + t (M - mu I)) [1, 0]
+    state = np.exp(mu * t) * (np.array([[1.0], [0.0]])
+                              + t * (m - mu * np.eye(2))[:, :1])
+    # at the point, and a few ulps off it where W is tiny but nonzero and
+    # sinh(W t)/W must not be a difference of nearly equal exponentials
+    for gamma_mi in (8.0 * g, 8.0 * g * (1 + 1e-15)):
+        q_exc, phonons = rabi_swap_sim(replace(ep_dev, gamma_mi=gamma_mi),
+                                       ep_qubit, t)
+        assert np.all(np.isfinite(q_exc.y)) and np.all(np.isfinite(phonons.y))
+        assert np.max(np.abs(q_exc.y - np.abs(state[0]) ** 2)) < 1e-12
+        assert np.max(np.abs(phonons.y - np.abs(state[1]) ** 2)) < 1e-12
+
+
+def test_rabi_grid_starting_after_zero(dev, qubit):
+    g = coupling_g_em(dev, qubit)
+    lossy = replace(dev, gamma_mi=3e6)
+    full = np.linspace(0.0, 2.0 / g, 801)
+    late = full[200:]
+    q_full, m_full = rabi_swap_sim(lossy, qubit, full)
+    q_late, m_late = rabi_swap_sim(lossy, qubit, late)
+    q_ref, m_ref = analytic_two_mode(lossy, qubit, late)
+    assert np.max(np.abs(q_late.y - q_ref)) < 1e-10
+    assert np.max(np.abs(m_late.y - m_ref)) < 1e-10
+    assert np.max(np.abs(q_late.y - q_full.y[200:])) < 1e-14
+    assert np.max(np.abs(m_late.y - m_full.y[200:])) < 1e-14
+
+
 def test_rabi_zero_coupling_decay(dev, qubit):
     uncoupled = replace(dev, gamma_me=0.0)
     t = np.linspace(0.0, 1e-6, 401)
