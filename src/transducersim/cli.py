@@ -25,7 +25,7 @@ from .link import (LinkConfig, eye_diagram, link_metrics, parse_bits, run_link)
 from .spectra import (driven_spectrum, lumped_mode, s_oe_spectrum,
                       thermal_spectrum)
 from .swap import rabi_swap_sim, swap_feasibility
-from .sweep import SweepSpec, run_sweep
+from .sweep import QUANTITIES, SweepSpec, run_sweep
 
 
 def _print_kv(pairs, stream=None):
@@ -87,23 +87,21 @@ def _print_fit(result: FitResult) -> int:
 
 def cmd_efficiency(args) -> int:
     bundle = load_device(args.device)
-    dev = bundle.device
     pump = _pump_from_args(args, bundle)
-    sign = pump.sign
-    n_c = core.resolve_photon_number(dev, pump)
-    gamma_bare = dev.gamma_m
-    eta_o, eta_em = core.efficiencies(dev, gamma_bare)
+    bundle = replace(bundle, pump=pump)
+    chain = ("n_c", "gamma_om", "gamma_tot", "c_om", "eta_o", "eta_em", "eta_tot")
+    q = {name: QUANTITIES[name](bundle, {}) for name in chain}
     _print_kv([
         ("device", str(args.device)),
-        ("detuning_sign", sign),
-        ("n_c", n_c),
-        ("gamma_om_hz", core.backaction_rate(dev, n_c)),
-        ("gamma_tot_hz", core.total_mech_linewidth(dev, n_c, sign)),
-        ("c_om", core.cooperativity(dev, n_c, gamma_bare)),
-        ("eta_oc", dev.eta_oc),
-        ("eta_o", eta_o),
-        ("eta_em", eta_em),
-        ("eta_tot", core.total_efficiency(dev, pump, sign)),
+        ("detuning_sign", pump.sign),
+        ("n_c", q["n_c"]),
+        ("gamma_om_hz", q["gamma_om"]),
+        ("gamma_tot_hz", q["gamma_tot"]),
+        ("c_om", q["c_om"]),
+        ("eta_oc", bundle.device.eta_oc),
+        ("eta_o", q["eta_o"]),
+        ("eta_em", q["eta_em"]),
+        ("eta_tot", q["eta_tot"]),
     ])
     return 0
 
@@ -217,14 +215,21 @@ def cmd_swap(args) -> int:
     return 0
 
 
+def _parse_values(text: str) -> tuple:
+    """The floats of one comma-separated --values list."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as err:   # the message quotes the token
+        raise TransducerError(f"--values: {err}") from None
+
+
 def cmd_sweep(args) -> int:
     bundle = load_device(args.device)
     if args.values:
         if len(args.param) != len(args.values):
             raise TransducerError("each --param needs a matching --values list")
-        targets = tuple(
-            (path, tuple(float(v) for v in vals.split(",")))
-            for path, vals in zip(args.param, args.values))
+        targets = tuple((path, _parse_values(vals))
+                        for path, vals in zip(args.param, args.values))
         spec = SweepSpec(targets=targets, quantities=tuple(args.quantity))
     else:
         if len(args.param) != 1:

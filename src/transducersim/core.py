@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .constants import CODATA
 from .errors import InstabilityError, ParameterError
 
@@ -18,29 +20,40 @@ DetuningSign = Literal["blue", "red"]
 N_C_CONSISTENCY_TOL = 0.05
 
 
+def violation(bad, message, *values):
+    """message quoting values where bad first holds, or None where it never does.
+
+    bad is a comparison of scalars or of arrays. A scalar comparison
+    quotes the values as they are, so scalar calls keep their messages;
+    an array comparison quotes each array value by its element at the
+    first failing index.
+    """
+    if not isinstance(bad, np.ndarray):
+        return message.format(*values) if bad else None
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return message.format(*(np.broadcast_to(v, bad.shape).flat[i].item()
+                            if isinstance(v, np.ndarray) else v for v in values))
+
+
 def range_errors(record, positive=(), nonnegative=(), finite=()) -> list:
     """One message per named field of record outside its range.
 
-    Every test is a chained comparison, so NaN and +-inf fail it:
+    Fields may hold scalars or arrays. NaN and +-inf fail every test:
     positive 0 < v < inf, nonnegative 0 <= v < inf, finite -inf < v < inf.
-    Fields set to None (optional and absent) are skipped. Plain loops
-    and getattr, because run_sweep rebuilds records on every row (reading
-    record.__dict__ would materialise a dict on every instance and slow
-    each later attribute read).
+    Fields set to None (optional and absent) are skipped.
     """
     inf, bad = math.inf, []
-    for n in positive:
-        v = getattr(record, n)
-        if v is not None and not 0 < v < inf:
-            bad.append(f"{n} must be finite and > 0 (got {v!r})")
-    for n in nonnegative:
-        v = getattr(record, n)
-        if v is not None and not 0 <= v < inf:
-            bad.append(f"{n} must be finite and >= 0 (got {v!r})")
-    for n in finite:
-        v = getattr(record, n)
-        if v is not None and not -inf < v < inf:
-            bad.append(f"{n} must be finite (got {v!r})")
+    for names, rule, ok in (
+            (positive, "finite and > 0", lambda v: (0 < v) & (v < inf)),
+            (nonnegative, "finite and >= 0", lambda v: (0 <= v) & (v < inf)),
+            (finite, "finite", lambda v: abs(v) < inf)):
+        for n in names:
+            v = getattr(record, n)
+            if v is not None and (msg := violation(
+                    np.logical_not(ok(v)), "{} must be {} (got {!r})", n, rule, v)):
+                bad.append(msg)
     return bad
 
 
@@ -75,11 +88,12 @@ class DeviceParams:
         bad = range_errors(
             self, positive=("f_o", "kappa_o", "kappa_oe", "f_m", "gamma_mi", "z0"),
             nonnegative=("gamma_me", "g_om", "c_idt"))
-        if self.kappa_oe > self.kappa_o:
-            bad.append(
-                f"kappa_oe ({self.kappa_oe!r}) exceeds kappa_o ({self.kappa_o!r})")
-        if not 0.0 <= self.eta_oc <= 1.0:
-            bad.append(f"eta_oc must be in [0, 1] (got {self.eta_oc!r})")
+        bad += filter(None, [
+            violation(self.kappa_oe > self.kappa_o,
+                      "kappa_oe ({!r}) exceeds kappa_o ({!r})",
+                      self.kappa_oe, self.kappa_o),
+            violation(np.logical_not((0.0 <= self.eta_oc) & (self.eta_oc <= 1.0)),
+                      "eta_oc must be in [0, 1] (got {!r})", self.eta_oc)])
         if bad:
             raise ParameterError("; ".join(bad))
 
@@ -117,7 +131,13 @@ class PumpState:
 
     @property
     def sign(self) -> DetuningSign:
-        return "blue" if self.detuning >= 0 else "red"
+        """"blue" for detuning >= 0, else "red"; a column must not change sign."""
+        blue = np.asarray(self.detuning >= 0)
+        if blue.any() != blue.all():
+            raise ParameterError(
+                "detuning column changes sign; blue and red rows take "
+                "different branches of the chain")
+        return "blue" if blue.all() else "red"
 
 
 def photon_number(dev: DeviceParams, detuning: float, p_on_chip: float) -> float:
@@ -125,9 +145,10 @@ def photon_number(dev: DeviceParams, detuning: float, p_on_chip: float) -> float
 
     n_c = P/(h f_o) * 2*pi*kappa_oe / ((2*pi*detuning)^2 + (pi*kappa_o)^2)
     """
-    if p_on_chip < 0:
-        raise ParameterError(f"p_on_chip must be >= 0 (got {p_on_chip!r})")
-    if dev.kappa_o <= 0:
+    if msg := violation(p_on_chip < 0, "p_on_chip must be >= 0 (got {!r})",
+                        p_on_chip):
+        raise ParameterError(msg)
+    if np.any(dev.kappa_o <= 0):
         raise ParameterError("kappa_o must be > 0")
     flux = p_on_chip / (CODATA.h * dev.f_o)
     denom = (2 * math.pi * detuning) ** 2 + (math.pi * dev.kappa_o) ** 2
@@ -144,27 +165,28 @@ def resolve_photon_number(dev: DeviceParams, pump: PumpState) -> float:
         return photon_number(dev, pump.detuning, pump.p_on_chip)
     if pump.p_on_chip is not None:
         derived = photon_number(dev, pump.detuning, pump.p_on_chip)
-        ref = max(abs(derived), abs(pump.n_c), 1.0)
-        if abs(derived - pump.n_c) / ref > N_C_CONSISTENCY_TOL:
-            raise ParameterError(
-                f"declared n_c={pump.n_c:.4g} disagrees with n_c={derived:.4g} "
-                f"derived from p_on_chip={pump.p_on_chip:.4g} W")
+        ref = np.maximum(np.maximum(abs(derived), abs(pump.n_c)), 1.0)
+        if msg := violation(
+                abs(derived - pump.n_c) / ref > N_C_CONSISTENCY_TOL,
+                "declared n_c={:.4g} disagrees with n_c={:.4g} derived from "
+                "p_on_chip={:.4g} W", pump.n_c, derived, pump.p_on_chip):
+            raise ParameterError(msg)
     return pump.n_c
 
 
 def cooperativity(dev: DeviceParams, n_c: float, gamma_m: float) -> float:
     """Optomechanical cooperativity C_om = 4 n_c g_om^2 / (kappa_o gamma_m)."""
-    if gamma_m <= 0:
-        raise ParameterError(f"gamma_m must be > 0 (got {gamma_m!r})")
-    if n_c < 0:
-        raise ParameterError(f"n_c must be >= 0 (got {n_c!r})")
+    if msg := violation(gamma_m <= 0, "gamma_m must be > 0 (got {!r})", gamma_m):
+        raise ParameterError(msg)
+    if msg := violation(n_c < 0, "n_c must be >= 0 (got {!r})", n_c):
+        raise ParameterError(msg)
     return 4.0 * n_c * dev.g_om ** 2 / (dev.kappa_o * gamma_m)
 
 
 def backaction_rate(dev: DeviceParams, n_c: float) -> float:
     """Optical backaction rate gamma_om = 4 n_c g_om^2 / kappa_o, Hz."""
-    if n_c < 0:
-        raise ParameterError(f"n_c must be >= 0 (got {n_c!r})")
+    if msg := violation(n_c < 0, "n_c must be >= 0 (got {!r})", n_c):
+        raise ParameterError(msg)
     return 4.0 * n_c * dev.g_om ** 2 / dev.kappa_o
 
 
@@ -177,10 +199,11 @@ def total_mech_linewidth(dev: DeviceParams, n_c: float,
     """
     g_om = backaction_rate(dev, n_c)
     if sign == "blue":
-        if g_om >= dev.gamma_mi:
-            raise InstabilityError(
-                f"backaction rate {g_om:.4g} Hz >= intrinsic linewidth "
-                f"{dev.gamma_mi:.4g} Hz: parametric oscillation threshold")
+        if msg := violation(
+                g_om >= dev.gamma_mi,
+                "backaction rate {:.4g} Hz >= intrinsic linewidth {:.4g} Hz: "
+                "parametric oscillation threshold", g_om, dev.gamma_mi):
+            raise InstabilityError(msg)
         return dev.gamma_mi - g_om
     if sign == "red":
         return dev.gamma_mi + g_om
@@ -189,11 +212,12 @@ def total_mech_linewidth(dev: DeviceParams, n_c: float,
 
 def efficiencies(dev: DeviceParams, gamma_m: float) -> tuple[float, float]:
     """(eta_o, eta_em): cavity out-coupling and feedline coupling ratios."""
-    if gamma_m < dev.gamma_me:
-        raise ParameterError(
-            f"gamma_m ({gamma_m!r}) smaller than gamma_me ({dev.gamma_me!r})")
-    if gamma_m <= 0:
-        raise ParameterError(f"gamma_m must be > 0 (got {gamma_m!r})")
+    if msg := violation(gamma_m < dev.gamma_me,
+                        "gamma_m ({!r}) smaller than gamma_me ({!r})",
+                        gamma_m, dev.gamma_me):
+        raise ParameterError(msg)
+    if msg := violation(gamma_m <= 0, "gamma_m must be > 0 (got {!r})", gamma_m):
+        raise ParameterError(msg)
     return dev.kappa_oe / dev.kappa_o, dev.gamma_me / gamma_m
 
 
@@ -211,9 +235,9 @@ def total_efficiency(dev: DeviceParams, pump: PumpState,
     c_om = cooperativity(dev, n_c, gamma_bare)
     eta_o, eta_em = efficiencies(dev, gamma_bare)
     if sign == "blue":
-        if c_om >= 1.0:
-            raise InstabilityError(
-                f"C_om = {c_om:.4g} >= 1 under blue detuning")
+        if msg := violation(c_om >= 1.0, "C_om = {:.4g} >= 1 under blue detuning",
+                            c_om):
+            raise InstabilityError(msg)
         denom = (1.0 - c_om) ** 2
     elif sign == "red":
         denom = (1.0 + c_om) ** 2
@@ -224,9 +248,12 @@ def total_efficiency(dev: DeviceParams, pump: PumpState,
 
 def thermal_occupation(f_m: float, temperature: float) -> float:
     """Bose-Einstein occupation 1/(exp(h f / k_B T) - 1)."""
-    if f_m <= 0:
-        raise ParameterError(f"f_m must be > 0 (got {f_m!r})")
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be > 0 (got {temperature!r})")
+    if msg := violation(f_m <= 0, "f_m must be > 0 (got {!r})", f_m):
+        raise ParameterError(msg)
+    if msg := violation(
+            np.logical_not((0 < temperature) & (temperature < math.inf)),
+            "temperature must be finite and > 0 (got {!r})", temperature):
+        raise ParameterError(msg)
     x = CODATA.h * f_m / (CODATA.k_B * temperature)
-    return 1.0 / math.expm1(x)
+    # math.expm1 for a scalar: np.expm1 rounds differently on some arguments
+    return 1.0 / (np.expm1(x) if isinstance(x, np.ndarray) else math.expm1(x))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA
-from .core import DeviceParams, PumpState, range_errors, resolve_photon_number
+from .core import (DeviceParams, PumpState, range_errors, resolve_photon_number,
+                   violation)
 from .errors import FitError, ParameterError
 from .trace import Trace
 
@@ -105,11 +106,12 @@ def steady_state_coherent_phonons(mode: MechanicalMode, p_mu: float,
     this reduces to (2/pi) * gamma_e * p_mu / (h f gamma^2) and is
     linear in p_mu.
     """
-    if p_mu < 0:
-        raise ParameterError(f"p_mu must be >= 0 (got {p_mu!r})")
+    if msg := violation(np.logical_not((0 <= p_mu) & (p_mu < math.inf)),
+                        "p_mu must be finite and >= 0 (got {!r})", p_mu):
+        raise ParameterError(msg)
     flux = p_mu / (CODATA.h * drive_f)
     chi = mech_susceptibility(drive_f, mode.f, mode.gamma)
-    return 2 * math.pi * mode.gamma_e * flux * float(np.abs(chi)) ** 2
+    return 2 * math.pi * mode.gamma_e * flux * np.abs(chi) ** 2
 
 
 def gamma_me_from_phonons(n_coh: float, f_m: float, gamma_m: float,

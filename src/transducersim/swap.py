@@ -43,7 +43,7 @@ def coupling_g_em(dev: DeviceParams, q: QubitConfig) -> float:
     the mechanical mode (no detuning correction).
     """
     z_q = qubit_impedance(q, dev)
-    return 0.5 * math.sqrt(dev.gamma_me * dev.f_m) * math.sqrt(z_q / dev.z0)
+    return 0.5 * np.sqrt(dev.gamma_me * dev.f_m) * np.sqrt(z_q / dev.z0)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Parameter sweeps over named output quantities.
 
 A sweep walks one or more parameter paths (zipped when several are
-given), rebuilds the immutable device records for each row, and
-evaluates the requested quantities. Row order follows the value lists.
+given) and evaluates the requested quantities on columns: each touched
+record is built once with every swept field holding its whole column,
+and each quantity is evaluated once on those records. Row order
+follows the value lists.
 """
 
 from dataclasses import dataclass, replace
@@ -64,153 +66,111 @@ class SweepSpec:
         return len(self.targets[0][1])
 
 
-@dataclass(frozen=True)
-class SweepContext:
-    """One sweep row: records plus loose scalar inputs."""
-
-    device: DeviceParams
-    pump: PumpState | None = None
-    qubit: QubitConfig | None = None
-    modes: tuple = ()
-    temperature: float = 300.0
-    drive_p_mu: float | None = None
-
-    def require_pump(self) -> PumpState:
-        if self.pump is None:
-            raise ParameterError("quantity needs a [pump] section or pump overrides")
-        return self.pump
-
-    def require_qubit(self) -> QubitConfig:
-        if self.qubit is None:
-            raise ParameterError("quantity needs a [qubit] section")
-        return self.qubit
-
-    def principal_mode(self) -> MechanicalMode:
-        return self.modes[0] if self.modes else lumped_mode(self.device)
-
-    def sign(self) -> str:
-        return self.require_pump().sign
+def _pump(bundle: DeviceBundle) -> PumpState:
+    if bundle.pump is None:
+        raise ParameterError("quantity needs a [pump] section or pump overrides")
+    return bundle.pump
 
 
-def _q_n_c(ctx):
-    return core.resolve_photon_number(ctx.device, ctx.require_pump())
+def _qubit(bundle: DeviceBundle) -> QubitConfig:
+    if bundle.qubit is None:
+        raise ParameterError("quantity needs a [qubit] section")
+    return bundle.qubit
 
 
-def _q_gamma_om(ctx):
-    return core.backaction_rate(ctx.device, _q_n_c(ctx))
+def _principal_mode(bundle: DeviceBundle) -> MechanicalMode:
+    return bundle.modes[0] if bundle.modes else lumped_mode(bundle.device)
 
 
-def _q_gamma_tot(ctx):
-    return core.total_mech_linewidth(ctx.device, _q_n_c(ctx), ctx.sign())
+def _n_c(bundle, env):
+    return core.resolve_photon_number(bundle.device, _pump(bundle))
 
 
-def _q_c_om(ctx):
-    return core.cooperativity(ctx.device, _q_n_c(ctx), ctx.device.gamma_m)
-
-
-def _q_eta_o(ctx):
-    return core.efficiencies(ctx.device, ctx.device.gamma_m)[0]
-
-
-def _q_eta_em(ctx):
-    return core.efficiencies(ctx.device, ctx.device.gamma_m)[1]
-
-
-def _q_eta_tot(ctx):
-    return core.total_efficiency(ctx.device, ctx.require_pump(), ctx.sign())
-
-
-def _q_n_th(ctx):
-    return core.thermal_occupation(ctx.device.f_m, ctx.temperature)
-
-
-def _q_coherent_phonons(ctx):
-    if ctx.drive_p_mu is None:
+def _coherent_phonons(bundle, env):
+    if env["drive.p_mu"] is None:
         raise ParameterError("quantity needs drive.p_mu")
-    mode = ctx.principal_mode()
-    return steady_state_coherent_phonons(mode, ctx.drive_p_mu, mode.f)
+    mode = _principal_mode(bundle)
+    return steady_state_coherent_phonons(mode, env["drive.p_mu"], mode.f)
 
 
-def _q_coherent_peak_area(ctx):
-    mode = ctx.principal_mode()
-    return _q_coherent_phonons(ctx) * sideband_rate(mode, _q_n_c(ctx),
-                                                    ctx.device.kappa_o)
-
-
+# name -> f(bundle, env), env holding "temperature" and "drive.p_mu". The
+# efficiencies and C_om use the bare mechanical linewidth gamma_m.
 QUANTITIES = {
-    "n_c": _q_n_c,
-    "gamma_om": _q_gamma_om,
-    "gamma_tot": _q_gamma_tot,
-    "c_om": _q_c_om,
-    "eta_o": _q_eta_o,
-    "eta_em": _q_eta_em,
-    "eta_tot": _q_eta_tot,
-    "n_th": _q_n_th,
-    "coherent_phonons": _q_coherent_phonons,
-    "coherent_peak_area": _q_coherent_peak_area,
-    "z_q": lambda ctx: qubit_impedance(ctx.require_qubit(), ctx.device),
-    "g_em": lambda ctx: coupling_g_em(ctx.device, ctx.require_qubit()),
-    "c_em": lambda ctx: swap_feasibility(ctx.device, ctx.require_qubit()).c_em,
-    "threshold_gamma": lambda ctx: swap_feasibility(
-        ctx.device, ctx.require_qubit()).threshold_gamma,
+    "n_c": _n_c,
+    "gamma_om": lambda b, env: core.backaction_rate(b.device, _n_c(b, env)),
+    "gamma_tot": lambda b, env: core.total_mech_linewidth(
+        b.device, _n_c(b, env), _pump(b).sign),
+    "c_om": lambda b, env: core.cooperativity(b.device, _n_c(b, env),
+                                              b.device.gamma_m),
+    "eta_o": lambda b, env: core.efficiencies(b.device, b.device.gamma_m)[0],
+    "eta_em": lambda b, env: core.efficiencies(b.device, b.device.gamma_m)[1],
+    "eta_tot": lambda b, env: core.total_efficiency(b.device, _pump(b),
+                                                    _pump(b).sign),
+    "n_th": lambda b, env: core.thermal_occupation(b.device.f_m,
+                                                   env["temperature"]),
+    "coherent_phonons": _coherent_phonons,
+    "coherent_peak_area": lambda b, env: _coherent_phonons(b, env) * sideband_rate(
+        _principal_mode(b), _n_c(b, env), b.device.kappa_o),
+    "z_q": lambda b, env: qubit_impedance(_qubit(b), b.device),
+    "g_em": lambda b, env: coupling_g_em(b.device, _qubit(b)),
+    "c_em": lambda b, env: swap_feasibility(b.device, _qubit(b)).c_em,
+    "threshold_gamma": lambda b, env: swap_feasibility(
+        b.device, _qubit(b)).threshold_gamma,
 }
 
 
-def context_from_bundle(bundle: DeviceBundle, temperature: float = 300.0,
-                        drive_p_mu: float | None = None) -> SweepContext:
-    return SweepContext(device=bundle.device, pump=bundle.pump,
-                        qubit=bundle.qubit, modes=bundle.modes,
-                        temperature=temperature, drive_p_mu=drive_p_mu)
-
-
-def apply_param(ctx: SweepContext, path: str, value: float) -> SweepContext:
-    """New context with the dotted parameter path set to value."""
-    head, _, field = path.partition(".")
-    if head == "device":
-        if field not in DeviceParams.__dataclass_fields__:
-            raise ParameterError(f"unknown device field {field!r}")
-        return replace(ctx, device=replace(ctx.device, **{field: value}))
-    if head == "pump":
-        pump = ctx.require_pump()
-        if field == "n_c":
-            return replace(ctx, pump=replace(pump, n_c=value, p_on_chip=None))
-        if field == "p_on_chip":
-            return replace(ctx, pump=replace(pump, p_on_chip=value, n_c=None))
-        if field == "detuning":
-            return replace(ctx, pump=replace(pump, detuning=value))
-        raise ParameterError(f"unknown pump field {field!r}")
-    if head == "qubit":
-        qubit = ctx.require_qubit()
-        if field not in QubitConfig.__dataclass_fields__:
-            raise ParameterError(f"unknown qubit field {field!r}")
-        return replace(ctx, qubit=replace(qubit, **{field: value}))
-    if head == "drive" and field in ("p_mu", "p_mu_w"):
-        return replace(ctx, drive_p_mu=value)
-    if head == "temperature" and not field:
-        return replace(ctx, temperature=value)
-    raise ParameterError(
-        f"unknown parameter path {path!r}; use device.<field>, pump.<field>, "
-        "qubit.<field>, drive.p_mu, or temperature")
+def _with_columns(bundle: DeviceBundle, columns: dict, env: dict):
+    """(bundle, env) with each dotted parameter path set to its column."""
+    changes, env = {"device": {}, "pump": {}, "qubit": {}}, dict(env)
+    for path, column in columns.items():
+        head, _, field = path.partition(".")
+        if head == "device":
+            if field not in DeviceParams.__dataclass_fields__:
+                raise ParameterError(f"unknown device field {field!r}")
+        elif head == "pump":
+            _pump(bundle)
+            if field not in ("n_c", "p_on_chip", "detuning"):
+                raise ParameterError(f"unknown pump field {field!r}")
+            if field != "detuning":     # a swept n_c clears the power, and back
+                changes["pump"]["p_on_chip" if field == "n_c" else "n_c"] = None
+        elif head == "qubit":
+            if field not in _qubit(bundle).__dataclass_fields__:
+                raise ParameterError(f"unknown qubit field {field!r}")
+        elif head == "drive" and field in ("p_mu", "p_mu_w"):
+            env["drive.p_mu"] = column
+            continue
+        elif head == "temperature" and not field:
+            env["temperature"] = column
+            continue
+        else:
+            raise ParameterError(
+                f"unknown parameter path {path!r}; use device.<field>, "
+                "pump.<field>, qubit.<field>, drive.p_mu, or temperature")
+        changes[head][field] = column
+    records = {head: replace(getattr(bundle, head), **fields)
+               for head, fields in changes.items() if fields}
+    return replace(bundle, **records), env
 
 
 def run_sweep(spec: SweepSpec, bundle: DeviceBundle, *,
               temperature: float = 300.0,
               drive_p_mu: float | None = None) -> list[dict]:
-    """One row per value set; row order follows the value lists."""
-    base = context_from_bundle(bundle, temperature, drive_p_mu)
+    """One row per value set; row order follows the value lists.
 
-    # validate every path once up front so failures name the path, not a row
-    for path, values in spec.targets:
-        apply_param(base, path, values[0])
-
-    def row(i: int) -> dict:
-        ctx = base
-        out = {}
-        for path, values in spec.targets:
-            ctx = apply_param(ctx, path, values[i])
-            out[path] = float(values[i])
-        for name in spec.quantities:
-            out[name] = float(QUANTITIES[name](ctx))
-        return out
-
-    return [row(i) for i in range(spec.n_rows)]
+    Rows pumped at detuning >= 0 and < 0 are evaluated as two groups,
+    because the detuning sign picks the branch of the chain.
+    """
+    columns = {path: np.asarray(values, dtype=float)
+               for path, values in spec.targets}
+    env = {"temperature": temperature, "drive.p_mu": drive_p_mu}
+    blue = columns.get("pump.detuning", np.zeros(spec.n_rows)) >= 0
+    results = {name: np.empty(spec.n_rows) for name in spec.quantities}
+    for rows in (blue, ~blue):
+        if rows.any():
+            group, group_env = _with_columns(
+                bundle, {path: col[rows] for path, col in columns.items()}, env)
+            for name in spec.quantities:
+                results[name][rows] = QUANTITIES[name](group, group_env)
+    table = {**columns, **results}
+    return [dict(zip(table, row))
+            for row in zip(*(col.tolist() for col in table.values()))]

@@ -206,6 +206,34 @@ def test_fit_dip_on_non_utf8_trace_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["sweep", "--device", MEASURED, "--param", "pump.n_c", "--values", "1e3",
+      "--quantity", "n_th", "--temperature", "nan"], "temperature"),
+    (["sweep", "--device", MEASURED, "--param", "temperature", "--values",
+      "4,nan", "--quantity", "n_th"], "temperature"),
+    (["sweep", "--device", MEASURED, "--param", "temperature", "--values",
+      "4,inf", "--quantity", "n_th"], "temperature"),
+    (["sweep", "--device", MEASURED, "--param", "drive.p_mu", "--values",
+      "1e-7,nan", "--quantity", "coherent_phonons"], "p_mu"),
+    (["spectrum", "thermal", "--device", MEASURED, "--temperature", "inf",
+      "--out", "never_written.csv"], "temperature"),
+], ids=["sweep_nan_t", "sweep_t_column_nan", "sweep_t_column_inf",
+        "sweep_p_mu_nan", "spectrum_inf_t"])
+def test_non_finite_temperature_or_drive_exits_2(argv, name, capsys, tmp_path,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
+def test_sweep_bad_values_token_exits_2(capsys):
+    assert main(["sweep", "--device", MEASURED, "--param", "pump.n_c",
+                 "--values", "1e3,abc", "--quantity", "c_om"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'abc'" in err
+
+
 def test_sweep_out_to_directory_exits_2(tmp_path, capsys):
     assert main(["sweep", "--device", MEASURED, "--param", "pump.n_c",
                  "--start", "1e3", "--stop", "1e4", "--quantity", "c_om",

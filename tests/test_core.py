@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from transducersim import (DeviceParams, InstabilityError, ParameterError,
-                           PumpState, backaction_rate, cooperativity, dbm_to_w,
-                           efficiencies, photon_number, resolve_photon_number,
+                           PumpState, TransducerError, backaction_rate,
+                           cooperativity, dbm_to_w, efficiencies,
+                           photon_number, resolve_photon_number,
                            thermal_occupation, total_efficiency,
                            total_mech_linewidth)
 
@@ -283,6 +284,43 @@ def test_blue_detuned_nan_raises(table_dev):
                          "blue")
     with pytest.raises(ParameterError):
         DeviceParams(**{**TABLE, "g_om": math.nan})
+
+
+def test_columns_quote_the_first_failing_element(table_dev):
+    # an array field or argument fails with the message of its first bad row
+    p_w = dbm_to_w(-7.9)
+    n_good = photon_number(table_dev, 4.32e9, p_w)
+    cases = [
+        (lambda v: DeviceParams(**{**TABLE, "g_om": v}), [130e3, -1.0, -2.0]),
+        (lambda v: DeviceParams(**{**TABLE, "kappa_oe": v}), [1e9, 3e9, 4e9]),
+        (lambda v: resolve_photon_number(
+            table_dev, PumpState(detuning=4.32e9, p_on_chip=v, n_c=n_good)),
+         [p_w, 1.5 * p_w, 2.0 * p_w]),
+        (lambda v: total_mech_linewidth(table_dev, v, "blue"), [0.0, 1e6, 2e6]),
+        (lambda v: total_efficiency(table_dev, PumpState(detuning=4.32e9, n_c=v),
+                                    "blue"), [1e3, 1e6, 2e6]),
+        (lambda v: thermal_occupation(4.32e9, v), [4.0, math.nan, 0.0]),
+    ]
+    for build, column in cases:
+        with pytest.raises(TransducerError) as from_column:
+            build(np.array(column))
+        with pytest.raises(TransducerError) as from_scalar:
+            build(column[1])
+        assert type(from_column.value) is type(from_scalar.value)
+        assert str(from_column.value) == str(from_scalar.value)
+
+
+def test_pump_sign_of_a_detuning_column():
+    assert PumpState(detuning=np.array([0.0, 1e9]), n_c=1e3).sign == "blue"
+    assert PumpState(detuning=np.array([-1e9, -1.0]), n_c=1e3).sign == "red"
+    with pytest.raises(ParameterError):
+        PumpState(detuning=np.array([-1e9, 1e9]), n_c=1e3).sign
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0])
+def test_thermal_occupation_rejects_non_finite_temperature(temperature):
+    with pytest.raises(ParameterError, match="temperature"):
+        thermal_occupation(4.32e9, temperature)
 
 
 def test_kappa_oi_derived(table_dev):

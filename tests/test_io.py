@@ -1,16 +1,21 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from transducersim import (DeviceBundle, DeviceFileError, ParameterError,
-                           SweepSpec, Trace, TraceError, load_device,
-                           read_trace, run_sweep, write_device, write_trace)
+                           SweepSpec, Trace, TraceError, TransducerError,
+                           load_device, read_trace, run_sweep, write_device,
+                           write_trace)
 from transducersim.deviceio import (parse_device, parse_device_text,
                                     parse_power, read_points,
                                     resolve_device_path, write_table)
 
-from conftest import relerr
+from transducersim.sweep import QUANTITIES
+
+from conftest import reference_sweep, relerr
 
 
 # --------------------------------------------------------------- device files
@@ -240,6 +245,68 @@ def test_sweep_range_validation():
         SweepSpec.from_range("pump.n_c", 1.0, 2.0, 0, "linear", ["c_om"])
     single = SweepSpec.from_range("pump.n_c", 1.0, 2.0, 1, "linear", ["c_om"])
     assert single.n_rows == 1
+
+
+N_C = tuple(np.geomspace(1e2, 1e5, 40).tolist())
+C_Q = tuple(np.linspace(1e-14, 2e-13, 40).tolist())
+ORACLE_SWEEPS = {
+    "n_c": (("pump.n_c", N_C),),
+    "p_on_chip": (("pump.p_on_chip", tuple(np.geomspace(1e-7, 1e-4, 40).tolist())),),
+    "detuning_through_0": (("pump.detuning",
+                            tuple(np.linspace(-2e10, 2e10, 41).tolist())),),
+    "g_om": (("device.g_om", tuple(np.linspace(1e4, 2e5, 40).tolist())),),
+    "kappa_oe": (("device.kappa_oe", tuple(np.linspace(1e8, 2e9, 40).tolist())),),
+    "c_q": (("qubit.c_q", C_Q),),
+    "zipped_n_c_c_q": (("pump.n_c", N_C), ("qubit.c_q", C_Q)),
+    "p_mu": (("drive.p_mu", tuple(np.geomspace(1e-9, 1e-5, 40).tolist())),),
+    "temperature": (("temperature", tuple(np.geomspace(0.01, 300, 40).tolist())),),
+}
+
+
+@pytest.mark.parametrize("targets", ORACLE_SWEEPS.values(), ids=ORACLE_SWEEPS)
+def test_sweep_matches_per_row_reference(measured, targets):
+    spec = SweepSpec(targets, tuple(QUANTITIES))
+    got = run_sweep(spec, measured, temperature=4.0, drive_p_mu=1e-7)
+    want = reference_sweep(spec, measured, temperature=4.0, drive_p_mu=1e-7)
+    assert [list(row) for row in got] == [list(row) for row in want]
+    for g, w in zip(got, want):
+        for key, value in w.items():
+            assert abs(g[key] - value) <= 1e-15 * abs(value), (key, g[key], value)
+
+
+BAD_MIDDLE_ROW = {
+    "unstable": ((("pump.n_c", (1e3, 1e9, 1e4)),), ("c_om", "gamma_tot", "eta_tot")),
+    "negative_n_c": ((("pump.n_c", (1e3, -5.0, 1e4)),), ("c_om",)),
+    "kappa_oe_over_kappa_o": ((("device.kappa_oe", (1e8, 1e12, 1e8)),), ("eta_o",)),
+    "unstable_blue_among_red": ((("pump.detuning", (-4.32e9, 1e6, -4.32e9)),
+                                 ("pump.n_c", (1e4, 1e6, 1e4))),
+                                ("n_c", "gamma_tot")),
+    "nan_temperature": ((("temperature", (4.0, math.nan, 300.0)),), ("n_th",)),
+    "inf_temperature": ((("temperature", (4.0, math.inf, 300.0)),), ("n_th",)),
+    "inf_p_mu": ((("drive.p_mu", (1e-7, math.inf, 1e-7)),), ("coherent_phonons",)),
+}
+
+
+@pytest.mark.parametrize("targets,quantities", BAD_MIDDLE_ROW.values(),
+                         ids=BAD_MIDDLE_ROW)
+def test_sweep_bad_middle_row_fails_like_reference(measured, targets, quantities):
+    spec = SweepSpec(targets, quantities)
+    with pytest.raises(TransducerError) as want:
+        reference_sweep(spec, measured, drive_p_mu=1e-7)
+    with pytest.raises(TransducerError) as got:
+        run_sweep(spec, measured, drive_p_mu=1e-7)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_sweep_missing_section_is_named(measured):
+    bare = replace(measured, pump=None, qubit=None)
+    for path, quantity, section in (("pump.n_c", "eta_o", "[pump]"),
+                                    ("device.g_om", "eta_tot", "[pump]"),
+                                    ("qubit.c_q", "eta_o", "[qubit]"),
+                                    ("device.g_om", "g_em", "[qubit]")):
+        with pytest.raises(ParameterError, match=re.escape(section)):
+            run_sweep(SweepSpec(((path, (1.0,)),), (quantity,)), bare)
 
 
 def test_write_table(tmp_path):
