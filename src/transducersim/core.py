@@ -255,5 +255,13 @@ def thermal_occupation(f_m: float, temperature: float) -> float:
             "temperature must be finite and > 0 (got {!r})", temperature):
         raise ParameterError(msg)
     x = CODATA.h * f_m / (CODATA.k_B * temperature)
+    # where expm1(x) overflows, 1/expm1(x) is e^-x to double precision
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            em1 = np.expm1(x)
+        return np.where(np.isinf(em1), np.exp(-x), 1.0 / em1)
     # math.expm1 for a scalar: np.expm1 rounds differently on some arguments
-    return 1.0 / (np.expm1(x) if isinstance(x, np.ndarray) else math.expm1(x))
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        return math.exp(-x)

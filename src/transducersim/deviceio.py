@@ -38,7 +38,11 @@ def read_text(path) -> str:
 
 
 def dbm_to_w(dbm: float) -> float:
-    return 1e-3 * 10.0 ** (dbm / 10.0)
+    """Watts of a dBm power; inf where it overflows a float."""
+    try:
+        return 1e-3 * 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def w_to_dbm(w: float) -> float:
@@ -58,9 +62,9 @@ def parse_power(text: str) -> float:
         raise ParameterError(f"power needs a dbm or w suffix (got {text!r})")
     try:
         value = float(number)
-        w = to_w(value)
-    except (ValueError, OverflowError):
-        value = w = math.nan
+    except ValueError:
+        value = math.nan
+    w = to_w(value)
     if not (-math.inf < value < math.inf and 0 <= w < math.inf):
         raise ParameterError(f"power must be finite and >= 0 W (got {text!r})")
     return w
@@ -76,20 +80,37 @@ class DeviceBundle:
     modes: tuple = ()
 
 
-# section -> key -> required flag. "One of" groups are handled explicitly.
+# The file format: section -> (record, key -> required). The three
+# DeviceParams sections are required and together make the device; [pump]
+# and [qubit] are optional; each [[modes]] block makes one MechanicalMode.
+# A key sets the record field _field(key), but for the alternative
+# spellings in _ALTERNATIVES.
 _SCHEMA = {
-    "optical": {"f_o_hz": True, "kappa_o_hz": False, "kappa_oi_hz": False,
-                "kappa_oe_hz": True, "eta_oc": True},
-    "mechanical": {"f_m_hz": True, "gamma_mi_hz": True, "g_om_hz": True},
-    "electromechanical": {"gamma_me_hz": True, "c_idt_f": True, "z0_ohm": True},
-    "pump": {"detuning_hz": True, "p_on_chip_dbm": False, "p_on_chip_w": False,
-             "n_c": False},
-    "qubit": {"c_q_f": True, "f_mu_hz": True, "kappa_mu_hz": True},
-    "modes": {"f_hz": True, "gamma_hz": True, "g_hz": True,
-              "phi_rad": False, "gamma_e_hz": False},
+    "optical": (DeviceParams, {"f_o_hz": True, "kappa_o_hz": False,
+                               "kappa_oi_hz": False, "kappa_oe_hz": True,
+                               "eta_oc": True}),
+    "mechanical": (DeviceParams, {"f_m_hz": True, "gamma_mi_hz": True,
+                                  "g_om_hz": True}),
+    "electromechanical": (DeviceParams, {"gamma_me_hz": True, "c_idt_f": True,
+                                         "z0_ohm": True}),
+    "pump": (PumpState, {"detuning_hz": True, "p_on_chip_dbm": False,
+                         "p_on_chip_w": False, "n_c": False}),
+    "qubit": (QubitConfig, {"c_q_f": True, "f_mu_hz": True,
+                            "kappa_mu_hz": True}),
+    "modes": (MechanicalMode, {"f_hz": True, "gamma_hz": True, "g_hz": True,
+                               "phi_rad": False, "gamma_e_hz": False}),
 }
 
-_SUFFIXLESS = {"eta_oc", "n_c"}
+# alternative spelling -> (the field it sets, its value from the section's)
+_ALTERNATIVES = {
+    "kappa_oi_hz": ("kappa_o", lambda v: v["kappa_oe_hz"] + v["kappa_oi_hz"]),
+    "p_on_chip_dbm": ("p_on_chip", lambda v: dbm_to_w(v["p_on_chip_dbm"])),
+}
+
+
+def _field(key: str) -> str:
+    """The record field a key sets: the key without its unit suffix."""
+    return key if key in ("eta_oc", "n_c") else key.rsplit("_", 1)[0]
 
 
 def _tokenize(text: str):
@@ -115,11 +136,24 @@ def _tokenize(text: str):
 
 def _suffix_hint(section: str, key: str) -> str | None:
     """If key matches a schema key up to the unit suffix, say what's expected."""
-    for known in _SCHEMA.get(section, ()):
-        base = known.rsplit("_", 1)[0] if known not in _SUFFIXLESS else known
+    for known in _SCHEMA[section][1]:
+        base = _field(known)
         if key == base or key.rsplit("_", 1)[0] == base:
             return known
     return None
+
+
+def _record(kind, values: dict, prefix: str):
+    """kind built from one section's key -> value map; a record error
+    becomes a DeviceFileError whose message starts with prefix."""
+    fields = {_field(k): v for k, v in values.items() if k not in _ALTERNATIVES}
+    for key, (name, value) in _ALTERNATIVES.items():
+        if key in values:
+            fields[name] = value(values)
+    try:
+        return kind(**fields)
+    except ParameterError as err:
+        raise DeviceFileError([f"{prefix}{err}"]) from err
 
 
 def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
@@ -135,31 +169,25 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
             continue
         if kind == "section":
             style, name = payload
-            if style == "modes":
-                if name != "modes":
-                    violations.append(f"{source}:{no}: unknown block [[{name}]]")
-                    current = None
-                    continue
+            current, current_name = None, name
+            if style == "modes" and name != "modes":
+                violations.append(f"{source}:{no}: unknown block [[{name}]]")
+            elif style == "modes":
                 current = {}
-                current_name = "modes"
                 modes_raw.append(current)
-                continue
-            if name not in _SCHEMA or name == "modes":
+            elif name not in _SCHEMA or name == "modes":
                 violations.append(f"{source}:{no}: unknown section [{name}]")
-                current = None
-                continue
-            if name in sections:
-                violations.append(f"{source}:{no}: duplicate section [{name}]")
-            current = sections.setdefault(name, {})
-            current_name = name
+            else:
+                if name in sections:
+                    violations.append(f"{source}:{no}: duplicate section [{name}]")
+                current = sections.setdefault(name, {})
             continue
         # key/value pair
         key, value = payload
         if current is None:
             violations.append(f"{source}:{no}: '{key}' outside any section")
             continue
-        schema = _SCHEMA[current_name]
-        if key not in schema:
+        if key not in _SCHEMA[current_name][1]:
             hint = _suffix_hint(current_name, key)
             if hint:
                 violations.append(
@@ -177,91 +205,53 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
         except ValueError:
             violations.append(f"{source}:{no}: cannot parse number {value!r} "
                               f"for '{key}'")
-
-    for name, keys in _SCHEMA.items():
-        if name in ("pump", "qubit", "modes"):
             continue
-        if name not in sections:
-            violations.append(f"{source}: missing required section [{name}]")
-            continue
-        for key, required in keys.items():
-            if required and key not in sections[name]:
-                violations.append(f"{source}: [{name}] missing key '{key}'")
+        if not math.isfinite(current[key]):
+            violations.append(f"{source}:{no}: non-finite number {value!r} "
+                              f"for '{key}'")
 
-    opt = sections.get("optical", {})
-    if "kappa_o_hz" in opt and "kappa_oi_hz" in opt:
-        violations.append(f"{source}: [optical] give kappa_o_hz or kappa_oi_hz, "
-                          "not both")
-    if "kappa_o_hz" not in opt and "kappa_oi_hz" not in opt and "optical" in sections:
-        violations.append(f"{source}: [optical] needs kappa_o_hz or kappa_oi_hz")
-    pump_sec = sections.get("pump")
-    if pump_sec and "p_on_chip_dbm" in pump_sec and "p_on_chip_w" in pump_sec:
-        violations.append(f"{source}: [pump] give p_on_chip_dbm or p_on_chip_w, "
-                          "not both")
-    if pump_sec is not None and not any(
-            k in pump_sec for k in ("p_on_chip_dbm", "p_on_chip_w", "n_c")):
-        violations.append(f"{source}: [pump] needs p_on_chip_dbm, p_on_chip_w, "
-                          "or n_c")
-    if "qubit" in sections:
-        for key, req in _SCHEMA["qubit"].items():
-            if req and key not in sections["qubit"]:
-                violations.append(f"{source}: [qubit] missing key '{key}'")
-    if "pump" in sections and "detuning_hz" not in sections["pump"]:
-        violations.append(f"{source}: [pump] missing key 'detuning_hz'")
+    for name, (kind, keys) in _SCHEMA.items():
+        sec = sections.get(name)
+        if sec is None:
+            if kind is DeviceParams:
+                violations.append(f"{source}: missing required section [{name}]")
+            continue
+        violations += [f"{source}: [{name}] missing key '{key}'"
+                       for key, required in keys.items()
+                       if required and key not in sec]
+        if name == "optical":
+            if "kappa_o_hz" in sec and "kappa_oi_hz" in sec:
+                violations.append(f"{source}: [optical] give kappa_o_hz or "
+                                  "kappa_oi_hz, not both")
+            if not sec.keys() & {"kappa_o_hz", "kappa_oi_hz"}:
+                violations.append(f"{source}: [optical] needs kappa_o_hz or "
+                                  "kappa_oi_hz")
+        if name == "pump":
+            if "p_on_chip_dbm" in sec and "p_on_chip_w" in sec:
+                violations.append(f"{source}: [pump] give p_on_chip_dbm or "
+                                  "p_on_chip_w, not both")
+            if not sec.keys() & {"p_on_chip_dbm", "p_on_chip_w", "n_c"}:
+                violations.append(f"{source}: [pump] needs p_on_chip_dbm, "
+                                  "p_on_chip_w, or n_c")
     for i, block in enumerate(modes_raw, start=1):
-        for key, req in _SCHEMA["modes"].items():
-            if req and key not in block:
-                violations.append(f"{source}: [[modes]] block {i} missing '{key}'")
+        violations += [f"{source}: [[modes]] block {i} missing '{key}'"
+                       for key, required in _SCHEMA["modes"][1].items()
+                       if required and key not in block]
 
     if violations:
         raise DeviceFileError(violations)
 
-    mech = sections["mechanical"]
-    emech = sections["electromechanical"]
-    kappa_oe = opt["kappa_oe_hz"]
-    kappa_o = opt["kappa_o_hz"] if "kappa_o_hz" in opt \
-        else kappa_oe + opt["kappa_oi_hz"]
-    try:
-        device = DeviceParams(
-            f_o=opt["f_o_hz"], kappa_o=kappa_o, kappa_oe=kappa_oe,
-            f_m=mech["f_m_hz"], gamma_mi=mech["gamma_mi_hz"],
-            gamma_me=emech["gamma_me_hz"], g_om=mech["g_om_hz"],
-            eta_oc=opt["eta_oc"], c_idt=emech["c_idt_f"], z0=emech["z0_ohm"])
-    except ParameterError as err:
-        raise DeviceFileError([f"{source}: {err}"]) from err
-
-    pump = None
-    if pump_sec:
-        power = pump_sec.get("p_on_chip_w")
-        if power is None and "p_on_chip_dbm" in pump_sec:
-            power = dbm_to_w(pump_sec["p_on_chip_dbm"])
-        try:
-            pump = PumpState(detuning=pump_sec["detuning_hz"],
-                             p_on_chip=power, n_c=pump_sec.get("n_c"))
-        except ParameterError as err:
-            raise DeviceFileError([f"{source}: [pump] {err}"]) from err
-
-    qubit = None
-    if "qubit" in sections:
-        qs = sections["qubit"]
-        try:
-            qubit = QubitConfig(c_q=qs["c_q_f"], f_mu=qs["f_mu_hz"],
-                                kappa_mu=qs["kappa_mu_hz"])
-        except ParameterError as err:
-            raise DeviceFileError([f"{source}: [qubit] {err}"]) from err
-
-    modes = []
-    for i, block in enumerate(modes_raw, start=1):
-        try:
-            modes.append(MechanicalMode(
-                f=block["f_hz"], gamma=block["gamma_hz"], g=block["g_hz"],
-                phi=block.get("phi_rad", 0.0),
-                gamma_e=block.get("gamma_e_hz", 0.0)))
-        except ParameterError as err:
-            raise DeviceFileError([f"{source}: [[modes]] block {i}: {err}"]) from err
-
-    return DeviceBundle(device=device, pump=pump, qubit=qubit,
-                        modes=tuple(modes))
+    device = {k: v for name, (kind, _) in _SCHEMA.items() if kind is DeviceParams
+              for k, v in sections[name].items()}
+    return DeviceBundle(
+        device=_record(DeviceParams, device, f"{source}: "),
+        pump=_record(PumpState, sections["pump"], f"{source}: [pump] ")
+        if "pump" in sections else None,
+        qubit=_record(QubitConfig, sections["qubit"], f"{source}: [qubit] ")
+        if "qubit" in sections else None,
+        modes=tuple(_record(MechanicalMode, block,
+                            f"{source}: [[modes]] block {i}: ")
+                    for i, block in enumerate(modes_raw, start=1)))
 
 
 def parse_device(path) -> DeviceBundle:
@@ -271,60 +261,28 @@ def parse_device(path) -> DeviceBundle:
 
 def write_device(bundle: DeviceBundle, path) -> None:
     """Write a bundle so that parse_device() reproduces it exactly."""
-    d = bundle.device
-    g = lambda v: f"{v:.17g}"  # noqa: E731
-    lines = [
-        "[optical]",
-        f"f_o_hz = {g(d.f_o)}",
-        f"kappa_o_hz = {g(d.kappa_o)}",
-        f"kappa_oe_hz = {g(d.kappa_oe)}",
-        f"eta_oc = {g(d.eta_oc)}",
-        "",
-        "[mechanical]",
-        f"f_m_hz = {g(d.f_m)}",
-        f"gamma_mi_hz = {g(d.gamma_mi)}",
-        f"g_om_hz = {g(d.g_om)}",
-        "",
-        "[electromechanical]",
-        f"gamma_me_hz = {g(d.gamma_me)}",
-        f"c_idt_f = {g(d.c_idt)}",
-        f"z0_ohm = {g(d.z0)}",
-    ]
-    if bundle.pump is not None:
-        lines += ["", "[pump]", f"detuning_hz = {g(bundle.pump.detuning)}"]
-        if bundle.pump.p_on_chip is not None:
-            lines.append(f"p_on_chip_w = {g(bundle.pump.p_on_chip)}")
-        if bundle.pump.n_c is not None:
-            lines.append(f"n_c = {g(bundle.pump.n_c)}")
-    if bundle.qubit is not None:
-        qb = bundle.qubit
-        lines += ["", "[qubit]", f"c_q_f = {g(qb.c_q)}",
-                  f"f_mu_hz = {g(qb.f_mu)}", f"kappa_mu_hz = {g(qb.kappa_mu)}"]
-    for mode in bundle.modes:
-        lines += ["", "[[modes]]", f"f_hz = {g(mode.f)}",
-                  f"gamma_hz = {g(mode.gamma)}", f"g_hz = {g(mode.g)}",
-                  f"phi_rad = {g(mode.phi)}", f"gamma_e_hz = {g(mode.gamma_e)}"]
-    Path(path).write_text("\n".join(lines) + "\n")
+    records = (bundle.device, bundle.pump, bundle.qubit, *bundle.modes)
+    blocks = []
+    for name, (kind, keys) in _SCHEMA.items():
+        header = "[[modes]]" if name == "modes" else f"[{name}]"
+        for record in records:
+            if type(record) is kind:
+                values = {k: getattr(record, _field(k)) for k in keys
+                          if k not in _ALTERNATIVES}
+                blocks.append("\n".join([header] + [
+                    f"{k} = {v:.17g}" for k, v in values.items() if v is not None]))
+    Path(path).write_text("\n\n".join(blocks) + "\n")
 
 
 def resolve_device_path(name: str) -> Path:
     """Literal path, then $TRANSDUCERSIM_DEVICE_PATH, then bundled devices."""
     candidates = [name] if name.endswith(".cfg") else [name, name + ".cfg"]
-    for cand in candidates:
-        p = Path(cand)
-        if p.is_file():
-            return p
     env_dir = os.environ.get(DEVICE_PATH_ENV)
-    if env_dir:
+    for directory in (Path(), *([Path(env_dir)] if env_dir else []),
+                      Path(str(resources.files("transducersim") / "devices"))):
         for cand in candidates:
-            p = Path(env_dir) / cand
-            if p.is_file():
+            if (p := directory / cand).is_file():
                 return p
-    pkg_dir = resources.files("transducersim") / "devices"
-    for cand in candidates:
-        p = Path(str(pkg_dir / cand))
-        if p.is_file():
-            return p
     raise ParameterError(
         f"device file {name!r} not found (searched cwd, ${DEVICE_PATH_ENV}, "
         f"bundled: {', '.join(BUNDLED_DEVICES)})")
@@ -397,11 +355,14 @@ def read_points(path) -> np.ndarray:
         if len(parts) != 2:
             raise TraceError(f"{path}:{no}: expected two comma-separated values")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
             if no == 1:
                 continue  # header
             raise TraceError(f"{path}:{no}: cannot parse numbers in {line!r}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise TraceError(f"{path}:{no}: non-finite value")
+        rows.append((x, y))
     if not rows:
         raise TraceError(f"{path}: no data rows")
     return np.array(rows)

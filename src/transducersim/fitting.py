@@ -274,14 +274,16 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
         raise ParameterError("points must be (n_c, gamma) pairs")
     if pts.shape[0] < 3:
         raise ParameterError("need at least 3 (n_c, gamma) points")
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError("points must be finite")
     if sign not in ("blue", "red"):
         raise ParameterError(f"sign must be 'blue' or 'red' (got {sign!r})")
     n_c, gam = pts[:, 0], pts[:, 1]
     if np.unique(n_c).size < 2:
         raise FitError("rank-deficient design: all points share one n_c")
     w = np.ones_like(gam) if weights is None else np.asarray(weights, float)
-    if w.shape != gam.shape or np.any(w <= 0):
-        raise ParameterError("weights must be positive, one per point")
+    if w.shape != gam.shape or not np.all((0 < w) & (w < np.inf)):
+        raise ParameterError("weights must be finite and > 0, one per point")
 
     sw = np.sqrt(w)
     X = np.column_stack([n_c, np.ones_like(n_c)]) * sw[:, None]

@@ -172,6 +172,15 @@ def test_fit_linewidth_from_points_file(tmp_path, capsys):
     assert relerr(float(out["g_om"].split(" ")[0]), 130e3) < 1e-6
 
 
+@pytest.mark.parametrize("row", ["nan,8.2e6", "2e4,inf"])
+def test_fit_linewidth_non_finite_point_exits_2(tmp_path, capsys, row):
+    path = tmp_path / "pts.csv"
+    path.write_text(f"n_c,gamma_hz\n1e4,8.3e6\n{row}\n3e4,8.1e6\n")
+    assert main(["fit", "linewidth", "--points", str(path), "--sign", "blue",
+                 "--kappa-o", "2.1e9"]) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: non-finite value\n"
+
+
 def test_swap_report(capsys):
     code = main(["swap", "--device", MEASURED, "--gamma-mi", "3e6"])
     assert code == 0
@@ -225,6 +234,33 @@ def test_non_finite_temperature_or_drive_exits_2(argv, name, capsys, tmp_path,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
+
+
+@pytest.mark.parametrize("dbm,message", [
+    ("1e4", "[pump] p_on_chip must be finite and >= 0 (got inf)"),
+    ("-inf", "non-finite number '-inf' for 'p_on_chip_dbm'"),
+])
+def test_non_finite_or_overflowing_pump_power_exits_2(tmp_path, capsys, dbm,
+                                                      message):
+    text = Path(MEASURED).read_text()
+    dev = tmp_path / "big.cfg"
+    dev.write_text(re.sub(r"(?m)^p_on_chip_dbm = -7.9$",
+                          f"p_on_chip_dbm = {dbm}", text))
+    assert main(["efficiency", "--device", str(dev)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_spectrum_and_sweep_below_expm1_overflow(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["spectrum", "thermal", "--device", MEASURED, "--temperature",
+                 "1e-6", "--out", str(out), "--points", "11"]) == 0
+    assert kv(capsys)[0]["n_th"] == "0"
+    assert out.read_text().splitlines()[1].endswith(",0")
+    assert main(["sweep", "--device", MEASURED, "--param", "temperature",
+                 "--values", "1e-6,4", "--quantity", "n_th"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["temperature,n_th",
+                                                        "1e-06,0"]
 
 
 def test_sweep_bad_values_token_exits_2(capsys):

@@ -231,6 +231,18 @@ def test_thermal_occupation_high_frequency_limit():
     assert thermal_occupation(1e15, 300.0) < 1e-60
 
 
+def test_thermal_occupation_past_expm1_overflow():
+    from transducersim import CODATA
+    # x = h f / k T = 710.5: expm1 overflows, n_th = e^-x is still a subnormal
+    f = 710.5 * CODATA.k_B / CODATA.h
+    assert thermal_occupation(f, 1.0) == math.exp(-710.5) > 0.0
+    assert thermal_occupation(4.32e9, 1e-6) == 0.0
+    temps = np.array([1e-6, 1.0, 4.0, 300.0])
+    got = thermal_occupation(f, temps)
+    assert got.tolist()[:2] == [0.0, math.exp(-710.5)]
+    assert np.all(got[2:] == 1.0 / np.expm1(CODATA.h * f / (CODATA.k_B * temps[2:])))
+
+
 def test_thermal_occupation_high_temperature_asymptote():
     from transducersim import CODATA
     rng = np.random.default_rng(6)

@@ -147,6 +147,19 @@ def test_linewidth_rank_deficiency():
         fit_linewidth_vs_photons(pts, "blue", KAPPA_O)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_linewidth_rejects_non_finite_points_and_weights(bad):
+    pts = linewidth_points()
+    broken = pts.copy()
+    broken[1, 0] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        fit_linewidth_vs_photons(broken, "blue", KAPPA_O)
+    weights = np.ones(len(pts))
+    weights[1] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        fit_linewidth_vs_photons(pts, "blue", KAPPA_O, weights=weights)
+
+
 def test_linewidth_zero_slope():
     pts = np.array([[1e4, 8.4e6], [5e4, 8.4e6], [1e5, 8.4e6]])
     fit = fit_linewidth_vs_photons(pts, "blue", KAPPA_O)

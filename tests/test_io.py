@@ -1,15 +1,18 @@
+import hashlib
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from transducersim import (DeviceBundle, DeviceFileError, ParameterError,
                            SweepSpec, Trace, TraceError, TransducerError,
-                           load_device, read_trace, run_sweep, write_device,
-                           write_trace)
-from transducersim.deviceio import (parse_device, parse_device_text,
+                           load_device, read_trace, run_sweep,
+                           thermal_occupation, write_device, write_trace)
+from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
+                                    parse_device, parse_device_text,
                                     parse_power, read_points,
                                     resolve_device_path, write_table)
 
@@ -123,6 +126,211 @@ def test_parse_power():
             parse_power(text)
 
 
+def test_dbm_to_w_overflows_to_inf():
+    assert dbm_to_w(1e4) == math.inf
+    assert dbm_to_w(-math.inf) == 0.0
+
+
+PUMP = "\n[pump]\ndetuning_hz = 4.32e9\np_on_chip_dbm = -7.9\n"
+QUBIT = "\n[qubit]\nc_q_f = 70e-15\nf_mu_hz = 4.32e9\nkappa_mu_hz = 1.2e6\n"
+MODE = "\n[[modes]]\nf_hz = 4.32e9\ngamma_hz = 8.4e6\ng_hz = 130e3\n"
+FULL = MINIMAL + PUMP + QUBIT + MODE
+
+
+def edit(*changes, text=FULL):
+    """text with each (old, new) pair replaced once; old must occur."""
+    for old, new in changes:
+        assert old in text, old
+        text = text.replace(old, new, 1)
+    return text
+
+
+# one text per kind of violation -> the exact violation list
+VIOLATIONS = {
+    "unknown_section": (FULL + "[bogus]\nx_hz = 1\n", [
+        "<string>:31: unknown section [bogus]",
+        "<string>:32: 'x_hz' outside any section"]),
+    "unknown_block": (FULL + "[[bogus]]\nx_hz = 1\n", [
+        "<string>:31: unknown block [[bogus]]",
+        "<string>:32: 'x_hz' outside any section"]),
+    "key_outside_section": ("f_o_hz = 1\n" + FULL, [
+        "<string>:1: 'f_o_hz' outside any section"]),
+    "bad_line": (edit(("eta_oc = 0.29", "eta_oc = 0.29\njust words")), [
+        "<string>:7: expected 'key = value' (got 'just words')"]),
+    "duplicate_section": (FULL + "[qubit]\n", [
+        "<string>:31: duplicate section [qubit]"]),
+    "duplicate_key": (edit(("g_om_hz = 130e3", "g_om_hz = 130e3\ng_om_hz = 1")), [
+        "<string>:12: duplicate key 'g_om_hz'"]),
+    "missing_suffix": (edit(("g_om_hz = 130e3", "g_om: 130e3")), [
+        "<string>:11: 'g_om' is missing its unit suffix; expected 'g_om_hz'",
+        "<string>: [mechanical] missing key 'g_om_hz'"]),
+    "unknown_key": (edit(("eta_oc = 0.29", "eta_oc = 0.29\ncolor = 3")), [
+        "<string>:7: unknown key 'color' in [optical]"]),
+    "unparsable_number": (edit(("z0_ohm = 50.0", "z0_ohm = fifty")), [
+        "<string>:16: cannot parse number 'fifty' for 'z0_ohm'",
+        "<string>: [electromechanical] missing key 'z0_ohm'"]),
+    "missing_section": (edit(("[mechanical]\nf_m_hz = 4.32e9\ngamma_mi_hz = 8.4e6\n"
+                              "g_om_hz = 130e3\n", "")), [
+        "<string>: missing required section [mechanical]"]),
+    "missing_key": (edit(("c_idt_f = 0.42e-15\n", "")), [
+        "<string>: [electromechanical] missing key 'c_idt_f'"]),
+    "kappa_both": (edit(("kappa_o_hz = 2.1e9",
+                         "kappa_o_hz = 2.1e9\nkappa_oi_hz = 1.11e9")), [
+        "<string>: [optical] give kappa_o_hz or kappa_oi_hz, not both"]),
+    "kappa_neither": (edit(("kappa_o_hz = 2.1e9\n", "")), [
+        "<string>: [optical] needs kappa_o_hz or kappa_oi_hz"]),
+    "pump_power_both": (edit(("p_on_chip_dbm = -7.9",
+                              "p_on_chip_dbm = -7.9\np_on_chip_w = 1e-4")), [
+        "<string>: [pump] give p_on_chip_dbm or p_on_chip_w, not both"]),
+    "pump_power_neither": (edit(("p_on_chip_dbm = -7.9\n", "")), [
+        "<string>: [pump] needs p_on_chip_dbm, p_on_chip_w, or n_c"]),
+    "pump_missing_detuning": (edit(("detuning_hz = 4.32e9\n", "")), [
+        "<string>: [pump] missing key 'detuning_hz'"]),
+    "qubit_missing_key": (edit(("f_mu_hz = 4.32e9\n", "")), [
+        "<string>: [qubit] missing key 'f_mu_hz'"]),
+    "modes_missing_key": (edit(("gamma_hz = 8.4e6\n", "")), [
+        "<string>: [[modes]] block 1 missing 'gamma_hz'"]),
+    "device_record": (edit(("kappa_oe_hz = 0.99e9", "kappa_oe_hz = 3e9")), [
+        "<string>: kappa_oe (3000000000.0) exceeds kappa_o (2100000000.0)"]),
+    "pump_record": (edit(("p_on_chip_dbm = -7.9", "n_c = -1")), [
+        "<string>: [pump] n_c must be finite and >= 0 (got -1.0)"]),
+    "qubit_record": (edit(("c_q_f = 70e-15", "c_q_f = 0")), [
+        "<string>: [qubit] c_q must be finite and > 0 (got 0.0)"]),
+    "modes_record": (FULL + MODE.replace("gamma_hz = 8.4e6", "gamma_hz = -1"), [
+        "<string>: [[modes]] block 2: gamma must be finite and > 0 (got -1.0)"]),
+    "optical_and_mechanical": (edit(("kappa_o_hz = 2.1e9\n", ""),
+                                    ("g_om_hz = 130e3\n", "")), [
+        "<string>: [optical] needs kappa_o_hz or kappa_oi_hz",
+        "<string>: [mechanical] missing key 'g_om_hz'"]),
+    "pump_and_qubit": (edit(("detuning_hz = 4.32e9\n", "p_on_chip_w = 1e-4\n"),
+                            ("c_q_f = 70e-15\n", "")), [
+        "<string>: [pump] missing key 'detuning_hz'",
+        "<string>: [pump] give p_on_chip_dbm or p_on_chip_w, not both",
+        "<string>: [qubit] missing key 'c_q_f'"]),
+    "every_section": (edit(("kappa_oe_hz = 0.99e9",
+                            "kappa_oe_hz = 0.99e9\nkappa_oi_hz = 1.11e9"),
+                           ("gamma_me_hz = 58.0\n", ""),
+                           ("p_on_chip_dbm = -7.9\n", ""),
+                           ("g_hz = 130e3\n", "")), [
+        "<string>: [optical] give kappa_o_hz or kappa_oi_hz, not both",
+        "<string>: [electromechanical] missing key 'gamma_me_hz'",
+        "<string>: [pump] needs p_on_chip_dbm, p_on_chip_w, or n_c",
+        "<string>: [[modes]] block 1 missing 'g_hz'"]),
+    "non_finite_number": (edit(("f_o_hz = 194.9e12", "f_o_hz = nan"),
+                               ("p_on_chip_dbm = -7.9", "p_on_chip_dbm = -inf"),
+                               ("g_hz = 130e3", "g_hz = 130e3\nphi_rad = inf")), [
+        "<string>:3: non-finite number 'nan' for 'f_o_hz'",
+        "<string>:20: non-finite number '-inf' for 'p_on_chip_dbm'",
+        "<string>:31: non-finite number 'inf' for 'phi_rad'"]),
+    "overflowing_dbm": (edit(("p_on_chip_dbm = -7.9", "p_on_chip_dbm = 1e4")), [
+        "<string>: [pump] p_on_chip must be finite and >= 0 (got inf)"]),
+}
+
+
+@pytest.mark.parametrize("text,violations", VIOLATIONS.values(), ids=VIOLATIONS)
+def test_device_file_violations(text, violations):
+    with pytest.raises(DeviceFileError) as err:
+        parse_device_text(text)
+    assert err.value.violations == violations
+
+
+# sha256 prefixes of write_device(load_device(name))
+WRITE_DIGESTS = {
+    "table1_measured": "2e57e9cd242427b2",
+    "table1_sim_adjusted": "f97b770f3f56fa6a",
+    "table1_sim_initial": "74d339167afe45ef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITE_DIGESTS))
+def test_write_device_bytes_of_bundled_devices(name, tmp_path):
+    path = tmp_path / f"{name}.cfg"
+    write_device(load_device(name), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == WRITE_DIGESTS[name]
+    assert parse_device(path) == load_device(name)
+
+
+def test_schema_keys_name_fields_of_their_record():
+    for kind, keys in _SCHEMA.values():
+        names = {f.name for f in fields(kind)}
+        for key in keys:
+            if key not in _ALTERNATIVES:
+                assert _field(key) in names, key
+    assert {name for name, _ in _ALTERNATIVES.values()} == {"kappa_o", "p_on_chip"}
+
+
+WRITTEN_ALTERNATIVES = """\
+[optical]
+f_o_hz = 194900000000000
+kappa_o_hz = 2110000000
+kappa_oe_hz = 990000000
+eta_oc = 0.28999999999999998
+
+[mechanical]
+f_m_hz = 4320000000
+gamma_mi_hz = 8400000
+g_om_hz = 130000
+
+[electromechanical]
+gamma_me_hz = 58
+c_idt_f = 4.2000000000000002e-16
+z0_ohm = 50
+
+[pump]
+detuning_hz = 4320000000
+n_c = 15000
+
+[qubit]
+c_q_f = 7.0000000000000005e-14
+f_mu_hz = 4320000000
+kappa_mu_hz = 1200000
+
+[[modes]]
+f_hz = 4320000000
+gamma_hz = 8400000
+g_hz = 130000
+phi_rad = 0
+gamma_e_hz = 0
+
+[[modes]]
+f_hz = 4320000000
+gamma_hz = 8400000
+g_hz = 20000
+phi_rad = 0.71681469282041377
+gamma_e_hz = 0
+"""
+
+
+def test_write_device_bytes_of_alternative_keys(tmp_path):
+    text = edit(("kappa_o_hz = 2.1e9", "kappa_oi_hz = 1.12e9"),
+                ("p_on_chip_dbm = -7.9", "n_c = 1.5e4")) \
+        + MODE.replace("g_hz = 130e3", "g_hz = 2e4\nphi_rad = 7")
+    bundle = parse_device_text(text)
+    path = tmp_path / "alt.cfg"
+    write_device(bundle, path)
+    assert path.read_text() == WRITTEN_ALTERNATIVES
+    assert parse_device(path) == bundle
+
+
+def test_resolve_device_path_tier_order(tmp_path, monkeypatch):
+    cwd, env = tmp_path / "cwd", tmp_path / "env"
+    cwd.mkdir()
+    env.mkdir()
+    for path in (cwd / "dev.cfg", env / "dev.cfg", env / "table1_measured.cfg"):
+        path.write_text(MINIMAL)
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("TRANSDUCERSIM_DEVICE_PATH", str(env))
+    assert resolve_device_path("dev") == Path("dev.cfg")
+    assert resolve_device_path("dev.cfg") == Path("dev.cfg")
+    assert resolve_device_path("table1_measured") == env / "table1_measured.cfg"
+    bundled = resolve_device_path("table1_sim_adjusted")
+    assert bundled.name == "table1_sim_adjusted.cfg"
+    assert bundled.parent.name == "devices" and bundled.is_file()
+    monkeypatch.delenv("TRANSDUCERSIM_DEVICE_PATH")
+    assert resolve_device_path("table1_measured") == \
+        bundled.parent / "table1_measured.cfg"
+
+
 # ----------------------------------------------------------------- trace CSV
 
 def test_trace_round_trip_is_bitwise(tmp_path):
@@ -169,6 +377,15 @@ def test_read_points(tmp_path):
     pts = read_points(path)
     assert pts.shape == (2, 2)
     assert pts[1, 1] == 8.2e6
+
+
+@pytest.mark.parametrize("row", ["nan,8.2e6", "2e4,inf", "-inf,8.2e6"])
+def test_read_points_rejects_non_finite(tmp_path, row):
+    path = tmp_path / "pts.csv"
+    path.write_text(f"n_c,gamma_hz\n1e4,8.3e6\n{row}\n3e4,8.1e6\n")
+    with pytest.raises(TraceError) as err:
+        read_points(path)
+    assert str(err.value) == f"{path}:3: non-finite value"
 
 
 def test_trace_validates_on_construction():
@@ -297,6 +514,14 @@ def test_sweep_bad_middle_row_fails_like_reference(measured, targets, quantities
         run_sweep(spec, measured, drive_p_mu=1e-7)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+def test_sweep_temperature_column_below_expm1_overflow(measured):
+    spec = SweepSpec((("temperature", (1e-6, 4.0, 300.0)),), ("n_th",))
+    rows = run_sweep(spec, measured)
+    assert [r["n_th"] for r in rows] == [
+        0.0, thermal_occupation(measured.device.f_m, 4.0),
+        thermal_occupation(measured.device.f_m, 300.0)]
 
 
 def test_sweep_missing_section_is_named(measured):
