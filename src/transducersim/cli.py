@@ -384,10 +384,7 @@ def main(argv=None) -> int:
     except FitError as err:
         print(f"fit error: {err}", file=sys.stderr)
         return 3
-    except TransducerError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (TransducerError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

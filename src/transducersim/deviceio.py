@@ -143,9 +143,9 @@ def _suffix_hint(section: str, key: str) -> str | None:
     return None
 
 
-def _record(kind, values: dict, prefix: str):
-    """kind built from one section's key -> value map; a record error
-    becomes a DeviceFileError whose message starts with prefix."""
+def _record(kind, values: dict, prefix: str, violations: list):
+    """kind built from one section's key -> value map, or None with the
+    record's error appended to violations, its message led by prefix."""
     fields = {_field(k): v for k, v in values.items() if k not in _ALTERNATIVES}
     for key, (name, value) in _ALTERNATIVES.items():
         if key in values:
@@ -153,7 +153,8 @@ def _record(kind, values: dict, prefix: str):
     try:
         return kind(**fields)
     except ParameterError as err:
-        raise DeviceFileError([f"{prefix}{err}"]) from err
+        violations.append(f"{prefix}{err}")
+        return None
 
 
 def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
@@ -193,6 +194,7 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
                 violations.append(
                     f"{source}:{no}: '{key}' is missing its unit suffix; "
                     f"expected '{hint}'")
+                current.setdefault(hint, None)
             else:
                 violations.append(
                     f"{source}:{no}: unknown key '{key}' in [{current_name}]")
@@ -200,22 +202,28 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
         if key in current:
             violations.append(f"{source}:{no}: duplicate key '{key}'")
             continue
+        # a key that is present but unusable holds None: not also missing
         try:
             current[key] = float(value)
         except ValueError:
+            current[key] = None
             violations.append(f"{source}:{no}: cannot parse number {value!r} "
                               f"for '{key}'")
             continue
         if not math.isfinite(current[key]):
+            current[key] = None
             violations.append(f"{source}:{no}: non-finite number {value!r} "
                               f"for '{key}'")
 
+    # the sections and [[modes]] blocks that pass the key checks make records
+    passed = {}
     for name, (kind, keys) in _SCHEMA.items():
         sec = sections.get(name)
         if sec is None:
             if kind is DeviceParams:
                 violations.append(f"{source}: missing required section [{name}]")
             continue
+        before = len(violations)
         violations += [f"{source}: [{name}] missing key '{key}'"
                        for key, required in keys.items()
                        if required and key not in sec]
@@ -233,25 +241,34 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
             if not sec.keys() & {"p_on_chip_dbm", "p_on_chip_w", "n_c"}:
                 violations.append(f"{source}: [pump] needs p_on_chip_dbm, "
                                   "p_on_chip_w, or n_c")
+        if len(violations) == before and None not in sec.values():
+            passed[name] = sec
     for i, block in enumerate(modes_raw, start=1):
-        violations += [f"{source}: [[modes]] block {i} missing '{key}'"
-                       for key, required in _SCHEMA["modes"][1].items()
-                       if required and key not in block]
+        missing = [f"{source}: [[modes]] block {i} missing '{key}'"
+                   for key, required in _SCHEMA["modes"][1].items()
+                   if required and key not in block]
+        violations += missing
+        if not missing and None not in block.values():
+            passed[i] = block
 
+    device_sections = [name for name, (kind, _) in _SCHEMA.items()
+                       if kind is DeviceParams]
+    device = pump = qubit = None
+    if all(name in passed for name in device_sections):
+        device = _record(DeviceParams, {k: v for name in device_sections
+                                        for k, v in passed[name].items()},
+                         f"{source}: ", violations)
+    if "pump" in passed:
+        pump = _record(PumpState, passed["pump"], f"{source}: [pump] ", violations)
+    if "qubit" in passed:
+        qubit = _record(QubitConfig, passed["qubit"], f"{source}: [qubit] ",
+                        violations)
+    modes = tuple(_record(MechanicalMode, block, f"{source}: [[modes]] block {i}: ",
+                          violations)
+                  for i, block in enumerate(modes_raw, start=1) if i in passed)
     if violations:
         raise DeviceFileError(violations)
-
-    device = {k: v for name, (kind, _) in _SCHEMA.items() if kind is DeviceParams
-              for k, v in sections[name].items()}
-    return DeviceBundle(
-        device=_record(DeviceParams, device, f"{source}: "),
-        pump=_record(PumpState, sections["pump"], f"{source}: [pump] ")
-        if "pump" in sections else None,
-        qubit=_record(QubitConfig, sections["qubit"], f"{source}: [qubit] ")
-        if "qubit" in sections else None,
-        modes=tuple(_record(MechanicalMode, block,
-                            f"{source}: [[modes]] block {i}: ")
-                    for i, block in enumerate(modes_raw, start=1)))
+    return DeviceBundle(device, pump, qubit, modes)
 
 
 def parse_device(path) -> DeviceBundle:

@@ -9,7 +9,7 @@ the caller.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,12 +47,18 @@ class FitResult:
                 raise ParameterError(f"negative standard error for {name}")
 
 
-def _gauss_newton(fun_jac, p0, *, valid=None, max_iter=MAX_ITER,
-                  rel_tol=REL_STEP_TOL):
+def _gauss_newton(fun_jac, p0, names, *, valid=None, max_iter=MAX_ITER,
+                  rel_tol=REL_STEP_TOL) -> FitResult:
     """Levenberg-damped Gauss-Newton on residual r(p) with Jacobian J(p).
 
-    Returns (p, cov, rms, converged, n_iter). Only cost-decreasing steps
-    are accepted, so the final residual never exceeds the initial one.
+    Returns a FitResult with params, stderr (root of the covariance
+    diagonal) and cov in the order of names, noted "non-convergence" if
+    the relative step never fell below rel_tol. Only cost-decreasing
+    steps are accepted, so the final residual never exceeds the initial
+    one. n_iter hangs on the last bit of every operation: the two phase
+    starts can reach one minimum with rms an ulp apart, and then the
+    BLAS thread count picks which wins (28 iterations against 4 on one
+    2e5-point trace).
     """
     p = np.array(p0, dtype=float)
     scale = np.maximum(np.abs(p), 1e-30)
@@ -99,7 +105,16 @@ def _gauss_newton(fun_jac, p0, *, valid=None, max_iter=MAX_ITER,
     except np.linalg.LinAlgError:
         cov = np.full((n, n), np.inf)
     rms = math.sqrt(cost / m) if m else math.inf
-    return p, cov, rms, converged, it
+    se = np.sqrt(np.abs(np.diag(cov)))
+    return FitResult(dict(zip(names, p)), dict(zip(names, se)), rms, converged,
+                     it, () if converged else ("non-convergence",), cov=cov,
+                     param_order=tuple(names))
+
+
+def _edge_median(y):
+    """Median of the trace edges: the outer 5% (at least 3 points) each side."""
+    n = max(3, y.size // 20)
+    return float(np.median(np.concatenate([y[:n], y[-n:]])))
 
 
 # ---------------------------------------------------------------- optical dip
@@ -131,8 +146,7 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
     f, y = trace.x, trace.y
     if f.size < 8:
         raise FitError("trace too short to fit a dip")
-    edge = float(np.median(np.concatenate([y[: max(3, f.size // 20)],
-                                           y[-max(3, f.size // 20):]])))
+    edge = _edge_median(y)
     i_min = int(np.argmin(y))
     y_min = float(y[i_min])
     if edge <= 0 or y_min >= 0.95 * edge:
@@ -152,20 +166,20 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
         model, J = _dip_model_jac(f, p)
         return model - y, J
 
-    p, cov, rms, converged, it = _gauss_newton(
-        fun_jac, p0, valid=lambda q: q[1] > 0 and q[2] < 1.0)
-    f_o, kappa, e = p
+    fit = _gauss_newton(fun_jac, p0, ("f_o", "kappa_o", "depth_sq"),
+                        valid=lambda q: q[1] > 0 and q[2] < 1.0)
+    f_o, kappa, e = fit.params.values()
     d = math.sqrt(max(e, 0.0))
-    if not converged:
-        return FitResult({"f_o": f_o, "kappa_o": kappa, "depth": d},
-                         {}, rms, False, it, ("non-convergence",))
-    se = np.sqrt(np.abs(np.diag(cov)))
-    se_d = se[2] / (2.0 * d) if d > 0 else math.sqrt(se[2])
+    if not fit.converged:
+        return replace(fit, params={"f_o": f_o, "kappa_o": kappa, "depth": d},
+                       stderr={}, cov=None, param_order=())
+    se_fo, se_kappa, se_e = fit.stderr.values()
+    se_d = se_e / (2.0 * d) if d > 0 else math.sqrt(se_e)
     params = {"f_o": f_o, "kappa_o": kappa, "depth": d,
               "kappa_oe_under": kappa * (1.0 - d) / 2.0,
               "kappa_oe_over": kappa * (1.0 + d) / 2.0}
-    stderr = {"f_o": se[0], "kappa_o": se[1], "depth": se_d}
-    sub = cov[1:, 1:]
+    stderr = {"f_o": se_fo, "kappa_o": se_kappa, "depth": se_d}
+    sub = fit.cov[1:, 1:]
     de_coeff = 1.0 / (2.0 * d) if d > 0 else 0.0   # d(kappa_oe)/de = -/+ kappa/(4 d)
     for name, grad in (("kappa_oe_under",
                         np.array([(1 - d) / 2, -kappa / 2 * de_coeff])),
@@ -183,8 +197,7 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
         notes.append("coupling branch not selected; see kappa_oe_under/over")
     if d < 2.0 * se_d:
         notes.append("dip depth consistent with critical coupling")
-    return FitResult(params, stderr, rms, True, it, tuple(notes),
-                     cov=cov, param_order=("f_o", "kappa_o", "depth_sq"))
+    return replace(fit, params=params, stderr=stderr, notes=tuple(notes))
 
 
 # ---------------------------------------------------------- sideband detuning
@@ -238,25 +251,21 @@ def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
         ])
         return np.concatenate([r.real, r.imag]), J
 
-    f_peak = float(f[np.argmax(trace_mag.y)])
-    best = None
-    for delta0 in (f_peak, -f_peak):
+    def from_start(delta0):
         m0 = _sideband_response(f, delta0, kappa_o, kappa_oe)
         denom = float(np.vdot(m0, m0).real)
         a0 = complex(np.vdot(m0, z)) / denom if denom > 0 else 0.0 + 0.0j
-        fit = _gauss_newton(fun_jac, [delta0, a0.real, a0.imag])
-        if best is None or fit[2] < best[2]:
-            best = fit
-    p, cov, rms, converged, it = best
-    notes = []
+        return _gauss_newton(fun_jac, [delta0, a0.real, a0.imag],
+                             ("detuning", "amp_re", "amp_im"))
+
+    f_peak = float(f[np.argmax(trace_mag.y)])
+    fit = min((from_start(d) for d in (f_peak, -f_peak)),
+              key=lambda r: r.residual_norm)
+    notes = ()
     if float(f[-1] - f[0]) < kappa_o:
-        notes.append("sweep span below kappa_o; phase wrap may bias the sign")
-    if not converged:
-        notes.append("non-convergence")
-    se = np.sqrt(np.abs(np.diag(cov)))
-    return FitResult({"detuning": p[0], "amp_re": p[1], "amp_im": p[2]},
-                     {"detuning": se[0]}, rms, converged, it, tuple(notes),
-                     cov=cov, param_order=("detuning", "amp_re", "amp_im"))
+        notes = ("sweep span below kappa_o; phase wrap may bias the sign",)
+    return replace(fit, stderr={"detuning": fit.stderr["detuning"]},
+                   notes=notes + fit.notes)
 
 
 # ------------------------------------------------- linewidth vs photon number
@@ -325,10 +334,6 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
 
 # ---------------------------------------------------------- multi-Lorentzian
 
-def _lorentz(f, center, gamma, area):
-    return area * _lorentzian_density(f, center, gamma)
-
-
 def _half_max_width(f, y, idx):
     """Full width at half max of the feature peaking at idx, by crossings."""
     half = 0.5 * y[idx]
@@ -366,26 +371,21 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     u = (f - mid) / span                      # conditioned linear basis
     n_bg = 1 if background == "constant" else 2
 
-    edge = np.concatenate([y[: max(3, f.size // 20)],
-                           y[-max(3, f.size // 20):]])
-    bg0 = float(np.median(edge))
+    bg0 = _edge_median(y)
 
     # --- seed peaks from the running residual
-    seeds = []
+    p0 = []
     resid = y - bg0
     for _ in range(n_peaks):
         idx = int(np.argmax(resid))
+        center = float(f[idx])
         width = _half_max_width(f, np.clip(resid, 0, None), idx)
         area = max(float(resid[idx]) * math.pi * width / 2.0, 1e-300)
-        seeds.append([float(f[idx]), width, area])
-        resid = resid - _lorentz(f, *seeds[-1])
-
-    p0 = []
-    for s in seeds:
-        p0.extend(s)
-    p0.append(bg0)
-    if n_bg == 2:
-        p0.append(0.0)
+        p0 += [center, width, area]
+        resid = resid - area * _lorentzian_density(f, center, width)
+    p0 += [bg0, 0.0][:n_bg]
+    names = [f"{q}_{k}" for k in range(1, n_peaks + 1)
+             for q in ("f", "gamma", "area")] + ["bg0", "bg1"][:n_bg]
 
     def fun_jac(p):
         model = np.full(f.size, p[3 * n_peaks])
@@ -410,30 +410,16 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     def valid(p):
         return all(p[3 * k + 1] > 0 for k in range(n_peaks))
 
-    p, cov, rms, converged, it = _gauss_newton(fun_jac, p0, valid=valid)
-    se = np.sqrt(np.abs(np.diag(cov)))
+    # names label the peaks in seed order, then in frequency order
+    fit = _gauss_newton(fun_jac, p0, names, valid=valid)
+    order = np.argsort([fit.params[f"f_{k}"] for k in range(1, n_peaks + 1)])
+    perm = [3 * k + i for k in order for i in range(3)] \
+        + list(range(3 * n_peaks, len(names)))
 
-    order = np.argsort([p[3 * k] for k in range(n_peaks)]) if n_peaks else []
-    params, stderr, names = {}, {}, []
-    perm = []
-    for rank, k in enumerate(order, start=1):
-        params[f"f_{rank}"] = p[3 * k]
-        params[f"gamma_{rank}"] = p[3 * k + 1]
-        params[f"area_{rank}"] = p[3 * k + 2]
-        stderr[f"f_{rank}"] = se[3 * k]
-        stderr[f"gamma_{rank}"] = se[3 * k + 1]
-        stderr[f"area_{rank}"] = se[3 * k + 2]
-        names += [f"f_{rank}", f"gamma_{rank}", f"area_{rank}"]
-        perm += [3 * k, 3 * k + 1, 3 * k + 2]
-    params["bg0"] = p[3 * n_peaks]
-    stderr["bg0"] = se[3 * n_peaks]
-    names.append("bg0")
-    perm.append(3 * n_peaks)
-    if n_bg == 2:
-        params["bg1"] = p[3 * n_peaks + 1] / span   # per x-unit
-        stderr["bg1"] = se[3 * n_peaks + 1] / span
-        names.append("bg1")
-        perm.append(3 * n_peaks + 1)
-    notes = () if converged else ("non-convergence",)
-    return FitResult(params, stderr, rms, converged, it, notes,
-                     cov=cov[np.ix_(perm, perm)], param_order=tuple(names))
+    def by_frequency(values):
+        out = {name: values[names[i]] for name, i in zip(names, perm)}
+        if n_bg == 2:
+            out["bg1"] = out["bg1"] / span   # per x-unit
+        return out
+    return replace(fit, params=by_frequency(fit.params),
+                   stderr=by_frequency(fit.stderr), cov=fit.cov[np.ix_(perm, perm)])

@@ -197,8 +197,6 @@ class EyeDiagram:
 
     t: np.ndarray            # relative time within the window, s
     segments: np.ndarray     # one row per transition
-    pre_bits: tuple
-    post_bits: tuple
     opening: float           # min vertical gap at the sampling instants
     extinction_ratio: float  # mean high / mean low at the sampling instants
 
@@ -238,8 +236,7 @@ def eye_diagram(run: LinkRun, cfg: LinkConfig) -> EyeDiagram:
         extinction = EXTINCTION_CAP
     else:
         extinction = min(mean_high / mean_low, EXTINCTION_CAP)
-    return EyeDiagram(t_rel, segments, tuple(pre), tuple(post),
-                      opening, extinction)
+    return EyeDiagram(t_rel, segments, opening, extinction)
 
 
 def fit_ring(segment: Trace, kind: str) -> FitResult:
@@ -256,54 +253,38 @@ def fit_ring(segment: Trace, kind: str) -> FitResult:
     y = segment.y
     if t.size < 6:
         raise FitError("segment too short to fit")
+    name = "v_i" if kind == "ringdown" else "v_f"
     y_max = float(np.max(np.abs(y)))
     if y_max <= 0 or float(np.ptp(y)) < 1e-9 * y_max:
-        return FitResult({"gamma_m": 0.0, "v_i" if kind == "ringdown" else "v_f":
-                          float(np.mean(y))}, {}, 0.0, False, 0,
-                         ("unidentifiable: constant segment",))
+        return FitResult({"gamma_m": 0.0, name: float(np.mean(y))}, {}, 0.0,
+                         False, 0, ("unidentifiable: constant segment",))
 
     t_char = float(t[-1]) / 3.0
     if kind == "ringdown":
         v0 = float(y[0]) if y[0] > 0 else y_max
         below = np.nonzero(y <= v0 / math.e)[0]
         t_e = float(t[below[0]]) if below.size and below[0] > 0 else t_char
-        p0 = [v0, 1.0 / (math.pi * t_e)]
-
-        def fun_jac(p):
-            vi, gam = p
-            e = np.exp(-math.pi * gam * t)
-            model = vi * e
-            J = np.column_stack([e, -math.pi * t * vi * e])
-            return model - y, J
-        name = "v_i"
+        slope = -math.pi       # d(shape)/d(gamma_m) = slope * t * e
     else:
-        vf = float(np.mean(y[-max(3, t.size // 10):]))
-        if vf <= 0:
-            vf = y_max
-        above = np.nonzero(y >= vf * (1.0 - 1.0 / math.e))[0]
+        v0 = float(np.mean(y[-max(3, t.size // 10):]))
+        if v0 <= 0:
+            v0 = y_max
+        above = np.nonzero(y >= v0 * (1.0 - 1.0 / math.e))[0]
         t_e = float(t[above[0]]) if above.size and above[0] > 0 else t_char
-        p0 = [vf, 1.0 / (math.pi * t_e)]
+        slope = math.pi
 
-        def fun_jac(p):
-            vf_, gam = p
-            e = np.exp(-math.pi * gam * t)
-            model = vf_ * (1.0 - e)
-            J = np.column_stack([1.0 - e, math.pi * t * vf_ * e])
-            return model - y, J
-        name = "v_f"
+    def fun_jac(p):
+        v, gam = p
+        e = np.exp(-math.pi * gam * t)
+        shape = e if kind == "ringdown" else 1.0 - e
+        return v * shape - y, np.column_stack([shape, slope * t * v * e])
 
-    p, cov, rms, converged, it = _gauss_newton(
-        fun_jac, p0, valid=lambda q: q[1] > 0)
-    se = np.sqrt(np.abs(np.diag(cov)))
-    notes = []
-    if rms > 0.15 * y_max:
-        notes.append("poor-fit: residual large; check segment kind")
-        converged = False
-    if not converged and "poor-fit: residual large; check segment kind" not in notes:
-        notes.append("non-convergence")
-    return FitResult({name: p[0], "gamma_m": p[1]},
-                     {name: se[0], "gamma_m": se[1]},
-                     rms, converged, it, tuple(notes))
+    fit = _gauss_newton(fun_jac, [v0, 1.0 / (math.pi * t_e)], (name, "gamma_m"),
+                        valid=lambda q: q[1] > 0)
+    if fit.residual_norm > 0.15 * y_max:
+        return replace(fit, converged=False,
+                       notes=("poor-fit: residual large; check segment kind",))
+    return fit
 
 
 def ring_segments(run: LinkRun, cfg: LinkConfig):

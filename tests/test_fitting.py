@@ -1,12 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from transducersim import (FitError, MechanicalMode, ParameterError, Trace,
-                           fit_linewidth_vs_photons, fit_lorentzian_multi,
-                           fit_optical_dip, fit_phase_detuning, sideband_rate,
-                           thermal_spectrum)
+                           cli, fitting, fit_linewidth_vs_photons,
+                           fit_lorentzian_multi, fit_optical_dip,
+                           fit_phase_detuning, fit_ring, link, sideband_rate,
+                           thermal_spectrum, write_trace)
 from transducersim.fitting import _sideband_response
 
 from conftest import relerr
@@ -294,3 +296,60 @@ def test_fitters_contract_as_noise_vanishes(dev, noise_levels):
     for errs in (errs_dip, errs_phase, errs_line, errs_lor):
         assert errs[0] >= errs[1] >= errs[2]
         assert errs[0] < 0.03
+
+
+# ------------------------------------------------------------ non-convergence
+
+@pytest.fixture
+def one_iteration(monkeypatch):
+    """Every Gauss-Newton run stops after one iteration.
+
+    link imports _gauss_newton by name, so both bindings are patched.
+    """
+    stopped = functools.partial(fitting._gauss_newton, max_iter=1)
+    monkeypatch.setattr(fitting, "_gauss_newton", stopped)
+    monkeypatch.setattr(link, "_gauss_newton", stopped)
+
+
+def ring_down_trace(gamma=7.9e6):
+    t = np.linspace(0.0, 5.0 / (math.pi * gamma), 400)
+    down = np.exp(-math.pi * gamma * t)
+    return Trace(t, down + 0.01 * np.random.default_rng(2).standard_normal(t.size),
+                 "s", "v")
+
+
+# fitter -> the note that flags its stop; a ring fit read as the wrong kind
+# is a poor fit, and that note replaces the solver's
+STOPPED_SHORT = {
+    "dip": (lambda dev: fit_optical_dip(dip_trace(noise=0.01, seed=1)),
+            "non-convergence"),
+    "phase": (lambda dev: fit_phase_detuning(*phase_traces(3e9, noise=0.01), dev),
+              "non-convergence"),
+    "lorentzian": (lambda dev: fit_lorentzian_multi(
+        lorentz_trace([(4.32e9, 8.4e6, 5e9)], noise=0.01, seed=8), 1),
+        "non-convergence"),
+    "ring": (lambda dev: fit_ring(ring_down_trace(), "ringdown"),
+             "non-convergence"),
+    "ring_wrong_kind": (lambda dev: fit_ring(ring_down_trace(), "ringup"),
+                        "poor-fit: residual large; check segment kind"),
+}
+
+
+@pytest.mark.parametrize("name", STOPPED_SHORT)
+def test_fit_stopped_short_is_flagged(name, dev, one_iteration):
+    run, note = STOPPED_SHORT[name]
+    fit = run(dev)
+    assert fit.converged is False
+    assert fit.n_iter == 1
+    assert fit.notes[-1] == note
+    assert "non-convergence" not in fit.notes[:-1]
+
+
+def test_dip_stopped_short_keeps_its_three_parameters(one_iteration, tmp_path):
+    tr = dip_trace(noise=0.01, seed=1)
+    fit = fit_optical_dip(tr, branch="under")
+    assert set(fit.params) == {"f_o", "kappa_o", "depth"}
+    assert fit.stderr == {}
+    write_trace(tr, tmp_path / "dip.csv")
+    assert cli.main(["fit", "dip", "--trace", str(tmp_path / "dip.csv"),
+                     "--branch", "under"]) == 3

@@ -135,6 +135,7 @@ PUMP = "\n[pump]\ndetuning_hz = 4.32e9\np_on_chip_dbm = -7.9\n"
 QUBIT = "\n[qubit]\nc_q_f = 70e-15\nf_mu_hz = 4.32e9\nkappa_mu_hz = 1.2e6\n"
 MODE = "\n[[modes]]\nf_hz = 4.32e9\ngamma_hz = 8.4e6\ng_hz = 130e3\n"
 FULL = MINIMAL + PUMP + QUBIT + MODE
+MEASURED = resolve_device_path("table1_measured").read_text()
 
 
 def edit(*changes, text=FULL):
@@ -162,13 +163,11 @@ VIOLATIONS = {
     "duplicate_key": (edit(("g_om_hz = 130e3", "g_om_hz = 130e3\ng_om_hz = 1")), [
         "<string>:12: duplicate key 'g_om_hz'"]),
     "missing_suffix": (edit(("g_om_hz = 130e3", "g_om: 130e3")), [
-        "<string>:11: 'g_om' is missing its unit suffix; expected 'g_om_hz'",
-        "<string>: [mechanical] missing key 'g_om_hz'"]),
+        "<string>:11: 'g_om' is missing its unit suffix; expected 'g_om_hz'"]),
     "unknown_key": (edit(("eta_oc = 0.29", "eta_oc = 0.29\ncolor = 3")), [
         "<string>:7: unknown key 'color' in [optical]"]),
     "unparsable_number": (edit(("z0_ohm = 50.0", "z0_ohm = fifty")), [
-        "<string>:16: cannot parse number 'fifty' for 'z0_ohm'",
-        "<string>: [electromechanical] missing key 'z0_ohm'"]),
+        "<string>:16: cannot parse number 'fifty' for 'z0_ohm'"]),
     "missing_section": (edit(("[mechanical]\nf_m_hz = 4.32e9\ngamma_mi_hz = 8.4e6\n"
                               "g_om_hz = 130e3\n", "")), [
         "<string>: missing required section [mechanical]"]),
@@ -222,6 +221,13 @@ VIOLATIONS = {
         "<string>:3: non-finite number 'nan' for 'f_o_hz'",
         "<string>:20: non-finite number '-inf' for 'p_on_chip_dbm'",
         "<string>:31: non-finite number 'inf' for 'phi_rad'"]),
+    "every_record": (edit(("kappa_oe_hz = 0.99e9\nkappa_oi_hz = 1.12e9",
+                           "kappa_o_hz = 2.11e9\nkappa_oe_hz = 5e9"),
+                          ("p_on_chip_dbm = -7.9", "n_c = -1"),
+                          ("c_q_f = 70e-15", "c_q_f = 0"), text=MEASURED), [
+        "<string>: kappa_oe (5000000000.0) exceeds kappa_o (2110000000.0)",
+        "<string>: [pump] n_c must be finite and >= 0 (got -1.0)",
+        "<string>: [qubit] c_q must be finite and > 0 (got 0.0)"]),
     "overflowing_dbm": (edit(("p_on_chip_dbm = -7.9", "p_on_chip_dbm = 1e4")), [
         "<string>: [pump] p_on_chip must be finite and >= 0 (got inf)"]),
 }
