@@ -311,6 +311,15 @@ def load_device(name: str) -> DeviceBundle:
 
 # ------------------------------------------------------------------ trace CSV
 
+# Lines per conversion block of read_trace and cells per formatting block
+# of write_table: large enough that the per-block overhead is negligible,
+# small enough that a block's strings and floats take a few MB, so peak
+# memory does not grow with the file (converting a 2e5-line trace in one
+# block costs 35 MB more).
+_READ_LINES = 32768
+_WRITE_CELLS = 65536
+
+
 def write_trace(trace: Trace, path) -> None:
     """Two-column CSV with a `x_unit,y_unit` header, 17 significant digits."""
     write_table(path, [trace.x_unit, trace.y_unit],
@@ -325,7 +334,36 @@ def read_trace(path) -> Trace:
     if len(header) != 2 or any(not tok for tok in header):
         raise TraceError(f"{path}:1: header must be 'x_unit,y_unit' "
                          f"(got {lines[0]!r})")
-    xs, ys = [], []
+    x, y = _columns(lines[1:]) or _rows(path, lines)
+    return Trace(x, y, header[0], header[1])
+
+
+def _columns(body):
+    """(x, y) of body lines that are all 'x,y' with finite values and x
+    strictly increasing, converted a block at a time; None otherwise."""
+    values = np.empty(2 * len(body))
+    for start in range(0, len(body), _READ_LINES):
+        block = body[start:start + _READ_LINES]
+        joined = ",".join(block)
+        # float() takes a tab as a space, the format does not; it rejects
+        # any other delimiter, ';' among them
+        if "\t" in joined or not all(line.count(",") == 1 for line in block):
+            return None
+        try:    # numpy converts each str cell with float()
+            values[2 * start:2 * (start + len(block))] = \
+                np.array(joined.split(","), dtype=float)
+        except ValueError:
+            return None
+    x, y = values.reshape(-1, 2).T.copy()
+    if not (x.size and np.isfinite(values).all() and np.all(np.diff(x) > 0)):
+        return None
+    return x, y
+
+
+def _rows(path, lines):
+    """(x, y) of a trace's lines read one at a time: slower than _columns,
+    but it skips blank lines and names the line that breaks the format."""
+    xs, ys, line_nos = [], [], []
     for no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -341,12 +379,14 @@ def read_trace(path) -> Trace:
             raise TraceError(f"{path}:{no}: non-finite value")
         xs.append(x)
         ys.append(y)
+        line_nos.append(no)
     if not xs:
         raise TraceError(f"{path}: no data rows")
     x = np.array(xs)
-    if x.size > 1 and not np.all(np.diff(x) > 0):
-        raise TraceError(f"{path}: x values must be strictly increasing")
-    return Trace(x, np.array(ys), header[0], header[1])
+    if (falls := np.flatnonzero(np.diff(x) <= 0)).size:
+        raise TraceError(f"{path}:{line_nos[falls[0] + 1]}: x values must be "
+                         "strictly increasing")
+    return x, np.array(ys)
 
 
 def write_table(path, header, rows) -> None:
@@ -356,10 +396,14 @@ def write_table(path, header, rows) -> None:
     cell is printed as a float with 17 significant digits, so reading
     it back with float() reproduces the value bit for bit.
     """
-    fmt = ",".join(["{:.17g}"] * len(header))
-    lines = [",".join(header)]
-    lines += [fmt.format(*row) for row in np.asarray(rows, dtype=float).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.asarray(rows, dtype=float)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    step = max(1, _WRITE_CELLS // len(header))
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(table), step):
+            block = table[start:start + step]
+            out.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_points(path) -> np.ndarray:

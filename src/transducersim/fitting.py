@@ -47,22 +47,22 @@ class FitResult:
                 raise ParameterError(f"negative standard error for {name}")
 
 
-def _gauss_newton(fun_jac, p0, names, *, valid=None, max_iter=MAX_ITER,
-                  rel_tol=REL_STEP_TOL) -> FitResult:
+def _gauss_newton(residual, jacobian, p0, names, *, valid=None,
+                  max_iter=MAX_ITER, rel_tol=REL_STEP_TOL) -> FitResult:
     """Levenberg-damped Gauss-Newton on residual r(p) with Jacobian J(p).
 
     Returns a FitResult with params, stderr (root of the covariance
     diagonal) and cov in the order of names, noted "non-convergence" if
     the relative step never fell below rel_tol. Only cost-decreasing
     steps are accepted, so the final residual never exceeds the initial
-    one. n_iter hangs on the last bit of every operation: the two phase
-    starts can reach one minimum with rms an ulp apart, and then the
-    BLAS thread count picks which wins (28 iterations against 4 on one
-    2e5-point trace).
+    one, and J is evaluated only at accepted points. n_iter hangs on the
+    last bit of every operation: the two phase starts can reach one
+    minimum with rms an ulp apart, and then the BLAS thread count picks
+    which wins (28 iterations against 4 on one 2e5-point trace).
     """
     p = np.array(p0, dtype=float)
     scale = np.maximum(np.abs(p), 1e-30)
-    r, J = fun_jac(p)
+    r, J = residual(p), jacobian(p)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
@@ -82,12 +82,12 @@ def _gauss_newton(fun_jac, p0, names, *, valid=None, max_iter=MAX_ITER,
             if valid is not None and not valid(p_new):
                 lam *= 10.0
                 continue
-            r_new, J_new = fun_jac(p_new)
+            r_new = residual(p_new)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 scale = np.maximum(np.abs(p_new), scale)
                 rel_step = float(np.max(np.abs(step) / scale))
-                p, r, J, cost = p_new, r_new, J_new, cost_new
+                p, r, J, cost = p_new, r_new, jacobian(p_new), cost_new
                 lam = max(lam * 0.3, 1e-14)
                 accepted = True
                 break
@@ -119,19 +119,24 @@ def _edge_median(y):
 
 # ---------------------------------------------------------------- optical dip
 
-def _dip_model_jac(f, p):
+def _dip_model(f, p):
     # p = (f_o, kappa, e) with e = d^2, d the fractional dip amplitude;
     # e enters linearly, so e = 0 is not a stationary point of the fit.
+    f_o, kappa, e = p
+    x2 = 4.0 * (f - f_o) ** 2
+    return (e * kappa ** 2 + x2) / (kappa ** 2 + x2)
+
+
+def _dip_jac(f, p):
     f_o, kappa, e = p
     x = f - f_o
     x2 = 4.0 * x ** 2
     D = kappa ** 2 + x2
-    R = (e * kappa ** 2 + x2) / D
     one_me = 1.0 - e
     dR_dfo = -8.0 * x * kappa ** 2 * one_me / D ** 2
     dR_dk = -2.0 * kappa * x2 * one_me / D ** 2
     dR_de = kappa ** 2 / D
-    return R, np.column_stack([dR_dfo, dR_dk, dR_de])
+    return np.column_stack([dR_dfo, dR_dk, dR_de])
 
 
 def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
@@ -162,11 +167,8 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
     p0 = [float(f[i_min]), max(width, float(np.min(np.diff(f)))),
           min(max(y_min / edge, 0.0), 1.0)]
 
-    def fun_jac(p):
-        model, J = _dip_model_jac(f, p)
-        return model - y, J
-
-    fit = _gauss_newton(fun_jac, p0, ("f_o", "kappa_o", "depth_sq"),
+    fit = _gauss_newton(lambda p: _dip_model(f, p) - y, lambda p: _dip_jac(f, p),
+                        p0, ("f_o", "kappa_o", "depth_sq"),
                         valid=lambda q: q[1] > 0 and q[2] < 1.0)
     f_o, kappa, e = fit.params.values()
     d = math.sqrt(max(e, 0.0))
@@ -238,24 +240,28 @@ def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
 
     kappa_o, kappa_oe = dev.kappa_o, dev.kappa_oe
 
-    def fun_jac(p):
+    def residual(p):
         delta, a_re, a_im = p
-        a = a_re + 1j * a_im
         m = _sideband_response(f, delta, kappa_o, kappa_oe)
-        r = a * m - z
-        dm = a * _sideband_response_ddelta(f, delta, kappa_o, kappa_oe)
-        J = np.column_stack([
+        r = (a_re + 1j * a_im) * m - z
+        return np.concatenate([r.real, r.imag])
+
+    def jacobian(p):
+        delta, a_re, a_im = p
+        m = _sideband_response(f, delta, kappa_o, kappa_oe)
+        dm = (a_re + 1j * a_im) * _sideband_response_ddelta(f, delta, kappa_o,
+                                                              kappa_oe)
+        return np.column_stack([
             np.concatenate([dm.real, dm.imag]),
             np.concatenate([m.real, m.imag]),
             np.concatenate([-m.imag, m.real]),
         ])
-        return np.concatenate([r.real, r.imag]), J
 
     def from_start(delta0):
         m0 = _sideband_response(f, delta0, kappa_o, kappa_oe)
         denom = float(np.vdot(m0, m0).real)
         a0 = complex(np.vdot(m0, z)) / denom if denom > 0 else 0.0 + 0.0j
-        return _gauss_newton(fun_jac, [delta0, a0.real, a0.imag],
+        return _gauss_newton(residual, jacobian, [delta0, a0.real, a0.imag],
                              ("detuning", "amp_re", "amp_im"))
 
     f_peak = float(f[np.argmax(trace_mag.y)])
@@ -387,17 +393,22 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     names = [f"{q}_{k}" for k in range(1, n_peaks + 1)
              for q in ("f", "gamma", "area")] + ["bg0", "bg1"][:n_bg]
 
-    def fun_jac(p):
+    def residual(p):
         model = np.full(f.size, p[3 * n_peaks])
         if n_bg == 2:
             model = model + p[3 * n_peaks + 1] * u
+        for k in range(n_peaks):
+            c, g, a = p[3 * k: 3 * k + 3]
+            hw = 0.5 * g
+            model = model + a * (hw / np.pi) / ((f - c) ** 2 + hw ** 2)
+        return model - y
+
+    def jacobian(p):
         cols = []
         for k in range(n_peaks):
             c, g, a = p[3 * k: 3 * k + 3]
             hw = 0.5 * g
             denom = (f - c) ** 2 + hw ** 2
-            lk = a * (hw / np.pi) / denom
-            model = model + lk
             d_c = a * (hw / np.pi) * 2.0 * (f - c) / denom ** 2
             d_g = (a / (2 * np.pi)) * ((f - c) ** 2 - hw ** 2) / denom ** 2
             d_a = (hw / np.pi) / denom
@@ -405,13 +416,13 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
         cols.append(np.ones_like(f))
         if n_bg == 2:
             cols.append(u)
-        return model - y, np.column_stack(cols)
+        return np.column_stack(cols)
 
     def valid(p):
         return all(p[3 * k + 1] > 0 for k in range(n_peaks))
 
     # names label the peaks in seed order, then in frequency order
-    fit = _gauss_newton(fun_jac, p0, names, valid=valid)
+    fit = _gauss_newton(residual, jacobian, p0, names, valid=valid)
     order = np.argsort([fit.params[f"f_{k}"] for k in range(1, n_peaks + 1)])
     perm = [3 * k + i for k in order for i in range(3)] \
         + list(range(3 * n_peaks, len(names)))
@@ -421,5 +432,9 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
         if n_bg == 2:
             out["bg1"] = out["bg1"] / span   # per x-unit
         return out
+    cov = fit.cov[np.ix_(perm, perm)]
+    if n_bg == 2:       # the bg1 row and column per x-unit too
+        cov[-1] /= span
+        cov[:, -1] /= span
     return replace(fit, params=by_frequency(fit.params),
-                   stderr=by_frequency(fit.stderr), cov=fit.cov[np.ix_(perm, perm)])
+                   stderr=by_frequency(fit.stderr), cov=cov)

@@ -273,13 +273,16 @@ def fit_ring(segment: Trace, kind: str) -> FitResult:
         t_e = float(t[above[0]]) if above.size and above[0] > 0 else t_char
         slope = math.pi
 
-    def fun_jac(p):
-        v, gam = p
+    def exp_shape(gam):
         e = np.exp(-math.pi * gam * t)
-        shape = e if kind == "ringdown" else 1.0 - e
-        return v * shape - y, np.column_stack([shape, slope * t * v * e])
+        return e, (e if kind == "ringdown" else 1.0 - e)
 
-    fit = _gauss_newton(fun_jac, [v0, 1.0 / (math.pi * t_e)], (name, "gamma_m"),
+    def jacobian(p):
+        e, shape = exp_shape(p[1])
+        return np.column_stack([shape, slope * t * p[0] * e])
+
+    fit = _gauss_newton(lambda p: p[0] * exp_shape(p[1])[1] - y, jacobian,
+                        [v0, 1.0 / (math.pi * t_e)], (name, "gamma_m"),
                         valid=lambda q: q[1] > 0)
     if fit.residual_norm > 0.15 * y_max:
         return replace(fit, converged=False,

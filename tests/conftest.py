@@ -1,11 +1,12 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from transducersim import (LinkRun, Trace, backaction_rate, cooperativity,
-                           coupling_g_em, efficiencies, load_device,
+from transducersim import (LinkRun, Trace, TraceError, backaction_rate,
+                           cooperativity, coupling_g_em, efficiencies, load_device,
                            qubit_impedance, resolve_photon_number,
                            sideband_rate, steady_state_coherent_phonons,
                            swap_feasibility, thermal_occupation,
@@ -125,3 +126,40 @@ def reference_sweep(spec, bundle, temperature=300.0, drive_p_mu=None):
             row[name] = float(_reference_quantity(name, b, temp, p_mu))
         rows.append(row)
     return rows
+
+
+# ------------------------------------------- trace CSV reference (oracle)
+
+def reference_read_trace(path):
+    """read_trace as the per-line loop computed it, error messages included."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise TraceError(f"{path}: empty file")
+    header = [tok.strip() for tok in lines[0].split(",")]
+    if len(header) != 2 or any(not tok for tok in header):
+        raise TraceError(f"{path}:1: header must be 'x_unit,y_unit' "
+                         f"(got {lines[0]!r})")
+    xs, ys, line_nos = [], [], []
+    for no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        if any(bad in line for bad in (";", "\t")) or line.count(",") != 1:
+            raise TraceError(f"{path}:{no}: expected two comma-separated "
+                             f"values (got {line!r})")
+        a, b = line.split(",")
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            raise TraceError(f"{path}:{no}: cannot parse numbers in {line!r}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise TraceError(f"{path}:{no}: non-finite value")
+        xs.append(x)
+        ys.append(y)
+        line_nos.append(no)
+    if not xs:
+        raise TraceError(f"{path}: no data rows")
+    for i in range(1, len(xs)):
+        if xs[i] <= xs[i - 1]:
+            raise TraceError(f"{path}:{line_nos[i]}: x values must be "
+                             "strictly increasing")
+    return Trace(np.array(xs), np.array(ys), header[0], header[1])

@@ -228,6 +228,11 @@ def test_lorentzian_linear_background():
     assert fit.converged
     assert relerr(fit.params["area_1"], true[2]) < 0.02
     assert relerr(fit.params["bg1"], 2e-8) < 0.1
+    # cov is in the units of params: bg1 per x-unit, not per span
+    se = dict(zip(fit.param_order, np.sqrt(np.diag(fit.cov))))
+    assert se.keys() == fit.stderr.keys()
+    for name, value in se.items():
+        assert value == pytest.approx(fit.stderr[name], rel=1e-12)
 
 
 def test_lorentzian_reference_background():

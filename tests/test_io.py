@@ -11,6 +11,7 @@ from transducersim import (DeviceBundle, DeviceFileError, ParameterError,
                            SweepSpec, Trace, TraceError, TransducerError,
                            load_device, read_trace, run_sweep,
                            thermal_occupation, write_device, write_trace)
+from transducersim import deviceio
 from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
                                     parse_device, parse_device_text,
                                     parse_power, read_points,
@@ -18,7 +19,7 @@ from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
 
 from transducersim.sweep import QUANTITIES
 
-from conftest import reference_sweep, relerr
+from conftest import reference_read_trace, reference_sweep, relerr
 
 
 # --------------------------------------------------------------- device files
@@ -355,9 +356,114 @@ def test_trace_round_trip_is_bitwise(tmp_path):
 
 def test_trace_rejects_descending_x(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("hz,lin\n2.0,1.0\n1.0,1.0\n")
-    with pytest.raises(TraceError):
-        read_trace(path)
+    for body, line in (("2.0,1.0\n1.0,1.0\n", 3),
+                       # the first row not above its predecessor; blank
+                       # lines count
+                       ("1.0,1.0\n\n3.0,1.0\n  \n3.0,2.0\n1.0,1.0\n", 6)):
+        path.write_text("hz,lin\n" + body)
+        with pytest.raises(TraceError) as err:
+            read_trace(path)
+        assert str(err.value) == \
+            f"{path}:{line}: x values must be strictly increasing"
+
+
+def _rows_text(n, start=0):
+    return "".join(f"{k}.5,{-k}e-3\n" for k in range(start, start + n))
+
+
+def _random_columns(n):
+    """Sorted finite x and finite y from random bit patterns."""
+    bits = np.random.default_rng(31).integers(0, 2 ** 64, 4 * n, dtype=np.uint64)
+    cells = bits.view(float)
+    cells = cells[np.isfinite(cells)]
+    return np.unique(cells[:n]).tolist(), cells[n:2 * n].tolist()
+
+
+BLOCK = 8      # read_trace's lines per conversion block in these tests
+_RANDOM_COLUMNS = _random_columns(3 * BLOCK + 3)
+# (name, file text): read_trace must agree with the per-line reference on
+# each, in the arrays it returns or in the exception it raises
+TRACE_CORPUS = [
+    ("plain", "hz,lin\n1,2\n2,3\n"),
+    ("one_row", "s,v\n-0.0,5e-324\n"),
+    ("blank_lines", "hz,lin\n\n1,2\n   \n2,3\n\n"),
+    ("crlf", "hz,lin\r\n1,2\r\n2,3\r\n"),
+    ("lone_cr", "hz,lin\r1,2\r2,3\r"),
+    ("spaces", "hz , lin\n 1 , 2 \n2 ,3\n"),
+    ("underscores", "hz,lin\n1_000,2\n2_000,3_0\n"),
+    ("arabic_indic_digits", "hz,lin\n\u0661,\u0662\n\u0663.\u0665,4\n"),
+    ("fullwidth_digits", "hz,lin\n\uff11,2\n\uff12,3\n"),
+    ("nbsp", "hz,lin\n\xa01,2\u3000\n2,3\n"),
+    ("form_feed", "hz,lin\n1,2\x0c2,3\n"),
+    ("form_feed_in_row", "hz,lin\n1,\x0c2\n"),
+    ("nel", "hz,lin\n1,2\x852,3\n"),
+    ("line_separator", "hz,lin\n1,2\u20282,3\u20293,4\n"),
+    ("unit_separator_in_row", "hz,lin\n1\x1f,2\n"),
+    ("vt_and_fs", "hz,lin\n1,2\x0b2,3\x1c3,4\x1d4,5\x1e5,6\n"),
+    ("semicolon", "hz,lin\n1,2\n2;3\n"),
+    ("semicolon_and_comma", "hz,lin\n1,2;\n"),
+    ("tab", "hz,lin\n1\t,2\n"),
+    ("no_comma", "hz,lin\n1,2\n2 3\n"),
+    ("two_commas", "hz,lin\n1,2,3\n"),
+    ("commas_balance_across_lines", "hz,lin\n0,1\n1\n2,3,4\n"),
+    ("trailing_comma", "hz,lin\n1,2\n2,\n"),
+    ("leading_comma", "hz,lin\n,2\n"),
+    ("nan", "hz,lin\n1,2\n2,nan\n"),
+    ("inf", "hz,lin\ninf,2\n"),
+    ("minus_inf", "hz,lin\n1,-Infinity\n"),
+    ("overflow", "hz,lin\n1,1e400\n"),
+    ("underflow", "hz,lin\n1,1e-400\n2,-4.9e-324\n"),
+    ("hex_float", "hz,lin\n0x1p3,1\n"),
+    ("nul", "hz,lin\n1\x00,2\n"),
+    ("nan_payload", "hz,lin\n1,nan(1)\n"),
+    ("bad_then_non_increasing", "hz,lin\n2,1\n1,1\nx,1\n"),
+    ("equal_x", "hz,lin\n1,1\n1,2\n"),
+    ("descending_after_blank", "hz,lin\n1,1\n\n0.5,2\n"),
+    ("header_only", "hz,lin\n"),
+    ("header_and_blanks", "hz,lin\n\n \n"),
+    ("empty", ""),
+    ("one_column_header", "hz\n1,2\n"),
+    ("three_column_header", "hz,lin,x\n1,2\n"),
+    ("empty_header_token", "hz,\n1,2\n"),
+    ("full_block_plus_one", "hz,lin\n" + _rows_text(BLOCK + 1)),
+    ("second_block_bad_number", "hz,lin\n" + _rows_text(BLOCK + 3) + "1e,0\n"),
+    ("second_block_two_commas", "hz,lin\n" + _rows_text(BLOCK) + "1,2,3\n"),
+    ("second_block_non_finite", "hz,lin\n" + _rows_text(BLOCK + 1) + "1e9,inf\n"),
+    ("second_block_non_increasing",
+     "hz,lin\n" + _rows_text(BLOCK + 2) + _rows_text(1, start=BLOCK)),
+    ("random_doubles", "hz,lin\n" + "".join(
+        f"{x:.17g},{y:.17g}\n" for x, y in zip(*_RANDOM_COLUMNS))),
+    ("second_block_blank", "hz,lin\n" + _rows_text(BLOCK + 2) + "\n"
+     + _rows_text(2, start=BLOCK + 2)),
+]
+
+
+@pytest.mark.parametrize("name, text", TRACE_CORPUS,
+                         ids=[name for name, _ in TRACE_CORPUS])
+def test_read_trace_matches_per_line_reference(tmp_path, monkeypatch, name,
+                                               text):
+    monkeypatch.setattr(deviceio, "_READ_LINES", BLOCK)
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = reference_read_trace(path)
+    except TraceError as err:
+        with pytest.raises(type(err)) as got:
+            read_trace(path)
+        assert str(got.value) == str(err)
+        return
+    per_line, calls = deviceio._rows, []
+
+    def counted(*args):
+        calls.append(args)
+        return per_line(*args)
+    monkeypatch.setattr(deviceio, "_rows", counted)
+    got = read_trace(path)
+    assert got.x.tobytes() == expected.x.tobytes()
+    assert got.y.tobytes() == expected.y.tobytes()
+    assert (got.x_unit, got.y_unit) == (expected.x_unit, expected.y_unit)
+    # a valid file goes line by line only where it has blank lines
+    assert bool(calls) == any(not line.strip() for line in text.splitlines()[1:])
 
 
 def test_trace_rejects_nan(tmp_path):
@@ -544,6 +650,8 @@ def test_write_table(tmp_path):
     path = tmp_path / "table.csv"
     write_table(path, ["a", "b"], [[1.0, 2.0], [3.0, 4.5]])
     assert path.read_bytes() == b"a,b\n1,2\n3,4.5\n"
+    write_table(path, ["a"], [])
+    assert path.read_bytes() == b"a\n"
 
 
 @pytest.mark.parametrize("value", [-0.0, 5e-324, 1e308, 0.1, 3.0])
@@ -551,3 +659,24 @@ def test_write_table_cell_is_17g(tmp_path, value):
     path = tmp_path / "cell.csv"
     write_table(path, ["v"], np.array([[value]]))
     assert path.read_text().splitlines()[1] == f"{value:.17g}"
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [
+    (2 * 32 + 5, 3),    # a row count off the block size of 96 // 3 rows
+    (32, 3), (1, 3), (0, 3), (200, 1), (3, 500)])
+def test_write_table_bytes_match_per_cell_format(tmp_path, monkeypatch,
+                                                 n_rows, n_cols):
+    monkeypatch.setattr(deviceio, "_WRITE_CELLS", 96)
+    # random bit patterns: every exponent, subnormals, nan payloads
+    bits = np.random.default_rng(n_rows + n_cols).integers(
+        0, 2 ** 64, n_rows * n_cols, dtype=np.uint64)
+    cells = bits.view(float)
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
+    cells[:len(special)] = special[:cells.size]
+    table = cells.reshape(n_rows, n_cols)
+    header = [f"c{k}" for k in range(n_cols)]
+    path = tmp_path / "table.csv"
+    write_table(path, header, table)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in table.tolist())
+    assert path.read_bytes() == expected.encode()
