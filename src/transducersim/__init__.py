@@ -17,8 +17,8 @@ from .errors import (DeviceFileError, FitError, InstabilityError,
                      TransducerError)
 from .fitting import (FitResult, fit_linewidth_vs_photons,
                       fit_lorentzian_multi, fit_optical_dip,
-                      fit_phase_detuning)
-from .link import (EyeDiagram, LinkConfig, LinkRun, eye_diagram, fit_ring,
+                      fit_phase_detuning, fit_ring)
+from .link import (EyeDiagram, LinkConfig, LinkRun, eye_diagram,
                    harmonic_spectrum, link_metrics, parse_bits, run_link)
 from .spectra import (CoherentCalibration, MechanicalMode,
                       calibrate_coherent_phonons, driven_spectrum,

@@ -155,16 +155,17 @@ def cmd_fit(args) -> int:
 
 
 def cmd_link(args) -> int:
-    bits = parse_bits(args.bits) if args.bits else \
-        parse_bits(read_text(args.bits_file))
-    spb = args.samples_per_bit
-    if spb is None:     # resolve gamma_m and f_if at the requested rate
-        spb = max(32, math.ceil(20.0 * args.gamma_m / args.rate),
-                  math.ceil(2.5 * args.f_if / args.rate))
+    bits = parse_bits(args.bits if args.bits is not None
+                      else read_text(args.bits_file))
+    # validated before the default sampling is worked out from it
     cfg = LinkConfig(bits=bits, rate=args.rate, gamma_m=args.gamma_m,
                      f_if=args.f_if, v0=args.v0, noise_rms=args.noise_rms,
-                     samples_per_bit=spb,
                      drive_mode=args.drive_mode)
+    spb = args.samples_per_bit
+    if spb is None:     # resolve gamma_m and f_if at the requested rate
+        spb = max(32, math.ceil(20.0 * cfg.gamma_m / cfg.rate),
+                  math.ceil(2.5 * cfg.f_if / cfg.rate))
+    cfg = replace(cfg, samples_per_bit=spb)
     run = run_link(cfg, seed=args.seed)
     env_path = f"{args.out_prefix}_envelope.csv"
     write_trace(run.envelope, env_path)
@@ -309,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("link", help="bit-array transmission simulation")
-    p.add_argument("--bits", help="bit string, e.g. 010110")
-    p.add_argument("--bits-file")
+    bits = p.add_mutually_exclusive_group(required=True)
+    bits.add_argument("--bits", help="bit string, e.g. 010110")
+    bits.add_argument("--bits-file")
     p.add_argument("--rate", type=float, required=True, help="bit/s")
     p.add_argument("--gamma-m", dest="gamma_m", type=float, required=True)
     p.add_argument("--f-if", dest="f_if", type=float, default=50e6)
@@ -375,9 +377,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
-        return 2
-    if getattr(args, "bits", "x") is None and getattr(args, "bits_file", "x") is None:
-        print("error: link needs --bits or --bits-file", file=sys.stderr)
         return 2
     try:
         return args.func(args)

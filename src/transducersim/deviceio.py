@@ -29,10 +29,10 @@ BUNDLED_DEVICES = ("table1_measured", "table1_sim_adjusted", "table1_sim_initial
 
 
 def read_text(path) -> str:
-    """Contents of a text file; one that does not decode raises an error
-    that names it."""
+    """Contents of a UTF-8 text file, without a leading byte-order mark;
+    one that does not decode raises an error that names it."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise TransducerError(f"{path}: not a text file ({err})") from err
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DeviceParams
 from .errors import FitError, ParameterError
-from .spectra import _lorentzian_density
+from .spectra import _lorentzian_density, _pole
 from .trace import Trace
 
 MAX_ITER = 200
@@ -47,27 +47,29 @@ class FitResult:
                 raise ParameterError(f"negative standard error for {name}")
 
 
-def _gauss_newton(residual, jacobian, p0, names, *, valid=None,
-                  max_iter=MAX_ITER, rel_tol=REL_STEP_TOL) -> FitResult:
-    """Levenberg-damped Gauss-Newton on residual r(p) with Jacobian J(p).
+def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
+    """Levenberg-damped Gauss-Newton on a model p -> (r(p), jac).
 
-    Returns a FitResult with params, stderr (root of the covariance
-    diagonal) and cov in the order of names, noted "non-convergence" if
-    the relative step never fell below rel_tol. Only cost-decreasing
-    steps are accepted, so the final residual never exceeds the initial
-    one, and J is evaluated only at accepted points. n_iter hangs on the
-    last bit of every operation: the two phase starts can reach one
-    minimum with rms an ulp apart, and then the BLAS thread count picks
-    which wins (28 iterations against 4 on one 2e5-point trace).
+    jac() builds J(p) from the intermediates of r(p); it is called only
+    at accepted points and dropped before the next trial. Returns a
+    FitResult with params, stderr (root of the covariance diagonal) and
+    cov in the order of names, noted "non-convergence" if the relative
+    step did not fall below REL_STEP_TOL in MAX_ITER iterations. Only
+    cost-decreasing steps are accepted, so the final residual never
+    exceeds the initial one. n_iter hangs on the last bit of every
+    operation: the two phase starts can reach one minimum with rms an
+    ulp apart, and then the BLAS thread count picks which wins (28
+    iterations against 4 on one 2e5-point trace).
     """
     p = np.array(p0, dtype=float)
     scale = np.maximum(np.abs(p), 1e-30)
-    r, J = residual(p), jacobian(p)
+    r, jac = model(p)
+    J = jac()
     cost = float(r @ r)
     lam = 1e-3
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         A = J.T @ J
         g = J.T @ r
         accepted = False
@@ -82,19 +84,20 @@ def _gauss_newton(residual, jacobian, p0, names, *, valid=None,
             if valid is not None and not valid(p_new):
                 lam *= 10.0
                 continue
-            r_new = residual(p_new)
+            jac = None      # drop the last point's intermediates first
+            r_new, jac = model(p_new)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 scale = np.maximum(np.abs(p_new), scale)
                 rel_step = float(np.max(np.abs(step) / scale))
-                p, r, J, cost = p_new, r_new, jacobian(p_new), cost_new
+                p, r, J, cost = p_new, r_new, jac(), cost_new
                 lam = max(lam * 0.3, 1e-14)
                 accepted = True
                 break
             lam *= 10.0
         if not accepted:
             break
-        if rel_step < rel_tol:
+        if rel_step < REL_STEP_TOL:
             converged = True
             break
     m, n = J.shape
@@ -119,24 +122,21 @@ def _edge_median(y):
 
 # ---------------------------------------------------------------- optical dip
 
-def _dip_model(f, p):
+def _dip(f, y, p):
     # p = (f_o, kappa, e) with e = d^2, d the fractional dip amplitude;
     # e enters linearly, so e = 0 is not a stationary point of the fit.
-    f_o, kappa, e = p
-    x2 = 4.0 * (f - f_o) ** 2
-    return (e * kappa ** 2 + x2) / (kappa ** 2 + x2)
-
-
-def _dip_jac(f, p):
     f_o, kappa, e = p
     x = f - f_o
     x2 = 4.0 * x ** 2
     D = kappa ** 2 + x2
-    one_me = 1.0 - e
-    dR_dfo = -8.0 * x * kappa ** 2 * one_me / D ** 2
-    dR_dk = -2.0 * kappa * x2 * one_me / D ** 2
-    dR_de = kappa ** 2 / D
-    return np.column_stack([dR_dfo, dR_dk, dR_de])
+
+    def jac():
+        one_me = 1.0 - e
+        dR_dfo = -8.0 * x * kappa ** 2 * one_me / D ** 2
+        dR_dk = -2.0 * kappa * x2 * one_me / D ** 2
+        dR_de = kappa ** 2 / D
+        return np.column_stack([dR_dfo, dR_dk, dR_de])
+    return (e * kappa ** 2 + x2) / D - y, jac
 
 
 def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
@@ -167,8 +167,7 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
     p0 = [float(f[i_min]), max(width, float(np.min(np.diff(f)))),
           min(max(y_min / edge, 0.0), 1.0)]
 
-    fit = _gauss_newton(lambda p: _dip_model(f, p) - y, lambda p: _dip_jac(f, p),
-                        p0, ("f_o", "kappa_o", "depth_sq"),
+    fit = _gauss_newton(lambda p: _dip(f, y, p), p0, ("f_o", "kappa_o", "depth_sq"),
                         valid=lambda q: q[1] > 0 and q[2] < 1.0)
     f_o, kappa, e = fit.params.values()
     d = math.sqrt(max(e, 0.0))
@@ -211,13 +210,7 @@ def _sideband_response(f, detuning, kappa_o, kappa_oe):
     the cavity is (detuning - f); the response peaks at f = detuning,
     which is what makes the fitted detuning signed.
     """
-    return (2 * np.pi * kappa_oe) / (1j * 2 * np.pi * (detuning - f)
-                                     + np.pi * kappa_o)
-
-
-def _sideband_response_ddelta(f, detuning, kappa_o, kappa_oe):
-    return (-1j * 2 * np.pi) * (2 * np.pi * kappa_oe) / (
-        1j * 2 * np.pi * (detuning - f) + np.pi * kappa_o) ** 2
+    return (2 * np.pi * kappa_oe) / _pole(f, detuning, kappa_o)
 
 
 def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
@@ -239,29 +232,28 @@ def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
         raise FitError("sweep too short to fit the cavity response")
 
     kappa_o, kappa_oe = dev.kappa_o, dev.kappa_oe
+    gain = 2 * np.pi * kappa_oe
 
-    def residual(p):
+    def model(p):
         delta, a_re, a_im = p
-        m = _sideband_response(f, delta, kappa_o, kappa_oe)
-        r = (a_re + 1j * a_im) * m - z
-        return np.concatenate([r.real, r.imag])
+        pole = _pole(f, delta, kappa_o)
+        r = (a_re + 1j * a_im) * (gain / pole) - z
 
-    def jacobian(p):
-        delta, a_re, a_im = p
-        m = _sideband_response(f, delta, kappa_o, kappa_oe)
-        dm = (a_re + 1j * a_im) * _sideband_response_ddelta(f, delta, kappa_o,
-                                                              kappa_oe)
-        return np.column_stack([
-            np.concatenate([dm.real, dm.imag]),
-            np.concatenate([m.real, m.imag]),
-            np.concatenate([-m.imag, m.real]),
-        ])
+        def jac():
+            m = gain / pole     # recomputed: keeping m too raises the peak memory
+            dm = (a_re + 1j * a_im) * ((-1j * 2 * np.pi) * gain / pole ** 2)
+            return np.column_stack([
+                np.concatenate([dm.real, dm.imag]),
+                np.concatenate([m.real, m.imag]),
+                np.concatenate([-m.imag, m.real]),
+            ])
+        return np.concatenate([r.real, r.imag]), jac
 
     def from_start(delta0):
         m0 = _sideband_response(f, delta0, kappa_o, kappa_oe)
         denom = float(np.vdot(m0, m0).real)
         a0 = complex(np.vdot(m0, z)) / denom if denom > 0 else 0.0 + 0.0j
-        return _gauss_newton(residual, jacobian, [delta0, a0.real, a0.imag],
+        return _gauss_newton(model, [delta0, a0.real, a0.imag],
                              ("detuning", "amp_re", "amp_im"))
 
     f_peak = float(f[np.argmax(trace_mag.y)])
@@ -393,36 +385,37 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     names = [f"{q}_{k}" for k in range(1, n_peaks + 1)
              for q in ("f", "gamma", "area")] + ["bg0", "bg1"][:n_bg]
 
-    def residual(p):
-        model = np.full(f.size, p[3 * n_peaks])
+    def model(p):
+        r = np.full(f.size, p[3 * n_peaks])
         if n_bg == 2:
-            model = model + p[3 * n_peaks + 1] * u
+            r = r + p[3 * n_peaks + 1] * u
         for k in range(n_peaks):
             c, g, a = p[3 * k: 3 * k + 3]
             hw = 0.5 * g
-            model = model + a * (hw / np.pi) / ((f - c) ** 2 + hw ** 2)
-        return model - y
+            r = r + a * (hw / np.pi) / ((f - c) ** 2 + hw ** 2)
 
-    def jacobian(p):
-        cols = []
-        for k in range(n_peaks):
-            c, g, a = p[3 * k: 3 * k + 3]
-            hw = 0.5 * g
-            denom = (f - c) ** 2 + hw ** 2
-            d_c = a * (hw / np.pi) * 2.0 * (f - c) / denom ** 2
-            d_g = (a / (2 * np.pi)) * ((f - c) ** 2 - hw ** 2) / denom ** 2
-            d_a = (hw / np.pi) / denom
-            cols.extend([d_c, d_g, d_a])
-        cols.append(np.ones_like(f))
-        if n_bg == 2:
-            cols.append(u)
-        return np.column_stack(cols)
+        def jac():
+            # the denominators are recomputed: keeping them raises the peak memory
+            cols = []
+            for k in range(n_peaks):
+                c, g, a = p[3 * k: 3 * k + 3]
+                hw = 0.5 * g
+                denom = (f - c) ** 2 + hw ** 2
+                d_c = a * (hw / np.pi) * 2.0 * (f - c) / denom ** 2
+                d_g = (a / (2 * np.pi)) * ((f - c) ** 2 - hw ** 2) / denom ** 2
+                d_a = (hw / np.pi) / denom
+                cols.extend([d_c, d_g, d_a])
+            cols.append(np.ones_like(f))
+            if n_bg == 2:
+                cols.append(u)
+            return np.column_stack(cols)
+        return r - y, jac
 
     def valid(p):
         return all(p[3 * k + 1] > 0 for k in range(n_peaks))
 
     # names label the peaks in seed order, then in frequency order
-    fit = _gauss_newton(residual, jacobian, p0, names, valid=valid)
+    fit = _gauss_newton(model, p0, names, valid=valid)
     order = np.argsort([fit.params[f"f_{k}"] for k in range(1, n_peaks + 1)])
     perm = [3 * k + i for k in order for i in range(3)] \
         + list(range(3 * n_peaks, len(names)))
@@ -438,3 +431,53 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
         cov[:, -1] /= span
     return replace(fit, params=by_frequency(fit.params),
                    stderr=by_frequency(fit.stderr), cov=cov)
+
+
+# ------------------------------------------------- ring-up / ring-down edges
+
+def fit_ring(segment: Trace, kind: str) -> FitResult:
+    """Fit a ring-up or ring-down edge of the demodulated envelope.
+
+    kind "ringup":   |V_det|(t) = V_f * (1 - exp(-pi*gamma_m*t))
+    kind "ringdown": |V_det|(t) = V_i * exp(-pi*gamma_m*t)
+    with t measured from the segment start (the transition instant).
+    A mismatched kind or a flat segment is flagged, not silently fit.
+    """
+    if kind not in ("ringup", "ringdown"):
+        raise ParameterError(f"kind must be 'ringup' or 'ringdown' (got {kind!r})")
+    t = segment.x - segment.x[0]
+    y = segment.y
+    if t.size < 6:
+        raise FitError("segment too short to fit")
+    name = "v_i" if kind == "ringdown" else "v_f"
+    y_max = float(np.max(np.abs(y)))
+    if y_max <= 0 or float(np.ptp(y)) < 1e-9 * y_max:
+        return FitResult({"gamma_m": 0.0, name: float(np.mean(y))}, {}, 0.0,
+                         False, 0, ("unidentifiable: constant segment",))
+
+    t_char = float(t[-1]) / 3.0
+    if kind == "ringdown":
+        v0 = float(y[0]) if y[0] > 0 else y_max
+        below = np.nonzero(y <= v0 / math.e)[0]
+        t_e = float(t[below[0]]) if below.size and below[0] > 0 else t_char
+        slope = -math.pi       # d(shape)/d(gamma_m) = slope * t * e
+    else:
+        v0 = float(np.mean(y[-max(3, t.size // 10):]))
+        if v0 <= 0:
+            v0 = y_max
+        above = np.nonzero(y >= v0 * (1.0 - 1.0 / math.e))[0]
+        t_e = float(t[above[0]]) if above.size and above[0] > 0 else t_char
+        slope = math.pi
+
+    def model(p):
+        v, gam = p
+        e = np.exp(-math.pi * gam * t)
+        shape = e if kind == "ringdown" else 1.0 - e
+        return v * shape - y, lambda: np.column_stack([shape, slope * t * v * e])
+
+    fit = _gauss_newton(model, [v0, 1.0 / (math.pi * t_e)], (name, "gamma_m"),
+                        valid=lambda q: q[1] > 0)
+    if fit.residual_norm > 0.15 * y_max:
+        return replace(fit, converged=False,
+                       notes=("poor-fit: residual large; check segment kind",))
+    return fit

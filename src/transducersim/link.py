@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import range_errors
 from .errors import FitError, ParameterError, SamplingError
-from .fitting import FitResult, _gauss_newton
+from .fitting import fit_ring
 from .trace import Trace
 
 EXTINCTION_CAP = 1e12
@@ -237,57 +237,6 @@ def eye_diagram(run: LinkRun, cfg: LinkConfig) -> EyeDiagram:
     else:
         extinction = min(mean_high / mean_low, EXTINCTION_CAP)
     return EyeDiagram(t_rel, segments, opening, extinction)
-
-
-def fit_ring(segment: Trace, kind: str) -> FitResult:
-    """Fit a ring-up or ring-down edge of the demodulated envelope.
-
-    kind "ringup":   |V_det|(t) = V_f * (1 - exp(-pi*gamma_m*t))
-    kind "ringdown": |V_det|(t) = V_i * exp(-pi*gamma_m*t)
-    with t measured from the segment start (the transition instant).
-    A mismatched kind or a flat segment is flagged, not silently fit.
-    """
-    if kind not in ("ringup", "ringdown"):
-        raise ParameterError(f"kind must be 'ringup' or 'ringdown' (got {kind!r})")
-    t = segment.x - segment.x[0]
-    y = segment.y
-    if t.size < 6:
-        raise FitError("segment too short to fit")
-    name = "v_i" if kind == "ringdown" else "v_f"
-    y_max = float(np.max(np.abs(y)))
-    if y_max <= 0 or float(np.ptp(y)) < 1e-9 * y_max:
-        return FitResult({"gamma_m": 0.0, name: float(np.mean(y))}, {}, 0.0,
-                         False, 0, ("unidentifiable: constant segment",))
-
-    t_char = float(t[-1]) / 3.0
-    if kind == "ringdown":
-        v0 = float(y[0]) if y[0] > 0 else y_max
-        below = np.nonzero(y <= v0 / math.e)[0]
-        t_e = float(t[below[0]]) if below.size and below[0] > 0 else t_char
-        slope = -math.pi       # d(shape)/d(gamma_m) = slope * t * e
-    else:
-        v0 = float(np.mean(y[-max(3, t.size // 10):]))
-        if v0 <= 0:
-            v0 = y_max
-        above = np.nonzero(y >= v0 * (1.0 - 1.0 / math.e))[0]
-        t_e = float(t[above[0]]) if above.size and above[0] > 0 else t_char
-        slope = math.pi
-
-    def exp_shape(gam):
-        e = np.exp(-math.pi * gam * t)
-        return e, (e if kind == "ringdown" else 1.0 - e)
-
-    def jacobian(p):
-        e, shape = exp_shape(p[1])
-        return np.column_stack([shape, slope * t * p[0] * e])
-
-    fit = _gauss_newton(lambda p: p[0] * exp_shape(p[1])[1] - y, jacobian,
-                        [v0, 1.0 / (math.pi * t_e)], (name, "gamma_m"),
-                        valid=lambda q: q[1] > 0)
-    if fit.residual_norm > 0.15 * y_max:
-        return replace(fit, converged=False,
-                       notes=("poor-fit: residual large; check segment kind",))
-    return fit
 
 
 def ring_segments(run: LinkRun, cfg: LinkConfig):

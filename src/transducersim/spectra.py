@@ -54,9 +54,15 @@ def lumped_mode(dev: DeviceParams) -> MechanicalMode:
                           phi=0.0, gamma_e=dev.gamma_me)
 
 
+def _pole(f, center, width):
+    """i 2*pi (center - f) + pi width: the denominator of a single-pole
+    response of full width `width` at `center`, seen at frequency f."""
+    return 1j * 2 * np.pi * (center - f) + np.pi * width
+
+
 def mech_susceptibility(f, f_mode: float, gamma: float):
     """chi(f) = 1 / (i 2*pi (f_mode - f) + pi gamma), units 1/(angular Hz)."""
-    return 1.0 / (1j * 2 * np.pi * (f_mode - f) + np.pi * gamma)
+    return 1.0 / _pole(f, f_mode, gamma)
 
 
 def sideband_rate(mode: MechanicalMode, n_c: float, kappa_o: float) -> float:
@@ -254,6 +260,6 @@ def s_oe_spectrum(dev: DeviceParams, modes, pump: PumpState, grid) -> Trace:
                 * np.exp(1j * mode.phi)
                 * mech_susceptibility(f, mode.f, mode.gamma))
     a_cav = np.sqrt(2 * np.pi * dev.kappa_oe) / np.abs(
-        1j * 2 * np.pi * (abs(pump.detuning) - f) + np.pi * dev.kappa_o)
+        _pole(f, abs(pump.detuning), dev.kappa_o))
     y = math.sqrt(dev.eta_oc) * np.abs(amp) * a_cav
     return Trace(f, y, "hz", "lin", label="|S_oe| amplitude")

@@ -134,6 +134,45 @@ def test_link_needs_bits(capsys):
     assert main(["link", "--rate", "1e6", "--gamma-m", "7.9e6"]) == 2
 
 
+def test_link_takes_bits_or_bits_file_not_both(tmp_path, capsys):
+    bits = tmp_path / "bits.txt"
+    bits.write_text("0101\n")
+    assert main(["link", "--bits", "0101", "--bits-file", str(bits),
+                 "--rate", "1e6", "--gamma-m", "7.9e6",
+                 "--out-prefix", str(tmp_path / "never")]) == 2
+    assert "not allowed with argument --bits" in capsys.readouterr().err
+    assert not list(tmp_path.glob("never*"))
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--rate", "0"], "rate must be finite and > 0"),
+    (["--rate", "nan"], "rate must be finite and > 0"),
+    (["--gamma-m", "nan"], "gamma_m must be finite and > 0"),
+    (["--gamma-m", "inf"], "gamma_m must be finite and > 0"),
+    (["--f-if", "nan"], "f_if must be finite and >= 0"),
+    (["--bits", ""], "bit string must be nonempty"),
+], ids=["rate_0", "rate_nan", "gamma_nan", "gamma_inf", "f_if_nan", "no_bits"])
+def test_link_invalid_input_with_default_sampling_exits_2(extra, message,
+                                                         tmp_path, capsys):
+    # a repeated option takes its last value
+    assert main(["link", "--bits", "0101", "--rate", "1e6", "--gamma-m", "7.9e6",
+                 "--out-prefix", str(tmp_path / "never"), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_link_bits_file_with_a_byte_order_mark(tmp_path, capsys):
+    bits = tmp_path / "bits.txt"
+    bits.write_bytes(b"\xef\xbb\xbf0101\n")
+    assert main(["link", "--bits-file", str(bits), "--rate", "1e6",
+                 "--gamma-m", "7.9e6", "--out-prefix", str(tmp_path / "b")]) == 0
+    assert main(["link", "--bits", "0101", "--rate", "1e6", "--gamma-m",
+                 "7.9e6", "--out-prefix", str(tmp_path / "a")]) == 0
+    for suffix in ("_envelope.csv", "_iq.csv"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == \
+            (tmp_path / f"b{suffix}").read_bytes()
+
+
 def test_link_aliasing_exits_2(capsys):
     assert main(["link", "--bits", "0101", "--rate", "1e6",
                  "--gamma-m", "7.9e6", "--samples-per-bit", "8"]) == 2

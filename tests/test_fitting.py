@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from transducersim import (FitError, MechanicalMode, ParameterError, Trace,
                            cli, fitting, fit_linewidth_vs_photons,
                            fit_lorentzian_multi, fit_optical_dip,
-                           fit_phase_detuning, fit_ring, link, sideband_rate,
+                           fit_phase_detuning, fit_ring, sideband_rate,
                            thermal_spectrum, write_trace)
 from transducersim.fitting import _sideband_response
 
@@ -307,13 +306,8 @@ def test_fitters_contract_as_noise_vanishes(dev, noise_levels):
 
 @pytest.fixture
 def one_iteration(monkeypatch):
-    """Every Gauss-Newton run stops after one iteration.
-
-    link imports _gauss_newton by name, so both bindings are patched.
-    """
-    stopped = functools.partial(fitting._gauss_newton, max_iter=1)
-    monkeypatch.setattr(fitting, "_gauss_newton", stopped)
-    monkeypatch.setattr(link, "_gauss_newton", stopped)
+    """Every Gauss-Newton run stops after one iteration."""
+    monkeypatch.setattr(fitting, "MAX_ITER", 1)
 
 
 def ring_down_trace(gamma=7.9e6):
@@ -358,3 +352,88 @@ def test_dip_stopped_short_keeps_its_three_parameters(one_iteration, tmp_path):
     write_trace(tr, tmp_path / "dip.csv")
     assert cli.main(["fit", "dip", "--trace", str(tmp_path / "dip.csv"),
                      "--branch", "under"]) == 3
+
+
+# ----------------------------------------------------- models and Jacobians
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Each Gauss-Newton run's start p0 and its model, wrapped to count the
+    calls of the model and of the jac() it returns."""
+    seen, solve = [], fitting._gauss_newton
+
+    def capture(model, p0, names, **kwargs):
+        run = {"p0": np.array(p0, dtype=float), "model": 0, "jac": 0}
+
+        def counted(p):
+            run["model"] += 1
+            r, jac = model(p)
+
+            def counted_jac():
+                run["jac"] += 1
+                return jac()
+            return r, counted_jac
+        run["fn"] = counted
+        seen.append(run)
+        return solve(counted, p0, names, **kwargs)
+    monkeypatch.setattr(fitting, "_gauss_newton", capture)
+    return seen
+
+
+def ring_up_trace():
+    down = ring_down_trace()
+    return Trace(down.x, 1.0 - down.y, "s", "v")
+
+
+def lorentz_peaks(n):
+    peaks = [(4.28e9, 4e6, 5e9), (4.32e9, 8.4e6, 8e9), (4.36e9, 6e6, 3e9)]
+    return lorentz_trace(peaks[:n], noise=0.01, seed=3, slope=2e-8)
+
+
+# each fitter runs Gauss-Newton from its initial guess, not from its optimum
+FITS = {
+    "dip": lambda dev: fit_optical_dip(dip_trace(kappa_oe=0.5e9, noise=0.01,
+                                                 seed=1)),
+    "phase": lambda dev: fit_phase_detuning(*phase_traces(3e9, noise=0.01), dev),
+    **{f"lorentzian_{n}_{bg}": (lambda dev, n=n, bg=bg:
+                                fit_lorentzian_multi(lorentz_peaks(n), n, bg))
+       for n in (1, 2, 3) for bg in ("constant", "linear")},
+    "ringup": lambda dev: fit_ring(ring_up_trace(), "ringup"),
+    "ringdown": lambda dev: fit_ring(ring_down_trace(), "ringdown"),
+}
+
+
+@pytest.mark.parametrize("name", FITS)
+def test_model_jacobian_matches_central_differences(name, dev, runs):
+    FITS[name](dev)
+    assert runs
+    for run in runs:
+        model, p0 = run["fn"], run["p0"]
+        r, jac = model(p0)
+        J = jac()
+        assert J.shape == (r.size, p0.size)
+        for i in range(p0.size):
+            up, down = p0.copy(), p0.copy()
+            up[i] += 1e-8 * max(abs(p0[i]), 1.0)
+            down[i] -= 1e-8 * max(abs(p0[i]), 1.0)
+            slope = (model(up)[0] - model(down)[0]) / (up[i] - down[i])
+            scale = np.max(np.abs(J[:, i]))
+            assert scale > 0
+            assert np.max(np.abs(J[:, i] - slope)) < 1e-4 * scale, (name, i)
+
+
+@pytest.mark.parametrize("name", ["dip", "lorentzian_1_constant", "ringdown"])
+def test_jacobian_is_built_once_per_accepted_point(name, dev, runs):
+    fit = FITS[name](dev)
+    assert fit.converged
+    assert [run["jac"] for run in runs] == [fit.n_iter + 1]   # start, each step
+
+
+def test_rejected_steps_build_no_jacobian(runs):
+    # this trace's fit rejects 3 of its 8 trial steps
+    fit = fit_lorentzian_multi(lorentz_trace([(4.32e9, 8.4e6, 5e9)], noise=0.01,
+                                             seed=8), 1)
+    assert fit.converged
+    (run,) = runs
+    assert run["jac"] == fit.n_iter + 1
+    assert run["model"] > run["jac"]

@@ -319,6 +319,12 @@ def test_write_device_bytes_of_alternative_keys(tmp_path):
     assert parse_device(path) == bundle
 
 
+def test_device_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + MEASURED.encode())
+    assert parse_device(path) == load_device("table1_measured")
+
+
 def test_resolve_device_path_tier_order(tmp_path, monkeypatch):
     cwd, env = tmp_path / "cwd", tmp_path / "env"
     cwd.mkdir()
@@ -352,6 +358,14 @@ def test_trace_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(back.x, tr.x)
     assert np.array_equal(back.y, tr.y)
     assert back.x_unit == "hz" and back.y_unit == "lin"
+
+
+def test_trace_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbfhz,lin\n1.0,0.5\n2.0,0.25\n")
+    tr = read_trace(path)
+    assert tr.x_unit == "hz"
+    assert tr.y.tolist() == [0.5, 0.25]
 
 
 def test_trace_rejects_descending_x(tmp_path):
@@ -489,6 +503,12 @@ def test_read_points(tmp_path):
     pts = read_points(path)
     assert pts.shape == (2, 2)
     assert pts[1, 1] == 8.2e6
+
+
+def test_read_points_without_header_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"\xef\xbb\xbf1e4,8.3e6\n2e4,8.2e6\n")
+    assert read_points(path).tolist() == [[1e4, 8.3e6], [2e4, 8.2e6]]
 
 
 @pytest.mark.parametrize("row", ["nan,8.2e6", "2e4,inf", "-inf,8.2e6"])
