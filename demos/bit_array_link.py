@@ -5,7 +5,6 @@ rates, overlays the eyes, fits the ring-up/ring-down edges, and
 computes the odd-harmonic spectrum of a 0.5 MHz square drive.
 """
 
-import math
 import os
 
 import numpy as np
@@ -22,9 +21,7 @@ GAMMA_M = 7.9e6
 
 
 def run_rate(rate, noise=0.02):
-    spb = max(32, math.ceil(20 * GAMMA_M / rate), math.ceil(2.5 * 50e6 / rate))
-    cfg = LinkConfig(bits=BITS, rate=rate, gamma_m=GAMMA_M,
-                     samples_per_bit=spb, noise_rms=noise)
+    cfg = LinkConfig(bits=BITS, rate=rate, gamma_m=GAMMA_M, noise_rms=noise)
     run = run_link(cfg, seed=11)
     eye = eye_diagram(run, cfg)
     up, down = ring_segments(run, cfg)

@@ -7,7 +7,6 @@ invocations produce byte-identical output files. Exit codes: 0 success,
 """
 
 import argparse
-import math
 import re
 import sys
 from dataclasses import replace
@@ -39,34 +38,33 @@ def _print_kv(pairs, stream=None):
 
 def _pump_from_args(args, bundle):
     """PumpState from --power/--n-c/--detuning, falling back to the file."""
-    sign = getattr(args, "detuning", None)
-    if sign is None and bundle.pump is not None:
-        sign = bundle.pump.sign
-    if sign is None:
-        sign = "blue"
+    pump = bundle.pump
+    sign = args.detuning or (pump.sign if pump is not None else "blue")
     detuning = bundle.device.f_m if sign == "blue" else -bundle.device.f_m
-    power = parse_power(args.power) if getattr(args, "power", None) else None
-    n_c = getattr(args, "n_c", None)
-    if power is None and n_c is None:
-        if bundle.pump is None:
+    power = parse_power(args.power) if args.power else None
+    if power is None and args.n_c is None:
+        if pump is None:
             raise TransducerError(
                 "no pump defined: pass --power or --n-c, or add a [pump] section")
-        return PumpState(detuning=detuning, p_on_chip=bundle.pump.p_on_chip,
-                         n_c=bundle.pump.n_c)
-    return PumpState(detuning=detuning, p_on_chip=power, n_c=n_c)
+        return PumpState(detuning=detuning, p_on_chip=pump.p_on_chip, n_c=pump.n_c)
+    return PumpState(detuning=detuning, p_on_chip=power, n_c=args.n_c)
 
 
-def _default_grid(bundle, args):
-    dev = bundle.device
-    gammas = [m.gamma for m in bundle.modes] or [dev.gamma_m]
-    centers = [m.f for m in bundle.modes] or [dev.f_m]
+def _default_grid(modes, args):
+    span = 10 * max(m.gamma for m in modes)
     f_lo = args.f_start if args.f_start is not None \
-        else min(centers) - 10 * max(gammas)
+        else min(m.f for m in modes) - span
     f_hi = args.f_stop if args.f_stop is not None \
-        else max(centers) + 10 * max(gammas)
+        else max(m.f for m in modes) + span
     if f_hi <= f_lo:
         raise TransducerError(f"need f_start < f_stop (got {f_lo}, {f_hi})")
-    return np.linspace(f_lo, f_hi, args.points)
+    return _linspace(f_lo, f_hi, args.points)
+
+
+def _linspace(start, stop, points):
+    if points < 0:      # np.linspace would raise a bare ValueError
+        raise TransducerError(f"--points must be >= 0 (got {points})")
+    return np.linspace(start, stop, points)
 
 
 def _print_fit(result: FitResult) -> int:
@@ -110,7 +108,7 @@ def cmd_spectrum(args) -> int:
     bundle = load_device(args.device)
     dev = bundle.device
     modes = bundle.modes or (lumped_mode(dev),)
-    grid = _default_grid(bundle, args)
+    grid = _default_grid(modes, args)
     n_th = core.thermal_occupation(dev.f_m, args.temperature)
     pump = _pump_from_args(args, bundle)
     n_c = core.resolve_photon_number(dev, pump)
@@ -157,15 +155,10 @@ def cmd_fit(args) -> int:
 def cmd_link(args) -> int:
     bits = parse_bits(args.bits if args.bits is not None
                       else read_text(args.bits_file))
-    # validated before the default sampling is worked out from it
     cfg = LinkConfig(bits=bits, rate=args.rate, gamma_m=args.gamma_m,
                      f_if=args.f_if, v0=args.v0, noise_rms=args.noise_rms,
+                     samples_per_bit=args.samples_per_bit,
                      drive_mode=args.drive_mode)
-    spb = args.samples_per_bit
-    if spb is None:     # resolve gamma_m and f_if at the requested rate
-        spb = max(32, math.ceil(20.0 * cfg.gamma_m / cfg.rate),
-                  math.ceil(2.5 * cfg.f_if / cfg.rate))
-    cfg = replace(cfg, samples_per_bit=spb)
     run = run_link(cfg, seed=args.seed)
     env_path = f"{args.out_prefix}_envelope.csv"
     write_trace(run.envelope, env_path)
@@ -207,7 +200,7 @@ def cmd_swap(args) -> int:
     if args.rabi_out:
         t_max = args.t_max if args.t_max is not None \
             else 4.0 / max(report.g_em, 1.0)
-        t_grid = np.linspace(0.0, t_max, args.points)
+        t_grid = _linspace(0.0, t_max, args.points)
         qubit_tr, mech_tr = rabi_swap_sim(bundle.device, qubit, t_grid,
                                           lossless=args.lossless)
         write_table(args.rabi_out, ["t_s", "qubit_excitation", "phonons"],
@@ -385,6 +378,9 @@ def main(argv=None) -> int:
         return 3
     except (TransducerError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"error: out of memory ({err})", file=sys.stderr)
         return 2
 
 

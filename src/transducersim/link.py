@@ -42,7 +42,10 @@ class LinkConfig:
     f_if:            intermediate frequency, Hz (0 for pure baseband)
     v0:              drive amplitude, V; a settled 1 gives |V_det| = v0
     noise_rms:       additive demodulated noise per quadrature, V rms
-    samples_per_bit: envelope samples per unit interval (>= 8)
+    samples_per_bit: envelope samples per unit interval, >= 8 (default
+                     max(32, ceil(20*gamma_m/rate), ceil(2.5*f_if/rate)));
+                     SamplingError unless rate*samples_per_bit reaches
+                     20*gamma_m, and 2*f_if when f_if > 0
     drive_mode:      "coherent" (phase-stable tone) or "thermal"
                      (white-noise bath gated by the bits)
     """
@@ -53,7 +56,7 @@ class LinkConfig:
     f_if: float = 50e6
     v0: float = 1.0
     noise_rms: float = 0.0
-    samples_per_bit: int = 32
+    samples_per_bit: int | None = None
     drive_mode: str = "coherent"
 
     def __post_init__(self):
@@ -63,14 +66,34 @@ class LinkConfig:
             bad.append("bits must be nonempty")
         elif any(b not in (0, 1) for b in self.bits):
             bad.append("bits must contain only 0 and 1")
-        if not 8 <= self.samples_per_bit < math.inf:
-            bad.append(f"samples_per_bit must be >= 8 (got {self.samples_per_bit!r})")
+        spb = self.samples_per_bit
+        if spb is not None and not 8 <= spb < math.inf:
+            bad.append(f"samples_per_bit must be >= 8 (got {spb!r})")
         if self.drive_mode not in ("coherent", "thermal"):
             bad.append(f"drive_mode must be 'coherent' or 'thermal' "
                        f"(got {self.drive_mode!r})")
         if bad:
             raise ParameterError("; ".join(bad))
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        if spb is None:     # the ceil of the max is the max of the ceils
+            spb = max(32.0, 20.0 * self.gamma_m / self.rate,
+                      2.5 * self.f_if / self.rate)
+            spb = math.ceil(spb) if spb < math.inf else spb  # inf fails below
+            object.__setattr__(self, "samples_per_bit", spb)
+        most = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+        if len(self.bits) * spb + 1 > most:     # complex samples of one array
+            raise ParameterError(
+                f"samples_per_bit must be <= {(most - 1) // len(self.bits)} "
+                f"for {len(self.bits)} bits, or the run outgrows one array")
+        fs = self.sample_rate
+        if fs < 20.0 * self.gamma_m:
+            raise SamplingError(
+                f"sample rate {fs:.3g} Hz < 20 * gamma_m = "
+                f"{20 * self.gamma_m:.3g} Hz; raise samples_per_bit")
+        if self.f_if > 0 and fs < 2.0 * self.f_if:
+            raise SamplingError(
+                f"sample rate {fs:.3g} Hz cannot represent f_if = "
+                f"{self.f_if:.3g} Hz; raise samples_per_bit or set f_if = 0")
 
     @property
     def sample_rate(self) -> float:
@@ -90,18 +113,6 @@ class LinkRun:
     i_trace: Trace
     q_trace: Trace
     envelope: Trace
-
-
-def _check_sampling(cfg: LinkConfig) -> None:
-    fs = cfg.sample_rate
-    if fs < 20.0 * cfg.gamma_m:
-        raise SamplingError(
-            f"sample rate {fs:.3g} Hz < 20 * gamma_m = {20 * cfg.gamma_m:.3g} Hz; "
-            "raise samples_per_bit")
-    if cfg.f_if > 0 and fs < 2.0 * cfg.f_if:
-        raise SamplingError(
-            f"sample rate {fs:.3g} Hz cannot represent f_if = {cfg.f_if:.3g} Hz; "
-            "raise samples_per_bit or set f_if = 0")
 
 
 def _scan_rows(x: np.ndarray, d_m: np.ndarray) -> None:
@@ -134,7 +145,6 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     settled 1->0 edge decays as exp(-pi*gamma_m*t). Only the bit-start
     values recur: s_{j+1} = d^spb * s_j + (bit j's response from 0).
     """
-    _check_sampling(cfg)
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
     spb = cfg.samples_per_bit
@@ -186,9 +196,9 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     )
 
 
-def transition_indices(bits) -> list:
+def _edges(bits) -> np.ndarray:
     """Bit positions j where bits[j] != bits[j-1]."""
-    return [j for j in range(1, len(bits)) if bits[j] != bits[j - 1]]
+    return np.flatnonzero(np.diff(bits)) + 1
 
 
 @dataclass(frozen=True)
@@ -211,24 +221,19 @@ def eye_diagram(run: LinkRun, cfg: LinkConfig) -> EyeDiagram:
     capped at EXTINCTION_CAP when the low level is zero.
     """
     spb = cfg.samples_per_bit
-    trans = transition_indices(cfg.bits)
-    if len(trans) < 2:
+    bits = np.asarray(cfg.bits)
+    edges = _edges(bits)
+    if edges.size < 2:
         raise ParameterError("need at least 2 transitions for an eye diagram")
-    env = run.envelope.y
-    rows, pre, post = [], [], []
-    for j in trans:
-        c = j * spb
-        rows.append(env[c - spb: c + spb + 1])
-        pre.append(cfg.bits[j - 1])
-        post.append(cfg.bits[j])
-    segments = np.array(rows)
+    segments = run.envelope.y[edges[:, None] * spb + np.arange(-spb, spb + 1)]
     t_rel = (np.arange(2 * spb + 1) - spb) / cfg.sample_rate
 
+    # one high and one low instant per window; a rising edge's high is after
     half = spb // 2
-    highs, lows = [], []
-    for row, b_pre, b_post in zip(segments, pre, post):
-        for idx, bit in ((half, b_pre), (spb + half, b_post)):
-            (highs if bit else lows).append(row[idx])
+    before, after = segments[:, half], segments[:, spb + half]
+    rising = bits[edges] == 1
+    highs = np.where(rising, after, before)
+    lows = np.where(rising, before, after)
     opening = max(0.0, float(np.min(highs) - np.max(lows)))
     mean_low = float(np.mean(lows))
     mean_high = float(np.mean(highs))
@@ -248,9 +253,9 @@ def ring_segments(run: LinkRun, cfg: LinkConfig):
     """
     spb = cfg.samples_per_bit
     bits = cfg.bits
-    trans = transition_indices(bits) + [len(bits)]
+    edges = _edges(bits).tolist() + [len(bits)]
     best = {"ringup": (0, None), "ringdown": (0, None)}
-    for a, b in zip(trans[:-1], trans[1:]):
+    for a, b in zip(edges[:-1], edges[1:]):
         kind = "ringup" if bits[a] == 1 else "ringdown"
         length = b - a
         if length > best[kind][0]:

@@ -158,8 +158,8 @@ def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
     quantity. Coherent phonons scale linearly with p_mu while the
     thermal part is unaffected.
     """
-    if rbw <= 0:
-        raise ParameterError(f"rbw must be > 0 (got {rbw!r})")
+    if not 0 < rbw < math.inf:
+        raise ParameterError(f"rbw must be finite and > 0 (got {rbw!r})")
     thermal = thermal_spectrum(dev, modes, n_c, n_th, grid)
     f = thermal.x
     y = thermal.y.copy()
@@ -191,8 +191,8 @@ def calibrate_coherent_phonons(spectrum: Trace, n_th: float) -> CoherentCalibrat
     """
     from .fitting import fit_lorentzian_multi
 
-    if spectrum.rbw is None or spectrum.rbw <= 0:
-        raise ParameterError("spectrum must carry a positive resolution bandwidth")
+    if spectrum.rbw is None or not 0 < spectrum.rbw < math.inf:
+        raise ParameterError(f"rbw must be finite and > 0 (got {spectrum.rbw!r})")
     f, y = spectrum.x, spectrum.y
     if f.size < 16:
         raise FitError("spectrum too short to resolve a Lorentzian and a peak")

@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transducersim import (LinkRun, Trace, TraceError, backaction_rate,
-                           cooperativity, coupling_g_em, efficiencies, load_device,
+from transducersim import (EyeDiagram, LinkRun, ParameterError, Trace,
+                           TraceError, backaction_rate, cooperativity,
+                           coupling_g_em, efficiencies, load_device,
                            qubit_impedance, resolve_photon_number,
                            sideband_rate, steady_state_coherent_phonons,
                            swap_feasibility, thermal_occupation,
                            total_efficiency, total_mech_linewidth)
+from transducersim.link import EXTINCTION_CAP
 from transducersim.spectra import lumped_mode
 
 
@@ -75,6 +77,57 @@ def reference_run(cfg, seed=0):
                    q_trace=Trace(t, q_sig, "s", "v", label="Q"),
                    envelope=Trace(t, np.hypot(i_sig, q_sig), "s", "v",
                                   label="|V_det|"))
+
+
+def _reference_transitions(bits):
+    return [j for j in range(1, len(bits)) if bits[j] != bits[j - 1]]
+
+
+def reference_eye(run, cfg):
+    """eye_diagram as the per-transition loops computed it, bit for bit."""
+    spb = cfg.samples_per_bit
+    trans = _reference_transitions(cfg.bits)
+    if len(trans) < 2:
+        raise ParameterError("need at least 2 transitions for an eye diagram")
+    env = run.envelope.y
+    rows, pre, post = [], [], []
+    for j in trans:
+        c = j * spb
+        rows.append(env[c - spb: c + spb + 1])
+        pre.append(cfg.bits[j - 1])
+        post.append(cfg.bits[j])
+    segments = np.array(rows)
+    t_rel = (np.arange(2 * spb + 1) - spb) / cfg.sample_rate
+
+    half = spb // 2
+    highs, lows = [], []
+    for row, b_pre, b_post in zip(segments, pre, post):
+        for idx, bit in ((half, b_pre), (spb + half, b_post)):
+            (highs if bit else lows).append(row[idx])
+    opening = max(0.0, float(np.min(highs) - np.max(lows)))
+    mean_low = float(np.mean(lows))
+    mean_high = float(np.mean(highs))
+    if mean_low <= mean_high / EXTINCTION_CAP:
+        extinction = EXTINCTION_CAP
+    else:
+        extinction = min(mean_high / mean_low, EXTINCTION_CAP)
+    return EyeDiagram(t_rel, segments, opening, extinction)
+
+
+def reference_ring_segments(run, cfg):
+    """ring_segments as the per-transition loop computed it."""
+    spb = cfg.samples_per_bit
+    bits = cfg.bits
+    trans = _reference_transitions(bits) + [len(bits)]
+    best = {"ringup": (0, None), "ringdown": (0, None)}
+    for a, b in zip(trans[:-1], trans[1:]):
+        kind = "ringup" if bits[a] == 1 else "ringdown"
+        length = b - a
+        if length > best[kind][0]:
+            sl = slice(a * spb, b * spb + 1)
+            best[kind] = (length, Trace(run.time[sl], run.envelope.y[sl],
+                                        "s", "v", label=kind))
+    return best["ringup"][1], best["ringdown"][1]
 
 
 # ------------------------------------------------ sweep reference (oracle)

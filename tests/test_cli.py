@@ -107,6 +107,26 @@ def test_spectrum_soe_writes_csv(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "soe", "--device", MEASURED, "--points", "-1"],
+    ["swap", "--device", MEASURED, "--points", "-5"],
+], ids=["spectrum", "swap"])
+def test_negative_points_exits_2(argv, tmp_path, capsys):
+    assert main(argv + ["--rabi-out" if argv[0] == "swap" else "--out",
+                        str(tmp_path / "never.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: --points must be >= 0")
+    assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("rbw", ["inf", "nan"])
+def test_spectrum_driven_rejects_non_finite_rbw(rbw, tmp_path, capsys):
+    assert main(["spectrum", "driven", "--device", MEASURED, "--power-mu",
+                 "-22dbm", "--rbw", rbw, "--points", "401",
+                 "--out", str(tmp_path / "never.csv")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: rbw must be finite and > 0 (got {rbw})\n"
+
+
 def test_link_outputs_and_metrics(tmp_path, capsys):
     prefix = str(tmp_path / "run")
     code = main(["link", "--bits", "0101100111000101", "--rate", "1e6",
@@ -151,7 +171,15 @@ def test_link_takes_bits_or_bits_file_not_both(tmp_path, capsys):
     (["--gamma-m", "inf"], "gamma_m must be finite and > 0"),
     (["--f-if", "nan"], "f_if must be finite and >= 0"),
     (["--bits", ""], "bit string must be nonempty"),
-], ids=["rate_0", "rate_nan", "gamma_nan", "gamma_inf", "f_if_nan", "no_bits"])
+    # the default sampling overflows, or the run outgrows one array
+    (["--rate", "1e-300", "--gamma-m", "1e300"], "samples_per_bit"),
+    (["--f-if", "1e308"], "samples_per_bit"),
+    (["--rate", "1e-300", "--gamma-m", "1e-10", "--f-if", "0"],
+     "samples_per_bit"),
+    (["--samples-per-bit", "1000000000000000000"], "samples_per_bit"),
+], ids=["rate_0", "rate_nan", "gamma_nan", "gamma_inf", "f_if_nan", "no_bits",
+        "spb_gamma_overflow", "spb_f_if_overflow", "spb_too_many_samples",
+        "spb_explicit_too_many_samples"])
 def test_link_invalid_input_with_default_sampling_exits_2(extra, message,
                                                          tmp_path, capsys):
     # a repeated option takes its last value
@@ -159,6 +187,17 @@ def test_link_invalid_input_with_default_sampling_exits_2(extra, message,
                  "--out-prefix", str(tmp_path / "never"), *extra]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # a run that fits in one array may still not fit in memory
+    def no_memory(cfg, seed):
+        raise MemoryError("Unable to allocate 582. TiB")
+    monkeypatch.setattr(cli, "run_link", no_memory)
+    assert main(["link", "--bits", "0101", "--rate", "1", "--gamma-m", "1e12",
+                 "--f-if", "0", "--out-prefix", str(tmp_path / "never")]) == 2
+    assert capsys.readouterr().err == \
+        "error: out of memory (Unable to allocate 582. TiB)\n"
 
 
 def test_link_bits_file_with_a_byte_order_mark(tmp_path, capsys):
@@ -377,9 +416,20 @@ LOOP_LINK_CSV_SHA256 = {
     "eye": "9d241ca707cbea5cd9b66d5599c3f1ba0f2830ef6321fb61343acf97946bac00",
 }
 
+# the run at the default sampling rule (158 samples per bit here) and the
+# default f_if = 50 MHz, recorded before LinkConfig derived the rule
+DEFAULT_SAMPLING_ARGS = ["--seed", "7", "link", "--bits", "0110100111",
+                         "--rate", "1e6", "--gamma-m", "7.9e6",
+                         "--noise-rms", "0.05"]
+DEFAULT_SAMPLING_CSV_SHA256 = {
+    "envelope": "dbc11d0b13287ebe62e9326afffa55b684bc4d2aa737aec4143fe76894848b51",
+    "iq": "c7f7d3f96374a58edc88b74e3971163da16aeae4f757cbc07a12b67d1cd4ae03",
+    "eye": "b944376237894bd0abfe7d59c1d747fa7bdaa854808c6ca925da1362410c81ac",
+}
 
-def link_csv_digests(tmp_path, tag):
-    assert main(PIN_ARGS + ["--out-prefix", str(tmp_path / tag)]) == 0
+
+def link_csv_digests(tmp_path, tag, args=PIN_ARGS):
+    assert main(args + ["--out-prefix", str(tmp_path / tag)]) == 0
     return {name: hashlib.sha256(
         (tmp_path / f"{tag}_{name}.csv").read_bytes()).hexdigest()
         for name in LINK_CSV_SHA256}
@@ -387,6 +437,11 @@ def link_csv_digests(tmp_path, tag):
 
 def test_link_csv_bytes_are_pinned(tmp_path):
     assert link_csv_digests(tmp_path, "pin") == LINK_CSV_SHA256
+
+
+def test_link_csv_bytes_at_default_sampling_are_pinned(tmp_path):
+    assert link_csv_digests(tmp_path, "auto", DEFAULT_SAMPLING_ARGS) == \
+        DEFAULT_SAMPLING_CSV_SHA256
 
 
 def test_link_csvs_match_the_per_sample_loop(tmp_path, monkeypatch):

@@ -8,7 +8,8 @@ from transducersim import (LinkConfig, ParameterError, SamplingError, Trace,
                            link_metrics, parse_bits, run_link)
 from transducersim.link import EXTINCTION_CAP, ring_segments
 
-from conftest import reference_beta, reference_drive, reference_run, relerr
+from conftest import (reference_beta, reference_drive, reference_eye,
+                      reference_ring_segments, reference_run, relerr)
 
 PRBS48 = tuple(int(b) for b in
                "110100101100111011000101001111001010110001110100")
@@ -130,11 +131,40 @@ def test_seeded_noise_draws_unchanged(mode):
 
 
 def test_sampling_guard():
-    with pytest.raises(SamplingError):
-        LinkConfig(bits=(0, 1), rate=1e6, gamma_m=7.9e6,
-                   samples_per_bit=8), run_link(
-            LinkConfig(bits=(0, 1), rate=1e6, gamma_m=7.9e6,
-                       samples_per_bit=8))
+    # a too coarse sampling fails when the config is built
+    with pytest.raises(SamplingError, match="gamma_m"):
+        LinkConfig(bits=(0, 1), rate=1e6, gamma_m=7.9e6, samples_per_bit=8)
+    with pytest.raises(SamplingError, match="f_if"):
+        LinkConfig(bits=(0, 1), rate=1e6, gamma_m=1e5, samples_per_bit=64)
+
+
+@pytest.mark.parametrize("f_if", [0.0, 10e6, 50e6, 1e9])
+def test_default_sampling_is_the_rule_the_cli_used(f_if):
+    for rate in np.geomspace(1e3, 1e9, 25).tolist():
+        for gamma_m in np.geomspace(1e3, 1e8, 11).tolist():
+            cfg = LinkConfig(bits=(0, 1), rate=rate, gamma_m=gamma_m, f_if=f_if)
+            assert cfg.samples_per_bit == max(
+                32, math.ceil(20.0 * gamma_m / rate),
+                math.ceil(2.5 * f_if / rate))
+    # where 32 met both bounds, 2.5*f_if/rate still sets the default
+    assert LinkConfig(bits=(0, 1), rate=3.5e6, gamma_m=1e6).samples_per_bit == 36
+    assert LinkConfig(bits=(0, 1), rate=1e6, gamma_m=1e3,
+                      samples_per_bit=8, f_if=0.0).samples_per_bit == 8
+
+
+@pytest.mark.parametrize("kw", [
+    dict(rate=1e-300, gamma_m=1e300),               # the default overflows
+    dict(f_if=1e308),
+    dict(rate=1e-300, gamma_m=1e-10, f_if=0.0),     # finite, but too large
+    dict(samples_per_bit=10 ** 18),
+    dict(samples_per_bit=10 ** 400),
+], ids=["gamma_overflow", "f_if_overflow", "derived_too_large",
+        "explicit_too_large", "explicit_beyond_float"])
+def test_samples_per_bit_must_fit_one_array(kw):
+    most = np.iinfo(np.intp).max // 16              # complex samples
+    with pytest.raises(ParameterError, match=f"samples_per_bit must be <= "
+                       f"{(most - 1) // 4} for 4 bits"):
+        LinkConfig(**{**dict(bits=(0, 1, 0, 1), rate=1e6, gamma_m=7.9e6), **kw})
 
 
 def test_parse_bits():
@@ -239,9 +269,60 @@ def test_eye_closes_for_fast_alternating_pattern():
 
 
 def test_eye_needs_transitions():
-    cfg = cfg_for((1, 1, 1, 1, 1, 1, 1, 1), 1e6, gamma_m=7.9e6)
-    with pytest.raises(ParameterError):
-        eye_diagram(run_link(cfg), cfg)
+    for bits in ((1,) * 8, (0, 0, 1, 1)):
+        cfg = cfg_for(bits, 1e6, gamma_m=7.9e6)
+        run = run_link(cfg)
+        for eye in (eye_diagram, reference_eye):
+            with pytest.raises(ParameterError, match="at least 2 transitions"):
+                eye(run, cfg)
+        assert_rings_match_the_loop(run, cfg)
+
+
+def _eye_bits(pattern, rng):
+    if pattern == "random":
+        return tuple(rng.integers(0, 2, int(rng.integers(5, 600))).tolist())
+    if pattern == "two_transitions":
+        a, b, c = rng.integers(1, 40, 3).tolist()
+        return (0,) * a + (1,) * b + (0,) * c
+    if pattern == "alternating":
+        return (1, 0) * int(rng.integers(2, 300))
+    runs = rng.integers(10, 60, int(rng.integers(3, 12))).tolist()
+    return sum(((k % 2,) * n for k, n in enumerate(runs)), ())
+
+
+def same_bytes(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    return (new.dtype, new.shape, new.tobytes()) == \
+        (old.dtype, old.shape, old.tobytes())
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("mode", ["coherent", "thermal"])
+@pytest.mark.parametrize("pattern", ["random", "two_transitions",
+                                     "alternating", "long_runs"])
+def test_eye_and_rings_match_the_per_transition_loops(pattern, mode, noise):
+    rng = np.random.default_rng([len(pattern), len(mode), int(noise * 100)])
+    for _ in range(3):
+        spb = int(rng.integers(8, 161))
+        rate = 1e6
+        cfg = LinkConfig(bits=_eye_bits(pattern, rng), rate=rate,
+                         gamma_m=float(rng.uniform(0.05, 0.4)) * rate,
+                         f_if=float(rng.choice([0.0, rate * spb / 4])),
+                         noise_rms=noise, samples_per_bit=spb, drive_mode=mode)
+        run = run_link(cfg, seed=int(rng.integers(1000)))
+        eye, ref = eye_diagram(run, cfg), reference_eye(run, cfg)
+        for field in ("t", "segments", "opening", "extinction_ratio"):
+            assert same_bytes(getattr(eye, field), getattr(ref, field)), field
+        assert_rings_match_the_loop(run, cfg)
+
+
+def assert_rings_match_the_loop(run, cfg):
+    for new, old in zip(ring_segments(run, cfg),
+                        reference_ring_segments(run, cfg)):
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert new.label == old.label
+            assert same_bytes(new.x, old.x) and same_bytes(new.y, old.y)
 
 
 def test_link_metrics_bundle():

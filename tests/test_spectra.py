@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from transducersim import (CODATA, FitError, MechanicalMode, ParameterError,
-                           PumpState, calibrate_coherent_phonons, dbm_to_w,
-                           driven_spectrum, gamma_me_from_phonons,
+                           PumpState, Trace, calibrate_coherent_phonons,
+                           dbm_to_w, driven_spectrum, gamma_me_from_phonons,
                            s_oe_spectrum, sideband_rate,
                            steady_state_coherent_phonons, thermal_occupation,
                            thermal_spectrum, total_efficiency,
@@ -198,6 +198,19 @@ def test_calibration_rejects_featureless_data(dev):
     tr = Trace(grid, np.abs(rng.standard_normal(grid.size)), rbw=50e3)
     with pytest.raises(FitError):
         calibrate_coherent_phonons(tr, N_TH_300K)
+
+
+@pytest.mark.parametrize("rbw", [math.nan, math.inf, 0.0, -50e3])
+def test_rbw_must_be_finite_and_positive(dev, rbw):
+    # an infinite rbw spread the drive peak to nothing, and a NaN one made
+    # the calibration report zero coherent phonons
+    n_c = 1.0e4
+    gamma_op = total_mech_linewidth(dev, n_c, "blue")
+    with pytest.raises(ParameterError, match="rbw must be finite and > 0"):
+        synth_driven(dev, gamma_op, n_c, dbm_to_w(-22.0), rbw=rbw)
+    tr, _ = synth_driven(dev, gamma_op, n_c, dbm_to_w(-22.0))
+    with pytest.raises(ParameterError, match="rbw must be finite and > 0"):
+        calibrate_coherent_phonons(Trace(tr.x, tr.y, rbw=rbw), N_TH_300K)
 
 
 # ------------------------------------------------------------------ s_oe
