@@ -7,11 +7,9 @@ computes the odd-harmonic spectrum of a 0.5 MHz square drive.
 
 import os
 
-import numpy as np
-
 from transducersim import (LinkConfig, eye_diagram, fit_ring,
                            harmonic_spectrum, run_link, write_trace)
-from transducersim.deviceio import write_table
+from transducersim.deviceio import write_eye
 from transducersim.link import ring_segments
 
 OUT_DIR = os.environ.get("DEMO_OUT", "demo_output")
@@ -32,9 +30,8 @@ def run_rate(rate, noise=0.02):
 
 
 def save_eye(eye, tag):
-    cols = ["t_s"] + [f"seg_{k:03d}" for k in range(eye.segments.shape[0])]
     path = os.path.join(OUT_DIR, f"eye_{tag}.csv")
-    write_table(path, cols, np.vstack([eye.t, eye.segments]).T)
+    write_eye(eye, path)
     print(f"wrote {path}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import core
 from .core import PumpState
 from .deviceio import (load_device, parse_power, read_points, read_text,
-                       read_trace, write_table, write_trace)
+                       read_trace, write_eye, write_table, write_trace)
 from .errors import FitError, TransducerError
 from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
                       fit_optical_dip, fit_phase_detuning)
@@ -62,8 +62,8 @@ def _default_grid(modes, args):
 
 
 def _linspace(start, stop, points):
-    if points < 0:      # np.linspace would raise a bare ValueError
-        raise TransducerError(f"--points must be >= 0 (got {points})")
+    if points < 2:
+        raise TransducerError(f"--points must be >= 2 (got {points})")
     return np.linspace(start, stop, points)
 
 
@@ -167,10 +167,8 @@ def cmd_link(args) -> int:
                 np.column_stack([run.time, run.i_trace.y, run.q_trace.y]))
     outputs = [("envelope", env_path), ("iq", iq_path)]
     try:
-        eye = eye_diagram(run, cfg)
         eye_path = f"{args.out_prefix}_eye.csv"
-        cols = ["t_s"] + [f"seg_{k:03d}" for k in range(eye.segments.shape[0])]
-        write_table(eye_path, cols, np.vstack([eye.t, eye.segments]).T)
+        write_eye(eye_diagram(run, cfg), eye_path)
         outputs.append(("eye", eye_path))
     except TransducerError as err:
         print(f"note: no eye diagram ({err})", file=sys.stderr)

@@ -7,6 +7,7 @@ Every type is an immutable value and every operation is a pure function.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Literal
 
 import numpy as np
@@ -55,6 +56,15 @@ def range_errors(record, positive=(), nonnegative=(), finite=()) -> list:
                     np.logical_not(ok(v)), "{} must be {} (got {!r})", n, rule, v)):
                 bad.append(msg)
     return bad
+
+
+def require(**rules) -> None:
+    """Raise a ParameterError naming each argument outside its range_errors
+    rule: require(positive={"gamma_m": gamma_m}, nonnegative={"n_c": n_c})."""
+    args = SimpleNamespace(**{n: v for named in rules.values()
+                              for n, v in named.items()})
+    if bad := range_errors(args, **rules):
+        raise ParameterError("; ".join(bad))
 
 
 @dataclass(frozen=True)
@@ -145,11 +155,7 @@ def photon_number(dev: DeviceParams, detuning: float, p_on_chip: float) -> float
 
     n_c = P/(h f_o) * 2*pi*kappa_oe / ((2*pi*detuning)^2 + (pi*kappa_o)^2)
     """
-    if msg := violation(p_on_chip < 0, "p_on_chip must be >= 0 (got {!r})",
-                        p_on_chip):
-        raise ParameterError(msg)
-    if np.any(dev.kappa_o <= 0):
-        raise ParameterError("kappa_o must be > 0")
+    require(nonnegative={"p_on_chip": p_on_chip}, finite={"detuning": detuning})
     flux = p_on_chip / (CODATA.h * dev.f_o)
     denom = (2 * math.pi * detuning) ** 2 + (math.pi * dev.kappa_o) ** 2
     return flux * (2 * math.pi * dev.kappa_oe) / denom
@@ -176,17 +182,13 @@ def resolve_photon_number(dev: DeviceParams, pump: PumpState) -> float:
 
 def cooperativity(dev: DeviceParams, n_c: float, gamma_m: float) -> float:
     """Optomechanical cooperativity C_om = 4 n_c g_om^2 / (kappa_o gamma_m)."""
-    if msg := violation(gamma_m <= 0, "gamma_m must be > 0 (got {!r})", gamma_m):
-        raise ParameterError(msg)
-    if msg := violation(n_c < 0, "n_c must be >= 0 (got {!r})", n_c):
-        raise ParameterError(msg)
+    require(positive={"gamma_m": gamma_m}, nonnegative={"n_c": n_c})
     return 4.0 * n_c * dev.g_om ** 2 / (dev.kappa_o * gamma_m)
 
 
 def backaction_rate(dev: DeviceParams, n_c: float) -> float:
     """Optical backaction rate gamma_om = 4 n_c g_om^2 / kappa_o, Hz."""
-    if msg := violation(n_c < 0, "n_c must be >= 0 (got {!r})", n_c):
-        raise ParameterError(msg)
+    require(nonnegative={"n_c": n_c})
     return 4.0 * n_c * dev.g_om ** 2 / dev.kappa_o
 
 
@@ -212,11 +214,10 @@ def total_mech_linewidth(dev: DeviceParams, n_c: float,
 
 def efficiencies(dev: DeviceParams, gamma_m: float) -> tuple[float, float]:
     """(eta_o, eta_em): cavity out-coupling and feedline coupling ratios."""
+    require(positive={"gamma_m": gamma_m})
     if msg := violation(gamma_m < dev.gamma_me,
                         "gamma_m ({!r}) smaller than gamma_me ({!r})",
                         gamma_m, dev.gamma_me):
-        raise ParameterError(msg)
-    if msg := violation(gamma_m <= 0, "gamma_m must be > 0 (got {!r})", gamma_m):
         raise ParameterError(msg)
     return dev.kappa_oe / dev.kappa_o, dev.gamma_me / gamma_m
 
@@ -248,12 +249,7 @@ def total_efficiency(dev: DeviceParams, pump: PumpState,
 
 def thermal_occupation(f_m: float, temperature: float) -> float:
     """Bose-Einstein occupation 1/(exp(h f / k_B T) - 1)."""
-    if msg := violation(f_m <= 0, "f_m must be > 0 (got {!r})", f_m):
-        raise ParameterError(msg)
-    if msg := violation(
-            np.logical_not((0 < temperature) & (temperature < math.inf)),
-            "temperature must be finite and > 0 (got {!r})", temperature):
-        raise ParameterError(msg)
+    require(positive={"f_m": f_m, "temperature": temperature})
     x = CODATA.h * f_m / (CODATA.k_B * temperature)
     # where expm1(x) overflows, 1/expm1(x) is e^-x to double precision
     if isinstance(x, np.ndarray):

@@ -326,6 +326,12 @@ def write_trace(trace: Trace, path) -> None:
                 np.column_stack([trace.x, trace.y]))
 
 
+def write_eye(eye, path) -> None:
+    """Eye-diagram CSV: a t_s column, then one seg_NNN column per segment."""
+    header = ["t_s"] + [f"seg_{k:03d}" for k in range(len(eye.segments))]
+    write_table(path, header, np.vstack([eye.t, eye.segments]).T)
+
+
 def read_trace(path) -> Trace:
     lines = read_text(path).splitlines()
     if not lines:

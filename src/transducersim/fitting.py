@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DeviceParams
+from .core import DeviceParams, require
 from .errors import FitError, ParameterError
 from .spectra import _lorentzian_density, _pole
 from .trace import Trace
@@ -286,11 +286,12 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
     if sign not in ("blue", "red"):
         raise ParameterError(f"sign must be 'blue' or 'red' (got {sign!r})")
     n_c, gam = pts[:, 0], pts[:, 1]
+    w = np.ones_like(gam) if weights is None else np.asarray(weights, float)
+    if w.shape != gam.shape:
+        raise ParameterError("weights must hold one value per point")
+    require(positive={"kappa_o": kappa_o, "weights": w})
     if np.unique(n_c).size < 2:
         raise FitError("rank-deficient design: all points share one n_c")
-    w = np.ones_like(gam) if weights is None else np.asarray(weights, float)
-    if w.shape != gam.shape or not np.all((0 < w) & (w < np.inf)):
-        raise ParameterError("weights must be finite and > 0, one per point")
 
     sw = np.sqrt(w)
     X = np.column_stack([n_c, np.ones_like(n_c)]) * sw[:, None]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import range_errors
+from .core import range_errors, require
 from .errors import FitError, ParameterError, SamplingError
 from .fitting import fit_ring
 from .trace import Trace
@@ -297,16 +297,17 @@ def harmonic_spectrum(cfg: LinkConfig, f0: float, n_periods: int = 64,
     returns the periodogram on offsets from the carrier. An exact
     integer number of periods lands every harmonic on an FFT bin, so
     only odd harmonics carry power, filtered by the mechanical
-    susceptibility.
+    susceptibility. The square wave keeps cfg's sample rate.
     """
-    if f0 <= 0:
-        raise ParameterError(f"f0 must be > 0 (got {f0!r})")
+    require(positive={"f0": f0})
     if n_periods < 2:
         raise ParameterError(f"n_periods must be >= 2 (got {n_periods!r})")
     # warm up until the ring-up transient has decayed, then transform an
     # exact integer number of steady-state periods (leakage-free bins)
     warmup = int(math.ceil(8.0 * f0 / (math.pi * cfg.gamma_m))) + 1
-    square = replace(cfg, bits=(1, 0) * (warmup + n_periods), rate=2.0 * f0)
+    spb = max(8.0, cfg.samples_per_bit * (cfg.rate / (2.0 * f0)))
+    square = replace(cfg, bits=(1, 0) * (warmup + n_periods), rate=2.0 * f0,
+                     samples_per_bit=math.ceil(spb) if spb < math.inf else spb)
     run = run_link(square, seed=seed)
     n = 2 * n_periods * square.samples_per_bit
     dt = 1.0 / square.sample_rate

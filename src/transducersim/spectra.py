@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA
-from .core import (DeviceParams, PumpState, range_errors, resolve_photon_number,
-                   violation)
+from .core import DeviceParams, PumpState, require, resolve_photon_number
 from .errors import FitError, ParameterError
 from .trace import Trace
 
@@ -41,10 +40,9 @@ class MechanicalMode:
     gamma_e: float = 0.0
 
     def __post_init__(self):
-        bad = range_errors(self, positive=("f", "gamma"),
-                           nonnegative=("g", "gamma_e"), finite=("phi",))
-        if bad:
-            raise ParameterError("; ".join(bad))
+        require(positive={"f": self.f, "gamma": self.gamma},
+                nonnegative={"g": self.g, "gamma_e": self.gamma_e},
+                finite={"phi": self.phi})
         object.__setattr__(self, "phi", self.phi % (2 * math.pi))
 
 
@@ -112,9 +110,7 @@ def steady_state_coherent_phonons(mode: MechanicalMode, p_mu: float,
     this reduces to (2/pi) * gamma_e * p_mu / (h f gamma^2) and is
     linear in p_mu.
     """
-    if msg := violation(np.logical_not((0 <= p_mu) & (p_mu < math.inf)),
-                        "p_mu must be finite and >= 0 (got {!r})", p_mu):
-        raise ParameterError(msg)
+    require(positive={"drive_f": drive_f}, nonnegative={"p_mu": p_mu})
     flux = p_mu / (CODATA.h * drive_f)
     chi = mech_susceptibility(drive_f, mode.f, mode.gamma)
     return 2 * math.pi * mode.gamma_e * flux * np.abs(chi) ** 2
@@ -126,8 +122,7 @@ def gamma_me_from_phonons(n_coh: float, f_m: float, gamma_m: float,
 
     gamma_me = (pi/2) * n_coh * h * f_m * gamma_m^2 / p_mu
     """
-    if p_mu <= 0:
-        raise ParameterError(f"p_mu must be > 0 (got {p_mu!r})")
+    require(positive={"p_mu": p_mu})
     return 0.5 * math.pi * n_coh * CODATA.h * f_m * gamma_m ** 2 / p_mu
 
 
@@ -158,8 +153,7 @@ def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
     quantity. Coherent phonons scale linearly with p_mu while the
     thermal part is unaffected.
     """
-    if not 0 < rbw < math.inf:
-        raise ParameterError(f"rbw must be finite and > 0 (got {rbw!r})")
+    require(positive={"rbw": rbw})
     thermal = thermal_spectrum(dev, modes, n_c, n_th, grid)
     f = thermal.x
     y = thermal.y.copy()
@@ -191,8 +185,9 @@ def calibrate_coherent_phonons(spectrum: Trace, n_th: float) -> CoherentCalibrat
     """
     from .fitting import fit_lorentzian_multi
 
-    if spectrum.rbw is None or not 0 < spectrum.rbw < math.inf:
-        raise ParameterError(f"rbw must be finite and > 0 (got {spectrum.rbw!r})")
+    if spectrum.rbw is None:
+        raise ParameterError("rbw must be finite and > 0 (got None)")
+    require(positive={"rbw": spectrum.rbw})
     f, y = spectrum.x, spectrum.y
     if f.size < 16:
         raise FitError("spectrum too short to resolve a Lorentzian and a peak")

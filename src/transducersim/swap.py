@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DeviceParams, range_errors
+from .core import DeviceParams, require
 from .errors import ParameterError, SamplingError
 from .trace import Trace
 
@@ -25,9 +25,8 @@ class QubitConfig:
     kappa_mu: float  # Hz
 
     def __post_init__(self):
-        bad = range_errors(self, positive=("c_q", "f_mu", "kappa_mu"))
-        if bad:
-            raise ParameterError("; ".join(bad))
+        require(positive={"c_q": self.c_q, "f_mu": self.f_mu,
+                          "kappa_mu": self.kappa_mu})
 
 
 def qubit_impedance(q: QubitConfig, dev: DeviceParams) -> float:

@@ -110,11 +110,16 @@ def test_spectrum_soe_writes_csv(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "soe", "--device", MEASURED, "--points", "-1"],
     ["swap", "--device", MEASURED, "--points", "-5"],
-], ids=["spectrum", "swap"])
+    ["spectrum", "soe", "--device", MEASURED, "--points", "0"],
+    ["spectrum", "soe", "--device", MEASURED, "--points", "1"],
+    ["swap", "--device", MEASURED, "--points", "0"],
+    ["swap", "--device", MEASURED, "--points", "1"],
+], ids=["spectrum", "swap", "spectrum_0", "spectrum_1", "swap_0", "swap_1"])
 def test_negative_points_exits_2(argv, tmp_path, capsys):
     assert main(argv + ["--rabi-out" if argv[0] == "swap" else "--out",
                         str(tmp_path / "never.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error: --points must be >= 0")
+    assert capsys.readouterr().err == \
+        f"error: --points must be >= 2 (got {argv[-1]})\n"
     assert not (tmp_path / "never.csv").exists()
 
 
@@ -125,6 +130,17 @@ def test_spectrum_driven_rejects_non_finite_rbw(rbw, tmp_path, capsys):
                  "--out", str(tmp_path / "never.csv")]) == 2
     assert capsys.readouterr().err == \
         f"error: rbw must be finite and > 0 (got {rbw})\n"
+
+
+@pytest.mark.parametrize("drive_f", ["0", "-4.3e9", "nan", "inf"])
+def test_spectrum_driven_rejects_drive_f_out_of_range(drive_f, tmp_path,
+                                                      capsys):
+    assert main(["spectrum", "driven", "--device", MEASURED, "--power-mu",
+                 "-22dbm", "--drive-f", drive_f, "--points", "401",
+                 "--out", str(tmp_path / "never.csv")]) == 2
+    assert capsys.readouterr() == ("", "error: drive_f must be finite and > 0 "
+                                       f"(got {float(drive_f)!r})\n")
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_link_outputs_and_metrics(tmp_path, capsys):
@@ -257,6 +273,17 @@ def test_fit_linewidth_non_finite_point_exits_2(tmp_path, capsys, row):
     assert main(["fit", "linewidth", "--points", str(path), "--sign", "blue",
                  "--kappa-o", "2.1e9"]) == 2
     assert capsys.readouterr().err == f"error: {path}:3: non-finite value\n"
+
+
+@pytest.mark.parametrize("kappa_o", ["nan", "inf", "0", "-2.1e9"])
+def test_fit_linewidth_rejects_kappa_o_out_of_range(kappa_o, tmp_path, capsys):
+    path = tmp_path / "pts.csv"
+    path.write_text("n_c,gamma_hz\n1e4,8.3e6\n5e4,7.9e6\n1e5,7.4e6\n")
+    assert main(["fit", "linewidth", "--points", str(path), "--sign", "blue",
+                 "--kappa-o", kappa_o]) == 2
+    assert capsys.readouterr() == ("", "error: kappa_o must be finite and > 0 "
+                                       f"(got {float(kappa_o)!r})\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["pts.csv"]
 
 
 def test_swap_report(capsys):

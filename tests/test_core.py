@@ -329,6 +329,87 @@ def test_pump_sign_of_a_detuning_column():
         PumpState(detuning=np.array([-1e9, 1e9]), n_c=1e3).sign
 
 
+def _argument_cases():
+    """A param (call, argument name, rule text, bad value) per bad value of
+    every function argument checked with the record range rules."""
+    from transducersim import (LinkConfig, MechanicalMode, QubitConfig, Trace,
+                               calibrate_coherent_phonons, driven_spectrum,
+                               fit_linewidth_vs_photons, gamma_me_from_phonons,
+                               harmonic_spectrum, steady_state_coherent_phonons)
+    dev = DeviceParams(**TABLE)
+    mode = MechanicalMode(f=4.32e9, gamma=8.4e6, g=130e3, gamma_e=58.0)
+    grid = np.linspace(4.30e9, 4.34e9, 64)
+    pts = np.array([[1e4, 8.3e6], [5e4, 7.9e6], [1e5, 7.4e6]])
+    mode_kw = dict(f=4.32e9, gamma=8.4e6, g=130e3, phi=0.5, gamma_e=58.0)
+    qubit_kw = dict(c_q=60e-15, f_mu=4.32e9, kappa_mu=1e6)
+
+    def driven(drive_f=4.32e9, p_mu=1e-9, rbw=50e3):
+        return driven_spectrum(dev, (mode,), 1e4, 1e3, drive_f, p_mu, rbw, grid)
+
+    calls = [
+        ("photon_number", "p_on_chip", "nonnegative",
+         lambda v: photon_number(dev, 4.32e9, v)),
+        ("photon_number", "detuning", "finite",
+         lambda v: photon_number(dev, v, 1e-4)),
+        ("cooperativity", "n_c", "nonnegative",
+         lambda v: cooperativity(dev, v, 8.4e6)),
+        ("cooperativity", "gamma_m", "positive",
+         lambda v: cooperativity(dev, 1e4, v)),
+        ("backaction_rate", "n_c", "nonnegative",
+         lambda v: backaction_rate(dev, v)),
+        ("efficiencies", "gamma_m", "positive", lambda v: efficiencies(dev, v)),
+        ("thermal_occupation", "f_m", "positive",
+         lambda v: thermal_occupation(v, 4.0)),
+        ("thermal_occupation", "temperature", "positive",
+         lambda v: thermal_occupation(4.32e9, v)),
+        ("steady_state_coherent_phonons", "p_mu", "nonnegative",
+         lambda v: steady_state_coherent_phonons(mode, v, 4.32e9)),
+        ("steady_state_coherent_phonons", "drive_f", "positive",
+         lambda v: steady_state_coherent_phonons(mode, 1e-9, v)),
+        ("gamma_me_from_phonons", "p_mu", "positive",
+         lambda v: gamma_me_from_phonons(1e3, 4.32e9, 8.4e6, v)),
+        ("driven_spectrum", "rbw", "positive", lambda v: driven(rbw=v)),
+        ("driven_spectrum", "drive_f", "positive", lambda v: driven(drive_f=v)),
+        ("driven_spectrum", "p_mu", "nonnegative", lambda v: driven(p_mu=v)),
+        ("calibrate_coherent_phonons", "rbw", "positive",
+         lambda v: calibrate_coherent_phonons(
+             Trace(grid, np.ones(grid.size), rbw=v), 1e3)),
+        ("harmonic_spectrum", "f0", "positive",
+         lambda v: harmonic_spectrum(
+             LinkConfig(bits=(1, 0), rate=1e6, gamma_m=7.9e6), v)),
+        ("fit_linewidth_vs_photons", "kappa_o", "positive",
+         lambda v: fit_linewidth_vs_photons(pts, "blue", v)),
+        ("fit_linewidth_vs_photons", "weights", "positive",
+         lambda v: fit_linewidth_vs_photons(pts, "blue", 2.1e9,
+                                            weights=[1.0, v, 1.0])),
+    ]
+    for name, rule in (("f", "positive"), ("gamma", "positive"),
+                       ("g", "nonnegative"), ("gamma_e", "nonnegative"),
+                       ("phi", "finite")):
+        calls.append(("MechanicalMode", name, rule,
+                      lambda v, n=name: MechanicalMode(**{**mode_kw, n: v})))
+    for name in qubit_kw:
+        calls.append(("QubitConfig", name, "positive",
+                      lambda v, n=name: QubitConfig(**{**qubit_kw, n: v})))
+    bad = {"positive": ("finite and > 0", [math.nan, math.inf, -math.inf,
+                                           0.0, -1.0]),
+           "nonnegative": ("finite and >= 0", [math.nan, math.inf, -math.inf,
+                                               -1.0]),
+           "finite": ("finite", [math.nan, math.inf, -math.inf])}
+    for fn, name, rule, call in calls:
+        text, values = bad[rule]
+        for v in values:
+            yield pytest.param(call, name, text, v, id=f"{fn}-{name}-{v!r}")
+
+
+@pytest.mark.parametrize("call,name,rule,value", _argument_cases())
+def test_arguments_follow_the_record_range_rules(call, name, rule, value):
+    # NaN and +-inf fail every rule, as they do for record fields
+    with pytest.raises(ParameterError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be {rule} (got {value!r})"
+
+
 @pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0])
 def test_thermal_occupation_rejects_non_finite_temperature(temperature):
     with pytest.raises(ParameterError, match="temperature"):

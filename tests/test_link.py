@@ -387,6 +387,17 @@ def test_harmonic_spectrum_odd_harmonics_only():
         assert harmonic_power(spec, f0, k) > 1e3 * p2
 
 
+def test_harmonic_spectrum_keeps_the_callers_sample_rate():
+    # cfg samples at 3.2e9 Hz; its 32 samples per bit at the square wave's
+    # 1e6 bit/s would be 3.2e7 Hz < 20 * gamma_m, a SamplingError
+    cfg = LinkConfig(bits=(1, 0), rate=100e6, gamma_m=7.9e6)
+    spec = harmonic_spectrum(cfg, f0=0.5e6)
+    assert len(spec) == 2 * 64 * 3200
+    square = LinkConfig(bits=(1, 0), rate=1e6, gamma_m=7.9e6,
+                        samples_per_bit=3200)
+    np.testing.assert_array_equal(spec.y, harmonic_spectrum(square, 0.5e6).y)
+
+
 def test_harmonic_fundamental_rolls_off_past_the_linewidth():
     gamma = 2e6
     powers = {}
