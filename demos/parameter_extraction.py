@@ -9,8 +9,7 @@ import numpy as np
 
 from transducersim import (Trace, fit_linewidth_vs_photons,
                            fit_lorentzian_multi, fit_optical_dip,
-                           fit_phase_detuning, load_device)
-from transducersim.fitting import _sideband_response
+                           fit_phase_detuning, load_device, mech_susceptibility)
 
 RNG = np.random.default_rng(2024)
 NOISE = 0.01
@@ -39,7 +38,8 @@ def main():
          {"f_o": f_o, "kappa_o": ko, "kappa_oe": koe})
 
     offsets = np.linspace(-8e9, 8e9, 2001)
-    z = (0.7 - 0.2j) * _sideband_response(offsets, 4.32e9, ko, koe)
+    z = (0.7 - 0.2j) * (2 * np.pi * koe
+                        * mech_susceptibility(offsets, 4.32e9, ko))
     z += NOISE * np.max(np.abs(z)) * (RNG.standard_normal(offsets.size)
                                       + 1j * RNG.standard_normal(offsets.size))
     show("sideband phase sweep",

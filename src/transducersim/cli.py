@@ -24,7 +24,7 @@ from .link import (LinkConfig, eye_diagram, link_metrics, parse_bits, run_link)
 from .spectra import (driven_spectrum, lumped_mode, s_oe_spectrum,
                       thermal_spectrum)
 from .swap import rabi_swap_sim, swap_feasibility
-from .sweep import QUANTITIES, SweepSpec, run_sweep
+from .sweep import SweepSpec, evaluate, run_sweep
 
 
 def _print_kv(pairs, stream=None):
@@ -87,8 +87,8 @@ def cmd_efficiency(args) -> int:
     bundle = load_device(args.device)
     pump = _pump_from_args(args, bundle)
     bundle = replace(bundle, pump=pump)
-    chain = ("n_c", "gamma_om", "gamma_tot", "c_om", "eta_o", "eta_em", "eta_tot")
-    q = {name: QUANTITIES[name](bundle, {}) for name in chain}
+    q = evaluate(("n_c", "gamma_om", "gamma_tot", "c_om", "eta_o", "eta_em",
+                  "eta_tot"), bundle, {})
     _print_kv([
         ("device", str(args.device)),
         ("detuning_sign", pump.sign),
@@ -187,6 +187,17 @@ def cmd_swap(args) -> int:
         bundle = replace(bundle, device=replace(bundle.device,
                                                 gamma_mi=args.gamma_mi))
     report = swap_feasibility(bundle.device, qubit)
+    outputs = []
+    if args.rabi_out:
+        t_max = args.t_max if args.t_max is not None \
+            else 4.0 / max(report.g_em, 1.0)
+        core.require(positive={"--t-max": t_max})
+        t_grid = _linspace(0.0, t_max, args.points)
+        qubit_tr, mech_tr = rabi_swap_sim(bundle.device, qubit, t_grid,
+                                          lossless=args.lossless)
+        write_table(args.rabi_out, ["t_s", "qubit_excitation", "phonons"],
+                    np.column_stack([t_grid, qubit_tr.y, mech_tr.y]))
+        outputs.append(("rabi_out", args.rabi_out))
     _print_kv([
         ("z_q_ohm", report.z_q),
         ("g_em_hz", report.g_em),
@@ -194,16 +205,7 @@ def cmd_swap(args) -> int:
         ("gamma_mi_hz", bundle.device.gamma_mi),
         ("feasible", report.feasible),
         ("c_em", report.c_em),
-    ])
-    if args.rabi_out:
-        t_max = args.t_max if args.t_max is not None \
-            else 4.0 / max(report.g_em, 1.0)
-        t_grid = _linspace(0.0, t_max, args.points)
-        qubit_tr, mech_tr = rabi_swap_sim(bundle.device, qubit, t_grid,
-                                          lossless=args.lossless)
-        write_table(args.rabi_out, ["t_s", "qubit_excitation", "phonons"],
-                    np.column_stack([t_grid, qubit_tr.y, mech_tr.y]))
-        print(f"rabi_out = {args.rabi_out}")
+    ] + outputs)
     return 0
 
 
@@ -379,6 +381,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as err:
         print(f"error: out of memory ({err})", file=sys.stderr)
+        return 2
+    except OverflowError as err:
+        print(f"error: numeric overflow ({err})", file=sys.stderr)
         return 2
 
 

@@ -67,6 +67,14 @@ def require(**rules) -> None:
         raise ParameterError("; ".join(bad))
 
 
+def require_integer(**counts) -> None:
+    """Raise a ParameterError naming each count that is neither None nor
+    an int or numpy integer: require_integer(n_peaks=n_peaks)."""
+    if bad := [f"{n} must be an integer (got {v!r})" for n, v in counts.items()
+               if not isinstance(v, (int, np.integer, type(None)))]:
+        raise ParameterError("; ".join(bad))
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Lumped transducer record.

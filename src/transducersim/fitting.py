@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DeviceParams, require
+from .core import DeviceParams, require, require_integer
 from .errors import FitError, ParameterError
 from .spectra import _lorentzian_density, _pole
 from .trace import Trace
@@ -47,23 +47,46 @@ class FitResult:
                 raise ParameterError(f"negative standard error for {name}")
 
 
+def _least_squares_result(names, p, J, r, converged, n_iter) -> FitResult:
+    """FitResult of the least-squares point p (Jacobian J, residual r).
+
+    The one rule for fit uncertainties: cov = s2 * pinv(J^T J) with
+    s2 = |r|^2 / max(m - n, 1) for m residuals and n parameters (inf if
+    pinv fails), stderr = sqrt|diag cov|, residual_norm the rms of r.
+    """
+    m, n = J.shape
+    cost = float(r @ r)
+    try:
+        cov = cost / max(m - n, 1) * np.linalg.pinv(J.T @ J)
+    except np.linalg.LinAlgError:
+        cov = np.full((n, n), np.inf)
+    se = np.sqrt(np.abs(np.diag(cov)))
+    return FitResult(dict(zip(names, p)), dict(zip(names, se)),
+                     math.sqrt(cost / m), converged, n_iter,
+                     () if converged else ("non-convergence",), cov=cov,
+                     param_order=tuple(names))
+
+
 def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
     """Levenberg-damped Gauss-Newton on a model p -> (r(p), jac).
 
     jac() builds J(p) from the intermediates of r(p); it is called only
-    at accepted points and dropped before the next trial. Returns a
-    FitResult with params, stderr (root of the covariance diagonal) and
-    cov in the order of names, noted "non-convergence" if the relative
-    step did not fall below REL_STEP_TOL in MAX_ITER iterations. Only
-    cost-decreasing steps are accepted, so the final residual never
-    exceeds the initial one. n_iter hangs on the last bit of every
-    operation: the two phase starts can reach one minimum with rms an
-    ulp apart, and then the BLAS thread count picks which wins (28
+    at accepted points and dropped before the next trial. More
+    parameters than residuals raise ParameterError before J is built.
+    Returns the _least_squares_result of the last accepted point,
+    converged if the relative step fell below REL_STEP_TOL within
+    MAX_ITER. Only cost-decreasing steps are accepted, so the final
+    residual never exceeds the initial one. n_iter hangs on the last bit
+    of every operation: the two phase starts can reach one minimum with
+    rms an ulp apart, and then the BLAS thread count picks which wins (28
     iterations against 4 on one 2e5-point trace).
     """
     p = np.array(p0, dtype=float)
     scale = np.maximum(np.abs(p), 1e-30)
     r, jac = model(p)
+    if p.size > r.size:
+        raise ParameterError(
+            f"more parameters ({p.size}) than residuals ({r.size})")
     J = jac()
     cost = float(r @ r)
     lam = 1e-3
@@ -100,18 +123,7 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
         if rel_step < REL_STEP_TOL:
             converged = True
             break
-    m, n = J.shape
-    dof = max(m - n, 1)
-    sigma2 = cost / dof
-    try:
-        cov = sigma2 * np.linalg.pinv(J.T @ J)
-    except np.linalg.LinAlgError:
-        cov = np.full((n, n), np.inf)
-    rms = math.sqrt(cost / m) if m else math.inf
-    se = np.sqrt(np.abs(np.diag(cov)))
-    return FitResult(dict(zip(names, p)), dict(zip(names, se)), rms, converged,
-                     it, () if converged else ("non-convergence",), cov=cov,
-                     param_order=tuple(names))
+    return _least_squares_result(names, p, J, r, converged, it)
 
 
 def _edge_median(y):
@@ -203,16 +215,6 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
 
 # ---------------------------------------------------------- sideband detuning
 
-def _sideband_response(f, detuning, kappa_o, kappa_oe):
-    """Single-pole cavity response of a sideband at signed offset f.
-
-    The sideband sits at offset f from the pump, so its detuning from
-    the cavity is (detuning - f); the response peaks at f = detuning,
-    which is what makes the fitted detuning signed.
-    """
-    return (2 * np.pi * kappa_oe) / _pole(f, detuning, kappa_o)
-
-
 def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
                        dev: DeviceParams) -> FitResult:
     """Signed pump-cavity detuning from a background-subtracted sideband sweep.
@@ -250,7 +252,7 @@ def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
         return np.concatenate([r.real, r.imag]), jac
 
     def from_start(delta0):
-        m0 = _sideband_response(f, delta0, kappa_o, kappa_oe)
+        m0 = gain / _pole(f, delta0, kappa_o)
         denom = float(np.vdot(m0, m0).real)
         a0 = complex(np.vdot(m0, z)) / denom if denom > 0 else 0.0 + 0.0j
         return _gauss_newton(model, [delta0, a0.real, a0.imag],
@@ -297,11 +299,10 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
     X = np.column_stack([n_c, np.ones_like(n_c)]) * sw[:, None]
     b = gam * sw
     coef, *_ = np.linalg.lstsq(X, b, rcond=None)
+    fit = _least_squares_result(("slope", "intercept"), coef, X, X @ coef - b,
+                                converged=True, n_iter=1)
     slope, intercept = float(coef[0]), float(coef[1])
-    resid = X @ coef - b
-    dof = max(n_c.size - 2, 1)
-    cov = float(resid @ resid) / dof * np.linalg.pinv(X.T @ X)
-    se_slope, se_int = math.sqrt(abs(cov[0, 0])), math.sqrt(abs(cov[1, 1]))
+    se_slope, se_int = fit.stderr.values()
 
     expected = -1.0 if sign == "blue" else 1.0
     signed = expected * slope          # positive when consistent with `sign`
@@ -322,13 +323,10 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
     else:
         g_om = math.sqrt(signed * kappa_o / 4.0)
         se_g = kappa_o * se_slope / (8.0 * g_om)
-    rms = math.sqrt(float(resid @ resid) / n_c.size)
-    return FitResult(
-        {"g_om": g_om, "gamma_mi": intercept, "slope": slope,
-         "intercept": intercept},
-        {"g_om": se_g, "gamma_mi": se_int, "slope": se_slope},
-        rms, True, 1, tuple(notes),
-        cov=cov, param_order=("slope", "intercept"))
+    return replace(fit, params={"g_om": g_om, "gamma_mi": intercept,
+                                "slope": slope, "intercept": intercept},
+                   stderr={"g_om": se_g, "gamma_mi": se_int, "slope": se_slope},
+                   notes=tuple(notes))
 
 
 # ---------------------------------------------------------- multi-Lorentzian
@@ -355,6 +353,7 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     (f_k, gamma_k, area_k) sorted by frequency. Heavily overlapping
     peaks show up as exploding standard errors rather than failures.
     """
+    require_integer(n_peaks=n_peaks)
     if n_peaks < 0:
         raise ParameterError(f"n_peaks must be >= 0 (got {n_peaks!r})")
     f = trace.x

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import range_errors, require
+from .core import range_errors, require, require_integer
 from .errors import FitError, ParameterError, SamplingError
 from .fitting import fit_ring
 from .trace import Trace
@@ -60,6 +60,7 @@ class LinkConfig:
     drive_mode: str = "coherent"
 
     def __post_init__(self):
+        require_integer(samples_per_bit=self.samples_per_bit)
         bad = range_errors(self, positive=("rate", "gamma_m", "v0"),
                            nonnegative=("f_if", "noise_rms"))
         if not self.bits:
@@ -67,7 +68,7 @@ class LinkConfig:
         elif any(b not in (0, 1) for b in self.bits):
             bad.append("bits must contain only 0 and 1")
         spb = self.samples_per_bit
-        if spb is not None and not 8 <= spb < math.inf:
+        if spb is not None and spb < 8:
             bad.append(f"samples_per_bit must be >= 8 (got {spb!r})")
         if self.drive_mode not in ("coherent", "thermal"):
             bad.append(f"drive_mode must be 'coherent' or 'thermal' "
@@ -81,9 +82,12 @@ class LinkConfig:
             spb = math.ceil(spb) if spb < math.inf else spb  # inf fails below
             object.__setattr__(self, "samples_per_bit", spb)
         most = np.iinfo(np.intp).max // np.dtype(complex).itemsize
-        if len(self.bits) * spb + 1 > most:     # complex samples of one array
+        # a run holds len(bits)*spb + 1 samples; compare spb with the
+        # quotient, as the product would wrap for a numpy integer spb
+        limit = (most - 1) // len(self.bits)
+        if spb > limit:
             raise ParameterError(
-                f"samples_per_bit must be <= {(most - 1) // len(self.bits)} "
+                f"samples_per_bit must be <= {limit} "
                 f"for {len(self.bits)} bits, or the run outgrows one array")
         fs = self.sample_rate
         if fs < 20.0 * self.gamma_m:
@@ -300,6 +304,7 @@ def harmonic_spectrum(cfg: LinkConfig, f0: float, n_periods: int = 64,
     susceptibility. The square wave keeps cfg's sample rate.
     """
     require(positive={"f0": f0})
+    require_integer(n_periods=n_periods)
     if n_periods < 2:
         raise ParameterError(f"n_periods must be >= 2 (got {n_periods!r})")
     # warm up until the ring-up transient has decayed, then transform an

@@ -46,6 +46,7 @@ class SweepSpec:
     @classmethod
     def from_range(cls, path: str, start: float, stop: float, count: int,
                    scale: str, quantities) -> "SweepSpec":
+        core.require_integer(count=count)
         if count < 1:
             raise ParameterError(f"count must be >= 1 (got {count!r})")
         if count > 1 and not start < stop:
@@ -119,6 +120,16 @@ QUANTITIES = {
 }
 
 
+def evaluate(names, bundle: DeviceBundle, env: dict) -> dict:
+    """{name: QUANTITIES[name](bundle, env)} for each name, scalars or
+    columns; a result holding inf or NaN anywhere raises one
+    ParameterError naming every such quantity, and no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = {name: QUANTITIES[name](bundle, env) for name in names}
+    core.require(finite=values)
+    return values
+
+
 def _with_columns(bundle: DeviceBundle, columns: dict, env: dict):
     """(bundle, env) with each dotted parameter path set to its column."""
     changes, env = {"device": {}, "pump": {}, "qubit": {}}, dict(env)
@@ -169,8 +180,9 @@ def run_sweep(spec: SweepSpec, bundle: DeviceBundle, *,
         if rows.any():
             group, group_env = _with_columns(
                 bundle, {path: col[rows] for path, col in columns.items()}, env)
-            for name in spec.quantities:
-                results[name][rows] = QUANTITIES[name](group, group_env)
+            for name, column in evaluate(spec.quantities, group,
+                                         group_env).items():
+                results[name][rows] = column
     table = {**columns, **results}
     return [dict(zip(table, row))
             for row in zip(*(col.tolist() for col in table.values()))]

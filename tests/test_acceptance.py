@@ -23,7 +23,6 @@ from transducersim import (LinkConfig, MechanicalMode, PumpState, Trace,
                            total_efficiency, total_mech_linewidth, write_trace)
 from transducersim.cli import main as cli_main
 from transducersim.deviceio import resolve_device_path
-from transducersim.fitting import _sideband_response
 from transducersim.link import ring_segments
 
 MEASURED = load_device("table1_measured")
@@ -164,7 +163,7 @@ def _fit_errors(noise, seed):
                       rel(fit.params["kappa_oe"], koe))
 
     fs = np.linspace(-8e9, 8e9, 2001)
-    z = (0.7 - 0.2j) * _sideband_response(fs, 4.32e9, ko, koe)
+    z = (0.7 - 0.2j) * (2 * np.pi * koe * mech_susceptibility(fs, 4.32e9, ko))
     z = z + noise * np.max(np.abs(z)) * (rng.standard_normal(fs.size)
                                          + 1j * rng.standard_normal(fs.size))
     fit = fit_phase_detuning(Trace(fs, np.abs(z)), Trace(fs, np.angle(z)), dev)

@@ -107,19 +107,28 @@ def test_spectrum_soe_writes_csv(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "soe", "--device", MEASURED, "--points", "-1"],
-    ["swap", "--device", MEASURED, "--points", "-5"],
-    ["spectrum", "soe", "--device", MEASURED, "--points", "0"],
-    ["spectrum", "soe", "--device", MEASURED, "--points", "1"],
-    ["swap", "--device", MEASURED, "--points", "0"],
-    ["swap", "--device", MEASURED, "--points", "1"],
-], ids=["spectrum", "swap", "spectrum_0", "spectrum_1", "swap_0", "swap_1"])
-def test_negative_points_exits_2(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv,error", [
+    (["spectrum", "soe", "--device", MEASURED, "--points", "-1"],
+     "--points must be >= 2 (got -1)"),
+    (["swap", "--device", MEASURED, "--points", "-5"],
+     "--points must be >= 2 (got -5)"),
+    (["spectrum", "soe", "--device", MEASURED, "--points", "0"],
+     "--points must be >= 2 (got 0)"),
+    (["spectrum", "soe", "--device", MEASURED, "--points", "1"],
+     "--points must be >= 2 (got 1)"),
+    (["swap", "--device", MEASURED, "--points", "0"],
+     "--points must be >= 2 (got 0)"),
+    (["swap", "--device", MEASURED, "--points", "1"],
+     "--points must be >= 2 (got 1)"),
+    (["swap", "--device", MEASURED, "--t-max", "-1"],
+     "--t-max must be finite and > 0 (got -1.0)"),
+], ids=["spectrum", "swap", "spectrum_0", "spectrum_1", "swap_0", "swap_1",
+        "swap_t_max"])
+def test_negative_points_exits_2(argv, error, tmp_path, capsys):
+    # swap checks its grid before it prints the feasibility report
     assert main(argv + ["--rabi-out" if argv[0] == "swap" else "--out",
                         str(tmp_path / "never.csv")]) == 2
-    assert capsys.readouterr().err == \
-        f"error: --points must be >= 2 (got {argv[-1]})\n"
+    assert capsys.readouterr() == ("", f"error: {error}\n")
     assert not (tmp_path / "never.csv").exists()
 
 
@@ -354,6 +363,52 @@ def test_non_finite_or_overflowing_pump_power_exits_2(tmp_path, capsys, dbm,
     assert main(["efficiency", "--device", str(dev)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+def _overflow_text():
+    try:
+        (2 * math.pi * 1e200) ** 2
+    except OverflowError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["efficiency", "--device", MEASURED, "--n-c", "1e300", "--detuning",
+      "red"],
+     "gamma_om must be finite (got inf); gamma_tot must be finite (got inf); "
+     "c_om must be finite (got inf); eta_tot must be finite (got nan)"),
+    (["sweep", "--device", MEASURED, "--param", "pump.detuning", "--values",
+      "-4.32e9,-4.32e9", "--param", "pump.n_c", "--values", "1e3,1e300",
+      "--quantity", "eta_tot", "--quantity", "c_om", "--out", "{out}"],
+     "eta_tot must be finite (got nan); c_om must be finite (got inf)"),
+    (["sweep", "--device", MEASURED, "--param", "pump.detuning", "--values",
+      "4.32e9,4.32e9", "--param", "pump.n_c", "--values", "1e3,1e300",
+      "--quantity", "eta_tot", "--quantity", "c_om", "--out", "{out}"],
+     "C_om = inf >= 1 under blue detuning"),
+    (["efficiency", "--device", "{f_m_1e200}", "--power", "-7.9dbm"],
+     f"numeric overflow ({_overflow_text()})"),
+], ids=["efficiency_n_c", "sweep_n_c", "sweep_n_c_blue", "efficiency_f_m"])
+def test_chain_overflow_exits_2(argv, error, tmp_path, capsys):
+    # finite inputs whose chain outputs overflow: a named error, no inf or
+    # nan on stdout, no CSV and no RuntimeWarning
+    big = tmp_path / "big_f_m.cfg"
+    big.write_text(re.sub(r"(?m)^f_m_hz = .*$", "f_m_hz = 1e200",
+                          Path(MEASURED).read_text()))
+    out = tmp_path / "never.csv"
+    argv = [a.format(out=out, f_m_1e200=big) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
+def test_fit_with_more_parameters_than_points_exits_2(tmp_path, capsys):
+    f = np.linspace(4.2e9, 4.45e9, 11)
+    path = tmp_path / "short.csv"
+    write_trace(Trace(f, 1.0 + 1.0 / (1.0 + ((f - 4.3e9) / 1e7) ** 2)), path)
+    assert main(["fit", "lorentz", "--trace", str(path),
+                 "--n-peaks", "50"]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: more parameters (151) than residuals (11)\n")
 
 
 def test_spectrum_and_sweep_below_expm1_overflow(tmp_path, capsys):

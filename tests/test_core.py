@@ -331,11 +331,14 @@ def test_pump_sign_of_a_detuning_column():
 
 def _argument_cases():
     """A param (call, argument name, rule text, bad value) per bad value of
-    every function argument checked with the record range rules."""
+    every function argument checked with the record range rules, and of
+    every count checked to be an integer."""
     from transducersim import (LinkConfig, MechanicalMode, QubitConfig, Trace,
                                calibrate_coherent_phonons, driven_spectrum,
-                               fit_linewidth_vs_photons, gamma_me_from_phonons,
-                               harmonic_spectrum, steady_state_coherent_phonons)
+                               fit_linewidth_vs_photons, fit_lorentzian_multi,
+                               gamma_me_from_phonons, harmonic_spectrum,
+                               steady_state_coherent_phonons)
+    from transducersim.sweep import SweepSpec
     dev = DeviceParams(**TABLE)
     mode = MechanicalMode(f=4.32e9, gamma=8.4e6, g=130e3, gamma_e=58.0)
     grid = np.linspace(4.30e9, 4.34e9, 64)
@@ -382,6 +385,17 @@ def _argument_cases():
         ("fit_linewidth_vs_photons", "weights", "positive",
          lambda v: fit_linewidth_vs_photons(pts, "blue", 2.1e9,
                                             weights=[1.0, v, 1.0])),
+        ("LinkConfig", "samples_per_bit", "integer",
+         lambda v: LinkConfig(bits=(1, 0), rate=1e6, gamma_m=7.9e6,
+                              samples_per_bit=v)),
+        ("harmonic_spectrum", "n_periods", "integer",
+         lambda v: harmonic_spectrum(
+             LinkConfig(bits=(1, 0), rate=1e6, gamma_m=7.9e6), 0.5e6, v)),
+        ("fit_lorentzian_multi", "n_peaks", "integer",
+         lambda v: fit_lorentzian_multi(Trace(grid, np.ones(grid.size)), v)),
+        ("SweepSpec.from_range", "count", "integer",
+         lambda v: SweepSpec.from_range("pump.n_c", 1e3, 1e4, v, "linear",
+                                        ["n_c"])),
     ]
     for name, rule in (("f", "positive"), ("gamma", "positive"),
                        ("g", "nonnegative"), ("gamma_e", "nonnegative"),
@@ -395,7 +409,8 @@ def _argument_cases():
                                            0.0, -1.0]),
            "nonnegative": ("finite and >= 0", [math.nan, math.inf, -math.inf,
                                                -1.0]),
-           "finite": ("finite", [math.nan, math.inf, -math.inf])}
+           "finite": ("finite", [math.nan, math.inf, -math.inf]),
+           "integer": ("an integer", [2.5, 200.0, "3"])}
     for fn, name, rule, call in calls:
         text, values = bad[rule]
         for v in values:
@@ -408,6 +423,15 @@ def test_arguments_follow_the_record_range_rules(call, name, rule, value):
     with pytest.raises(ParameterError) as err:
         call(value)
     assert str(err.value) == f"{name} must be {rule} (got {value!r})"
+
+
+def test_counts_take_numpy_integers():
+    from transducersim import LinkConfig
+    from transducersim.sweep import SweepSpec
+    assert LinkConfig(bits=(1, 0), rate=1e6, gamma_m=7.9e6,
+                      samples_per_bit=np.int32(200)).samples_per_bit == 200
+    assert SweepSpec.from_range("pump.n_c", 1e3, 1e4, np.int64(3), "linear",
+                                ["n_c"]).n_rows == 3
 
 
 @pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0])

@@ -6,9 +6,8 @@ import pytest
 from transducersim import (FitError, MechanicalMode, ParameterError, Trace,
                            cli, fitting, fit_linewidth_vs_photons,
                            fit_lorentzian_multi, fit_optical_dip,
-                           fit_phase_detuning, fit_ring, sideband_rate,
-                           thermal_spectrum, write_trace)
-from transducersim.fitting import _sideband_response
+                           fit_phase_detuning, fit_ring, mech_susceptibility,
+                           sideband_rate, thermal_spectrum, write_trace)
 
 from conftest import relerr
 
@@ -28,7 +27,7 @@ def dip_trace(f_o=F_O, kappa_o=KAPPA_O, kappa_oe=KAPPA_OE, noise=0.0, seed=0,
 
 def phase_traces(detuning, noise=0.0, seed=0, n=2001, amp=0.7 - 0.2j):
     f = np.linspace(-8e9, 8e9, n)
-    z = amp * _sideband_response(f, detuning, KAPPA_O, KAPPA_OE)
+    z = amp * (2 * np.pi * KAPPA_OE * mech_susceptibility(f, detuning, KAPPA_O))
     if noise:
         rng = np.random.default_rng(seed)
         scale = noise * np.max(np.abs(z))
@@ -128,7 +127,7 @@ def test_phase_detuning_sign_flip_mirrors(dev):
 
 def test_phase_detuning_narrow_span_flagged(dev):
     f = np.linspace(4.32e9 - 0.3 * KAPPA_O, 4.32e9 + 0.3 * KAPPA_O, 301)
-    z = _sideband_response(f, 4.32e9, KAPPA_O, KAPPA_OE)
+    z = 2 * np.pi * KAPPA_OE * mech_susceptibility(f, 4.32e9, KAPPA_O)
     fit = fit_phase_detuning(Trace(f, np.abs(z)), Trace(f, np.angle(z)), dev)
     assert any("span" in note for note in fit.notes)
 
@@ -172,6 +171,23 @@ def test_linewidth_sign_mismatch():
     pts = linewidth_points()            # blue-detuned narrowing
     with pytest.raises(FitError):
         fit_linewidth_vs_photons(pts, "red", KAPPA_O)
+
+
+def test_linewidth_uncertainties_follow_the_least_squares_rule():
+    # cov = |r|^2 / (m - 2) (X^T X)^-1 and rms sqrt(|r|^2 / m), computed
+    # here from the weighted design rather than taken from the fitter
+    pts = linewidth_points(noise=0.02, seed=6)
+    sw = np.sqrt(np.linspace(0.5, 2.0, len(pts)))
+    fit = fit_linewidth_vs_photons(pts, "blue", KAPPA_O, weights=sw ** 2)
+    X = np.column_stack([pts[:, 0], np.ones(len(pts))]) * sw[:, None]
+    r = X @ [fit.params["slope"], fit.params["intercept"]] - pts[:, 1] * sw
+    cost, m = float(r @ r), len(pts)
+    assert fit.param_order == ("slope", "intercept")
+    assert fit.residual_norm == pytest.approx(math.sqrt(cost / m), rel=1e-9)
+    np.testing.assert_allclose(fit.cov, cost / (m - 2) * np.linalg.inv(X.T @ X),
+                               rtol=1e-6)
+    assert fit.stderr["slope"] == pytest.approx(math.sqrt(fit.cov[0, 0]))
+    assert fit.stderr["gamma_mi"] == pytest.approx(math.sqrt(fit.cov[1, 1]))
 
 
 def test_linewidth_scale_consistency():
@@ -427,6 +443,20 @@ def test_jacobian_is_built_once_per_accepted_point(name, dev, runs):
     fit = FITS[name](dev)
     assert fit.converged
     assert [run["jac"] for run in runs] == [fit.n_iter + 1]   # start, each step
+
+
+@pytest.mark.parametrize("name", ["lorentzian_1_constant", "ringdown"])
+def test_gauss_newton_uncertainties_follow_the_least_squares_rule(name, dev,
+                                                                  runs):
+    fit = FITS[name](dev)
+    (run,) = runs
+    r, jac = run["fn"](np.array([fit.params[n] for n in fit.param_order]))
+    J = jac()
+    (m, n), cost = J.shape, float(r @ r)
+    assert fit.residual_norm == math.sqrt(cost / m)
+    np.testing.assert_array_equal(
+        fit.cov, cost / (m - n) * np.linalg.pinv(J.T @ J))
+    assert list(fit.stderr.values()) == list(np.sqrt(np.diag(fit.cov)))
 
 
 def test_rejected_steps_build_no_jacobian(runs):

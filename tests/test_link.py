@@ -158,8 +158,9 @@ def test_default_sampling_is_the_rule_the_cli_used(f_if):
     dict(rate=1e-300, gamma_m=1e-10, f_if=0.0),     # finite, but too large
     dict(samples_per_bit=10 ** 18),
     dict(samples_per_bit=10 ** 400),
+    dict(samples_per_bit=np.int64(2 ** 62)),       # 4 * 2**62 wraps in int64
 ], ids=["gamma_overflow", "f_if_overflow", "derived_too_large",
-        "explicit_too_large", "explicit_beyond_float"])
+        "explicit_too_large", "explicit_beyond_float", "explicit_numpy"])
 def test_samples_per_bit_must_fit_one_array(kw):
     most = np.iinfo(np.intp).max // 16              # complex samples
     with pytest.raises(ParameterError, match=f"samples_per_bit must be <= "
