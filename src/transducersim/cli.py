@@ -160,6 +160,7 @@ def cmd_link(args) -> int:
                      samples_per_bit=args.samples_per_bit,
                      drive_mode=args.drive_mode)
     run = run_link(cfg, seed=args.seed)
+    metrics = link_metrics(run, cfg)    # an overflow raises before any write
     env_path = f"{args.out_prefix}_envelope.csv"
     write_trace(run.envelope, env_path)
     iq_path = f"{args.out_prefix}_iq.csv"
@@ -172,7 +173,6 @@ def cmd_link(args) -> int:
         outputs.append(("eye", eye_path))
     except TransducerError as err:
         print(f"note: no eye diagram ({err})", file=sys.stderr)
-    metrics = link_metrics(run, cfg)
     _print_kv([(k, v) for k, v in metrics.items()]
               + [(name, path) for name, path in outputs])
     return 0

@@ -67,6 +67,7 @@ def _least_squares_result(names, p, J, r, converged, n_iter) -> FitResult:
                      param_order=tuple(names))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
     """Levenberg-damped Gauss-Newton on a model p -> (r(p), jac).
 
@@ -79,7 +80,9 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
     residual never exceeds the initial one. n_iter hangs on the last bit
     of every operation: the two phase starts can reach one minimum with
     rms an ulp apart, and then the BLAS thread count picks which wins (28
-    iterations against 4 on one 2e5-point trace).
+    iterations against 4 on one 2e5-point trace). Overflow is silent: a
+    trial point whose cost is not finite is rejected like one that
+    raises it, and a start whose cost is not finite raises OverflowError.
     """
     p = np.array(p0, dtype=float)
     scale = np.maximum(np.abs(p), 1e-30)
@@ -89,6 +92,8 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
             f"more parameters ({p.size}) than residuals ({r.size})")
     J = jac()
     cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise OverflowError(f"residual sum of squares at the start is {cost!r}")
     lam = 1e-3
     converged = False
     it = 0
@@ -462,7 +467,8 @@ def fit_ring(segment: Trace, kind: str) -> FitResult:
         t_e = float(t[below[0]]) if below.size and below[0] > 0 else t_char
         slope = -math.pi       # d(shape)/d(gamma_m) = slope * t * e
     else:
-        v0 = float(np.mean(y[-max(3, t.size // 10):]))
+        with np.errstate(over="ignore"):    # inf fails the start's cost
+            v0 = float(np.mean(y[-max(3, t.size // 10):]))
         if v0 <= 0:
             v0 = y_max
         above = np.nonzero(y >= v0 * (1.0 - 1.0 / math.e))[0]

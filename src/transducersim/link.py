@@ -6,9 +6,14 @@ sample, so the first-order linear ODE has an exact solution: every bit
 is propagated in closed form from its start value (a coherent bit is a
 broadcast of exp(-pi*gamma_m*t); a thermal bit is a stable scan of its
 noise samples), and only the bit-start values recur from bit to bit.
-The detected quadratures oscillate at the intermediate frequency and
-demodulate exactly; additive Gaussian noise is applied on I and Q after
-demodulation with a caller-seeded generator.
+A 0-bit adds nothing to its start value's decay, so only the 1-bits'
+responses are computed and scanned.
+The detected quadratures oscillate at the intermediate frequency. The
+carrier is factored into one phase per bit times one row of phases
+within a bit, each reduced modulo one cycle, so it stays exact however
+long the run; harmonic_spectrum demodulates with its conjugate.
+Additive Gaussian noise is applied on I and Q after demodulation with a
+caller-seeded generator.
 """
 
 import math
@@ -22,6 +27,9 @@ from .fitting import fit_ring
 from .trace import Trace
 
 EXTINCTION_CAP = 1e12
+# largest square-wave run harmonic_spectrum simulates, in samples: about
+# 2 GB across the run's arrays and its transform
+HARMONIC_MAX_SAMPLES = 2 ** 24
 
 
 def parse_bits(text: str) -> tuple:
@@ -134,6 +142,22 @@ def _scan_rows(x: np.ndarray, d_m: np.ndarray) -> None:
         s *= 2
 
 
+def _carrier(cfg: LinkConfig):
+    """The IF carrier exp(2*pi*i*f_if*t) of a run, in two factors.
+
+    Sample m = 1..spb of bit j sits at t = (j*spb + m)/sample_rate, so
+    the carrier there is per_bit[j, 0] * within[m - 1]: a column of one
+    phase per bit times one row of phases within a bit. Each phase is
+    reduced modulo one cycle by an exact fmod (n*f_if % period), so no
+    argument grows with the run length; the carrier at t = 0 is 1.
+    """
+    def phases(n, period):
+        return np.exp(2j * np.pi * (n * cfg.f_if % period / period))
+    within = phases(np.arange(1, cfg.samples_per_bit + 1), cfg.sample_rate)
+    per_bit = phases(np.arange(len(cfg.bits)), cfg.rate)
+    return per_bit[:, None], within
+
+
 def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     """Compute the mechanical envelope for the bit array and demodulate.
 
@@ -148,6 +172,13 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     follows v0*(1 - exp(-pi*gamma_m*t)) to machine precision and a
     settled 1->0 edge decays as exp(-pi*gamma_m*t). Only the bit-start
     values recur: s_{j+1} = d^spb * s_j + (bit j's response from 0).
+
+    A 0-bit responds with zero, so only the 1-bits' responses are
+    computed: one shared row when coherent; when thermal, the rows of
+    the drawn noise at the 1-bits, scanned alone. The noise is drawn
+    for every sample in the same order as the per-sample update would,
+    so a seed gives the same run. The detected voltage is beta times
+    the factored carrier (_carrier), two in-place products per bit row.
     """
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
@@ -160,36 +191,45 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     m = np.arange(1, spb + 1)
     d_m = np.exp(-rate_dt * m)                  # d^m, m = 1..spb
 
-    bits = np.asarray(cfg.bits, dtype=float)
+    ones = np.flatnonzero(cfg.bits)
     if cfg.drive_mode == "coherent":
-        # settled drive level is v0; response of each bit from rest
-        rise = cfg.v0 * np.multiply.outer(bits, -np.expm1(-rate_dt * m))
+        # settled drive level is v0; response of every 1-bit from rest
+        rise = cfg.v0 * -np.expm1(-rate_dt * m)
     else:
         # gated white-noise bath; stationary mean square |beta|^2 = v0^2
         decay = math.exp(-rate_dt)
         sigma = cfg.v0 * math.sqrt(max(1.0 - decay ** 2, 0.0) / 2.0)
-        u = sigma * (rng.standard_normal(n_steps)
-                     + 1j * rng.standard_normal(n_steps)) \
-            * np.repeat(bits, spb)
-        rise = u.reshape(n_bits, spb)
+        rise = np.empty((ones.size, spb), dtype=complex)
+        rise.real = rng.standard_normal(n_steps).reshape(n_bits, spb)[ones]
+        rise.imag = rng.standard_normal(n_steps).reshape(n_bits, spb)[ones]
+        rise *= sigma
         _scan_rows(rise, d_m)
+    ends = np.zeros(n_bits, dtype=rise.dtype)
+    ends[ones] = rise[..., -1]
     starts, s = [], 0.0
-    for end in rise[:, -1].tolist():
+    for end in ends.tolist():
         starts.append(s)
         s = s * d_m[-1] + end
     beta = np.empty(n_steps + 1, dtype=complex)
     beta[0] = 0.0
     per_bit = beta[1:].reshape(n_bits, spb)
     np.multiply(np.asarray(starts)[:, None], d_m, out=per_bit)
-    per_bit += rise
+    per_bit[ones] += rise
 
-    carrier = np.exp(1j * 2 * np.pi * cfg.f_if * t)
-    v_det = beta * carrier
-    i_sig = v_det.real
-    q_sig = v_det.imag
+    v_det = np.empty_like(beta)
+    v_det[0] = beta[0]
+    rows = v_det[1:].reshape(n_bits, spb)
+    phase, within = _carrier(cfg)
+    np.multiply(per_bit, within, out=rows)
+    rows *= phase
+    i_sig, q_sig = v_det.real, v_det.imag
     if cfg.noise_rms > 0:
-        i_sig = i_sig + cfg.noise_rms * rng.standard_normal(t.size)
-        q_sig = q_sig + cfg.noise_rms * rng.standard_normal(t.size)
+        i_sig = rng.standard_normal(t.size)
+        i_sig *= cfg.noise_rms
+        i_sig += v_det.real
+        q_sig = rng.standard_normal(t.size)
+        q_sig *= cfg.noise_rms
+        q_sig += v_det.imag
     env = np.hypot(i_sig, q_sig)
     return LinkRun(
         time=t,
@@ -222,7 +262,8 @@ def eye_diagram(run: LinkRun, cfg: LinkConfig) -> EyeDiagram:
     Levels are read at the conventional sampling instant, the center of
     each unit interval; the eye opening is min(high) - max(low) there
     (floored at zero) and the extinction ratio is mean high / mean low,
-    capped at EXTINCTION_CAP when the low level is zero.
+    capped at EXTINCTION_CAP when the low level is zero. A mean level
+    that overflows raises OverflowError.
     """
     spb = cfg.samples_per_bit
     bits = np.asarray(cfg.bits)
@@ -239,8 +280,12 @@ def eye_diagram(run: LinkRun, cfg: LinkConfig) -> EyeDiagram:
     highs = np.where(rising, after, before)
     lows = np.where(rising, before, after)
     opening = max(0.0, float(np.min(highs) - np.max(lows)))
-    mean_low = float(np.mean(lows))
-    mean_high = float(np.mean(highs))
+    with np.errstate(over="ignore"):
+        mean_low = float(np.mean(lows))
+        mean_high = float(np.mean(highs))
+    for name, level in (("low", mean_low), ("high", mean_high)):
+        if not math.isfinite(level):
+            raise OverflowError(f"eye mean {name} level is {level!r}")
     if mean_low <= mean_high / EXTINCTION_CAP:
         extinction = EXTINCTION_CAP
     else:
@@ -308,20 +353,31 @@ def harmonic_spectrum(cfg: LinkConfig, f0: float, n_periods: int = 64,
     if n_periods < 2:
         raise ParameterError(f"n_periods must be >= 2 (got {n_periods!r})")
     # warm up until the ring-up transient has decayed, then transform an
-    # exact integer number of steady-state periods (leakage-free bins)
-    warmup = int(math.ceil(8.0 * f0 / (math.pi * cfg.gamma_m))) + 1
-    spb = max(8.0, cfg.samples_per_bit * (cfg.rate / (2.0 * f0)))
+    # exact integer number of steady-state periods (leakage-free bins);
+    # np.ceil keeps a vanishing or huge f0 an inf count, which the budget
+    # rejects before anything is allocated
+    warmup = np.ceil(8.0 * f0 / (math.pi * cfg.gamma_m)) + 1
+    spb = np.ceil(max(8.0, cfg.samples_per_bit * (cfg.rate / (2.0 * f0))))
+    samples = 2.0 * (warmup + n_periods) * spb
+    if not samples <= HARMONIC_MAX_SAMPLES:
+        raise ParameterError(
+            f"f0 = {f0!r} Hz and n_periods = {n_periods!r} need {samples:.3g} "
+            f"samples, over the budget of {HARMONIC_MAX_SAMPLES}")
+    warmup, spb = int(warmup), int(spb)
     square = replace(cfg, bits=(1, 0) * (warmup + n_periods), rate=2.0 * f0,
-                     samples_per_bit=math.ceil(spb) if spb < math.inf else spb)
+                     samples_per_bit=spb)
     run = run_link(square, seed=seed)
-    n = 2 * n_periods * square.samples_per_bit
+    # demodulate to baseband with the conjugate carrier: offsets are
+    # relative to the carrier
+    z = run.i_trace.y + 1j * run.q_trace.y
+    rows = z[1:].reshape(-1, spb)
+    phase, within = _carrier(square)
+    rows *= within.conj()
+    rows *= phase.conj()
+    n = 2 * n_periods * spb
+    start = 2 * warmup * spb
     dt = 1.0 / square.sample_rate
-    sl = slice(2 * warmup * square.samples_per_bit,
-               2 * warmup * square.samples_per_bit + n)
-    # demodulate to baseband: offsets are relative to the carrier
-    v = (run.i_trace.y[sl] + 1j * run.q_trace.y[sl]) \
-        * np.exp(-1j * 2 * np.pi * cfg.f_if * run.time[sl])
-    spec = np.fft.fft(v) / n
+    spec = np.fft.fft(z[start:start + n]) / n
     psd = (np.abs(spec) ** 2) * n * dt
     freqs = np.fft.fftfreq(n, dt)
     order = np.argsort(freqs)

@@ -387,10 +387,19 @@ def _overflow_text():
      "C_om = inf >= 1 under blue detuning"),
     (["efficiency", "--device", "{f_m_1e200}", "--power", "-7.9dbm"],
      f"numeric overflow ({_overflow_text()})"),
-], ids=["efficiency_n_c", "sweep_n_c", "sweep_n_c_blue", "efficiency_f_m"])
+    # the link's samples are finite, but the eye's mean high level and
+    # then the ring fits' sums of squares overflow
+    (["link", "--bits", "0101", "--rate", "1e6", "--gamma-m", "7.9e6",
+      "--v0", "1e308", "--f-if", "0", "--out-prefix", "{out}"],
+     "numeric overflow (eye mean high level is inf)"),
+    (["link", "--bits", "0101", "--rate", "1e6", "--gamma-m", "7.9e6",
+      "--v0", "1e200", "--f-if", "0", "--out-prefix", "{out}"],
+     "numeric overflow (residual sum of squares at the start is inf)"),
+], ids=["efficiency_n_c", "sweep_n_c", "sweep_n_c_blue", "efficiency_f_m",
+        "link_eye", "link_ring_fit"])
 def test_chain_overflow_exits_2(argv, error, tmp_path, capsys):
-    # finite inputs whose chain outputs overflow: a named error, no inf or
-    # nan on stdout, no CSV and no RuntimeWarning
+    # finite inputs whose outputs overflow: a named error, no inf or nan
+    # on stdout, no CSV and no RuntimeWarning
     big = tmp_path / "big_f_m.cfg"
     big.write_text(re.sub(r"(?m)^f_m_hz = .*$", "f_m_hz = 1e200",
                           Path(MEASURED).read_text()))
@@ -398,7 +407,7 @@ def test_chain_overflow_exits_2(argv, error, tmp_path, capsys):
     argv = [a.format(out=out, f_m_1e200=big) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert not out.exists()
+    assert not list(tmp_path.glob("never*"))
 
 
 def test_fit_with_more_parameters_than_points_exits_2(tmp_path, capsys):
@@ -491,6 +500,13 @@ LINK_CSV_SHA256 = {
     "iq": "57930707f1dfb9d219b0563f0218e95b7151ed6984f3ee29e0661940946dde63",
     "eye": "fe89b5fa2e94b94bcb6310b92c54f34935dd21725f3fb7cf6336aa8d709bc064",
 }
+# the same run with the thermal drive, recorded while every bit's row was
+# scanned; only the 1-bits' rows are scanned now
+THERMAL_LINK_CSV_SHA256 = {
+    "envelope": "e1abef224ff96e47827660338bdb5eb1ed52bfd2d0fff3c34b4e6dfc6c8c9eda",
+    "iq": "8720a2dc3f9b4b3207c4b9f898b537153fc708ad8cfd39dcfff4f22ad202cf86",
+    "eye": "f817147ec366b58ef0834280af903af5da536965b9904b4502cf68817104ca76",
+}
 # the same run through the per-sample loop the closed form replaced
 LOOP_LINK_CSV_SHA256 = {
     "envelope": "e3a72679659bf492b012f1e3f3d5c42d86ebc76ec79237a936e4a5a494d34dc8",
@@ -499,14 +515,16 @@ LOOP_LINK_CSV_SHA256 = {
 }
 
 # the run at the default sampling rule (158 samples per bit here) and the
-# default f_if = 50 MHz, recorded before LinkConfig derived the rule
+# default f_if = 50 MHz, recorded with the factored carrier: its phases are
+# reduced modulo one cycle, so the last digits of I and Q differ from a
+# carrier evaluated at 2*pi*f_if*t
 DEFAULT_SAMPLING_ARGS = ["--seed", "7", "link", "--bits", "0110100111",
                          "--rate", "1e6", "--gamma-m", "7.9e6",
                          "--noise-rms", "0.05"]
 DEFAULT_SAMPLING_CSV_SHA256 = {
-    "envelope": "dbc11d0b13287ebe62e9326afffa55b684bc4d2aa737aec4143fe76894848b51",
-    "iq": "c7f7d3f96374a58edc88b74e3971163da16aeae4f757cbc07a12b67d1cd4ae03",
-    "eye": "b944376237894bd0abfe7d59c1d747fa7bdaa854808c6ca925da1362410c81ac",
+    "envelope": "f974ef4330f1c7caf8e0954c4292e240680b4079936b15c62993d35c0d81c3f0",
+    "iq": "5780f44e219074cdcf3e6b500ecdf99f943c125d33d390128eceb9b868b2576a",
+    "eye": "4c0c578ca2abac8ccf478fa6cb9824a8c6f85c8e677ce419cf33b859494e9e9f",
 }
 
 
@@ -519,6 +537,12 @@ def link_csv_digests(tmp_path, tag, args=PIN_ARGS):
 
 def test_link_csv_bytes_are_pinned(tmp_path):
     assert link_csv_digests(tmp_path, "pin") == LINK_CSV_SHA256
+
+
+def test_thermal_link_csv_bytes_are_pinned(tmp_path):
+    assert link_csv_digests(tmp_path, "thermal",
+                            PIN_ARGS + ["--drive-mode", "thermal"]) == \
+        THERMAL_LINK_CSV_SHA256
 
 
 def test_link_csv_bytes_at_default_sampling_are_pinned(tmp_path):

@@ -467,3 +467,13 @@ def test_rejected_steps_build_no_jacobian(runs):
     (run,) = runs
     assert run["jac"] == fit.n_iter + 1
     assert run["model"] > run["jac"]
+
+
+def test_fit_whose_start_overflows_raises_overflow_error():
+    # finite data whose residual sum of squares overflows: a named error
+    # and no RuntimeWarning, where the fit ran on with inf costs
+    f = np.linspace(4.2e9, 4.45e9, 2001)
+    y = 1e200 * (1.0 + 3.0 / (1.0 + ((f - 4.3e9) / 1e7) ** 2))
+    with pytest.raises(OverflowError) as err:
+        fit_lorentzian_multi(Trace(f, y), 1)
+    assert str(err.value) == "residual sum of squares at the start is inf"

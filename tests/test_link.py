@@ -6,6 +6,7 @@ import pytest
 from transducersim import (LinkConfig, ParameterError, SamplingError, Trace,
                            eye_diagram, fit_ring, harmonic_spectrum,
                            link_metrics, parse_bits, run_link)
+from transducersim import link
 from transducersim.link import EXTINCTION_CAP, ring_segments
 
 from conftest import (reference_beta, reference_drive, reference_eye,
@@ -100,6 +101,10 @@ ORACLE_CASES = {
     "one_bit": dict(bits=(1,), rate=1e6, gamma_m=7.9e6, samples_per_bit=160),
     "all_zero": dict(bits=(0,) * 8, rate=1e6, gamma_m=7.9e6,
                      samples_per_bit=160),
+    "all_one": dict(bits=(1,) * 8, rate=1e6, gamma_m=7.9e6,
+                    samples_per_bit=160),
+    "alternating": dict(bits=(0, 1) * 8, rate=1e6, gamma_m=7.9e6,
+                        samples_per_bit=160),
 }
 
 
@@ -116,6 +121,25 @@ def test_closed_form_matches_per_sample_loop(case, f_if, mode):
     assert np.max(np.abs(run.beta - ref)) <= 1e-13 * cfg.v0
     if case == "all_zero":
         assert not np.any(run.beta)
+
+
+@pytest.mark.parametrize("mode", ["coherent", "thermal"])
+@pytest.mark.parametrize("f_if,cycles,samples", [(50e6, 25, 79),
+                                                 (12.5e6, 25, 316)])
+def test_carrier_phase_is_exact_at_a_rational_if(f_if, cycles, samples, mode):
+    # default sampling: 158 samples per bit at 1 Mbit/s, so f_if*dt is
+    # cycles/samples and sample n of the carrier is exactly
+    # exp(2*pi*i*(cycles*n mod samples)/samples); exp(2*pi*i*f_if*t) loses
+    # ~2e-10 over 2000 bits. At 12.5 MHz a bit holds 12.5 cycles.
+    bits = tuple(np.random.default_rng(3).integers(0, 2, 2000).tolist())
+    cfg = LinkConfig(bits=bits, rate=1e6, gamma_m=7.9e6, f_if=f_if, v0=2.5,
+                     drive_mode=mode)
+    assert cfg.samples_per_bit == 158
+    run = run_link(cfg, seed=2)
+    n = np.arange(run.time.size)
+    carrier = np.exp(2j * np.pi * (cycles * n % samples) / samples)
+    v_det = run.i_trace.y + 1j * run.q_trace.y
+    assert np.max(np.abs(v_det - run.beta * carrier)) <= 1e-12 * cfg.v0
 
 
 @pytest.mark.parametrize("mode", ["coherent", "thermal"])
@@ -388,6 +412,18 @@ def test_harmonic_spectrum_odd_harmonics_only():
         assert harmonic_power(spec, f0, k) > 1e3 * p2
 
 
+@pytest.mark.parametrize("f_if", [50e6, 12.3e6])
+def test_harmonic_spectrum_removes_the_carrier(f_if):
+    # the conjugate carrier undoes the run's carrier, so the spectrum is
+    # the baseband one; at 12.3 MHz the phase steps 0.3 cycle per bit
+    cfg = LinkConfig(bits=(1, 0), rate=1e6, gamma_m=7.9e6, f_if=f_if,
+                     samples_per_bit=160)
+    spec = harmonic_spectrum(cfg, 0.5e6)
+    base = harmonic_spectrum(LinkConfig(bits=(1, 0), rate=1e6, gamma_m=7.9e6,
+                                        f_if=0.0, samples_per_bit=160), 0.5e6)
+    assert np.max(np.abs(spec.y - base.y)) <= 1e-12 * np.max(base.y)
+
+
 def test_harmonic_spectrum_keeps_the_callers_sample_rate():
     # cfg samples at 3.2e9 Hz; its 32 samples per bit at the square wave's
     # 1e6 bit/s would be 3.2e7 Hz < 20 * gamma_m, a SamplingError
@@ -411,3 +447,31 @@ def test_harmonic_fundamental_rolls_off_past_the_linewidth():
     expected = chi_sq(20 * gamma, gamma) / chi_sq(40 * gamma, gamma)
     assert relerr(measured, expected) < 0.2
     assert 3.0 < measured < 5.0               # ~1/f^2 rolloff => factor ~4
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("f0,n_periods,samples", [
+    (1.0, 64, "8.45e+09"),              # 6.4e7 samples per bit
+    (0.5e6, 65535, "1.68e+07"),         # one period past the budget
+    (5e-324, 64, "inf"),                # samples per bit overflow
+    (1e300, 64, "8.15e+294"),           # 5.1e293 warm-up periods
+])
+def test_harmonic_spectrum_rejects_runs_over_its_budget(f0, n_periods, samples,
+                                                        monkeypatch):
+    # the guard must act before run_link allocates anything
+    def reached(*args, **kwargs):
+        raise _Reached
+    monkeypatch.setattr(link, "run_link", reached)
+    cfg = LinkConfig(bits=(1, 0), rate=1e6, gamma_m=5e6,
+                     samples_per_bit=128)
+    with pytest.raises(ParameterError) as err:
+        harmonic_spectrum(cfg, f0, n_periods)
+    assert str(err.value) == (
+        f"f0 = {f0!r} Hz and n_periods = {n_periods} need {samples} "
+        f"samples, over the budget of {link.HARMONIC_MAX_SAMPLES}")
+    # 2 * (2 warm-up + 65534) periods * 128 samples is the budget exactly
+    with pytest.raises(_Reached):
+        harmonic_spectrum(cfg, 0.5e6, 65534)
