@@ -27,13 +27,12 @@ from .swap import rabi_swap_sim, swap_feasibility
 from .sweep import SweepSpec, evaluate, run_sweep
 
 
-def _print_kv(pairs, stream=None):
-    stream = stream or sys.stdout
+def _print_kv(pairs):
     for name, value in pairs:
         if isinstance(value, float):
-            print(f"{name} = {value:.10g}", file=stream)
+            print(f"{name} = {value:.10g}")
         else:
-            print(f"{name} = {value}", file=stream)
+            print(f"{name} = {value}")
 
 
 def _pump_from_args(args, bundle):

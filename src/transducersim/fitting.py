@@ -28,12 +28,13 @@ class FitResult:
 
     converged=False means the params are best-effort and flagged; notes
     carry warnings such as branch ambiguity or unidentifiable segments.
-    cov is the covariance matrix of the fitted parameter vector, with
-    rows/columns named by param_order.
+    cov is the solver's covariance carried to param_order, whose names
+    all key params, as G cov G^T (_propagate); stderr is always
+    sqrt|diag cov| by name ({} if cov is None). At y = sqrt(c x) = 0, dy/dx
+    is the secant slope sqrt(c / se_x), 0 if se_x = 0: se_y = sqrt(c se_x).
     """
 
     params: dict
-    stderr: dict
     residual_norm: float
     converged: bool
     n_iter: int = 0
@@ -41,10 +42,10 @@ class FitResult:
     cov: np.ndarray | None = None
     param_order: tuple = ()
 
-    def __post_init__(self):
-        for name, se in self.stderr.items():
-            if np.isfinite(se) and se < 0:
-                raise ParameterError(f"negative standard error for {name}")
+    @property
+    def stderr(self) -> dict:
+        return {} if self.cov is None else dict(
+            zip(self.param_order, np.sqrt(np.abs(np.diag(self.cov)))))
 
 
 def _least_squares_result(names, p, J, r, converged, n_iter) -> FitResult:
@@ -52,7 +53,7 @@ def _least_squares_result(names, p, J, r, converged, n_iter) -> FitResult:
 
     The one rule for fit uncertainties: cov = s2 * pinv(J^T J) with
     s2 = |r|^2 / max(m - n, 1) for m residuals and n parameters (inf if
-    pinv fails), stderr = sqrt|diag cov|, residual_norm the rms of r.
+    pinv fails), residual_norm the rms of r.
     """
     m, n = J.shape
     cost = float(r @ r)
@@ -60,11 +61,21 @@ def _least_squares_result(names, p, J, r, converged, n_iter) -> FitResult:
         cov = cost / max(m - n, 1) * np.linalg.pinv(J.T @ J)
     except np.linalg.LinAlgError:
         cov = np.full((n, n), np.inf)
-    se = np.sqrt(np.abs(np.diag(cov)))
-    return FitResult(dict(zip(names, p)), dict(zip(names, se)),
-                     math.sqrt(cost / m), converged, n_iter,
-                     () if converged else ("non-convergence",), cov=cov,
-                     param_order=tuple(names))
+    return FitResult(dict(zip(names, p)), math.sqrt(cost / m), converged,
+                     n_iter, () if converged else ("non-convergence",),
+                     cov=cov, param_order=tuple(names))
+
+
+def _propagate(fit, params, rows, **changes) -> FitResult:
+    """fit with params, and cov = G cov G^T for the gradient rows G of rows."""
+    G = np.array(list(rows.values()), dtype=float)
+    return replace(fit, params=params, cov=G @ fit.cov @ G.T,
+                   param_order=tuple(rows), **changes)
+
+
+def _sqrt_slope(y, c, se_x):
+    """dy/dx of y = sqrt(c x); at y = 0 the secant slope (FitResult)."""
+    return c / (2.0 * y) if y > 0 else math.sqrt(c / se_x) if se_x > 0 else 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -190,32 +201,27 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
     d = math.sqrt(max(e, 0.0))
     if not fit.converged:
         return replace(fit, params={"f_o": f_o, "kappa_o": kappa, "depth": d},
-                       stderr={}, cov=None, param_order=())
-    se_fo, se_kappa, se_e = fit.stderr.values()
-    se_d = se_e / (2.0 * d) if d > 0 else math.sqrt(se_e)
+                       cov=None, param_order=())
+    dd = _sqrt_slope(d, 1.0, fit.stderr["depth_sq"])     # d(depth)/d(depth_sq)
     params = {"f_o": f_o, "kappa_o": kappa, "depth": d,
               "kappa_oe_under": kappa * (1.0 - d) / 2.0,
               "kappa_oe_over": kappa * (1.0 + d) / 2.0}
-    stderr = {"f_o": se_fo, "kappa_o": se_kappa, "depth": se_d}
-    sub = fit.cov[1:, 1:]
-    de_coeff = 1.0 / (2.0 * d) if d > 0 else 0.0   # d(kappa_oe)/de = -/+ kappa/(4 d)
-    for name, grad in (("kappa_oe_under",
-                        np.array([(1 - d) / 2, -kappa / 2 * de_coeff])),
-                       ("kappa_oe_over",
-                        np.array([(1 + d) / 2, kappa / 2 * de_coeff]))):
-        stderr[name] = math.sqrt(max(float(grad @ sub @ grad), 0.0))
+    rows = {"f_o": (1, 0, 0), "kappa_o": (0, 1, 0), "depth": (0, 0, dd),
+            "kappa_oe_under": (0, (1 - d) / 2, -kappa / 2 * dd),
+            "kappa_oe_over": (0, (1 + d) / 2, kappa / 2 * dd)}
     notes = []
     if branch is not None:
         if branch not in ("under", "over"):
             raise ParameterError(f"branch must be 'under' or 'over' (got {branch!r})")
         params["kappa_oe"] = params[f"kappa_oe_{branch}"]
         params["kappa_oi"] = kappa - params["kappa_oe"]
-        stderr["kappa_oe"] = stderr[f"kappa_oe_{branch}"]
+        rows["kappa_oe"] = rows[f"kappa_oe_{branch}"]
     else:
         notes.append("coupling branch not selected; see kappa_oe_under/over")
-    if d < 2.0 * se_d:
+    fit = _propagate(fit, params, rows)
+    if d < 2.0 * fit.stderr["depth"]:
         notes.append("dip depth consistent with critical coupling")
-    return replace(fit, params=params, stderr=stderr, notes=tuple(notes))
+    return replace(fit, notes=tuple(notes))
 
 
 # ---------------------------------------------------------- sideband detuning
@@ -230,8 +236,7 @@ def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
     under detuning -> -detuning fixes the sign. Both candidate signs are
     tried and the better fit wins.
     """
-    if trace_mag.x.size != trace_phase.x.size or \
-            not np.allclose(trace_mag.x, trace_phase.x):
+    if not np.array_equal(trace_mag.x, trace_phase.x):
         raise ParameterError("magnitude and phase traces must share one axis")
     f = trace_mag.x
     z = trace_mag.y * np.exp(1j * trace_phase.y)
@@ -269,8 +274,8 @@ def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
     notes = ()
     if float(f[-1] - f[0]) < kappa_o:
         notes = ("sweep span below kappa_o; phase wrap may bias the sign",)
-    return replace(fit, stderr={"detuning": fit.stderr["detuning"]},
-                   notes=notes + fit.notes)
+    return _propagate(fit, fit.params, {"detuning": (1, 0, 0)},
+                      notes=notes + fit.notes)
 
 
 # ------------------------------------------------- linewidth vs photon number
@@ -307,7 +312,7 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
     fit = _least_squares_result(("slope", "intercept"), coef, X, X @ coef - b,
                                 converged=True, n_iter=1)
     slope, intercept = float(coef[0]), float(coef[1])
-    se_slope, se_int = fit.stderr.values()
+    se_slope = fit.stderr["slope"]
 
     expected = -1.0 if sign == "blue" else 1.0
     signed = expected * slope          # positive when consistent with `sign`
@@ -323,15 +328,14 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
             f"(slope = {slope:.4g} +/- {se_slope:.2g} Hz per photon)")
     if signed <= 0:
         g_om = 0.0
-        se_g = math.sqrt(se_slope * kappa_o / 4.0)
         notes.append("slope consistent with zero; g_om set to 0")
     else:
         g_om = math.sqrt(signed * kappa_o / 4.0)
-        se_g = kappa_o * se_slope / (8.0 * g_om)
-    return replace(fit, params={"g_om": g_om, "gamma_mi": intercept,
-                                "slope": slope, "intercept": intercept},
-                   stderr={"g_om": se_g, "gamma_mi": se_int, "slope": se_slope},
-                   notes=tuple(notes))
+    dg = expected * _sqrt_slope(g_om, kappa_o / 4.0, se_slope)
+    return _propagate(fit, {"g_om": g_om, "gamma_mi": intercept,
+                            "slope": slope, "intercept": intercept},
+                      {"g_om": (dg, 0), "gamma_mi": (0, 1), "slope": (1, 0)},
+                      notes=tuple(notes))
 
 
 # ---------------------------------------------------------- multi-Lorentzian
@@ -425,17 +429,12 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     perm = [3 * k + i for k in order for i in range(3)] \
         + list(range(3 * n_peaks, len(names)))
 
-    def by_frequency(values):
-        out = {name: values[names[i]] for name, i in zip(names, perm)}
-        if n_bg == 2:
-            out["bg1"] = out["bg1"] / span   # per x-unit
-        return out
-    cov = fit.cov[np.ix_(perm, perm)]
-    if n_bg == 2:       # the bg1 row and column per x-unit too
-        cov[-1] /= span
-        cov[:, -1] /= span
-    return replace(fit, params=by_frequency(fit.params),
-                   stderr=by_frequency(fit.stderr), cov=cov)
+    params = {name: fit.params[names[i]] for name, i in zip(names, perm)}
+    rows = dict(zip(names, np.eye(len(names))[perm]))
+    if n_bg == 2:       # bg1 per x-unit
+        params["bg1"] = params["bg1"] / span
+        rows["bg1"] = rows["bg1"] / span
+    return _propagate(fit, params, rows)
 
 
 # ------------------------------------------------- ring-up / ring-down edges
@@ -451,14 +450,17 @@ def fit_ring(segment: Trace, kind: str) -> FitResult:
     if kind not in ("ringup", "ringdown"):
         raise ParameterError(f"kind must be 'ringup' or 'ringdown' (got {kind!r})")
     t = segment.x - segment.x[0]
-    y = segment.y
     if t.size < 6:
         raise FitError("segment too short to fit")
     name = "v_i" if kind == "ringdown" else "v_f"
-    y_max = float(np.max(np.abs(y)))
+    # the fit runs on y / 2**k, with k > 0 only from y = 2**500 up, so its
+    # sums of squares stay finite; v and the residual scale back by 2**k
+    y_max = float(np.max(np.abs(segment.y)))
+    scale = 2.0 ** max(math.frexp(y_max)[1] - 500, 0)
+    y, y_max = segment.y / scale, y_max / scale
     if y_max <= 0 or float(np.ptp(y)) < 1e-9 * y_max:
-        return FitResult({"gamma_m": 0.0, name: float(np.mean(y))}, {}, 0.0,
-                         False, 0, ("unidentifiable: constant segment",))
+        return FitResult({"gamma_m": 0.0, name: float(np.mean(y)) * scale},
+                         0.0, False, 0, ("unidentifiable: constant segment",))
 
     t_char = float(t[-1]) / 3.0
     if kind == "ringdown":
@@ -467,8 +469,7 @@ def fit_ring(segment: Trace, kind: str) -> FitResult:
         t_e = float(t[below[0]]) if below.size and below[0] > 0 else t_char
         slope = -math.pi       # d(shape)/d(gamma_m) = slope * t * e
     else:
-        with np.errstate(over="ignore"):    # inf fails the start's cost
-            v0 = float(np.mean(y[-max(3, t.size // 10):]))
+        v0 = float(np.mean(y[-max(3, t.size // 10):]))
         if v0 <= 0:
             v0 = y_max
         above = np.nonzero(y >= v0 * (1.0 - 1.0 / math.e))[0]
@@ -484,6 +485,9 @@ def fit_ring(segment: Trace, kind: str) -> FitResult:
     fit = _gauss_newton(model, [v0, 1.0 / (math.pi * t_e)], (name, "gamma_m"),
                         valid=lambda q: q[1] > 0)
     if fit.residual_norm > 0.15 * y_max:
-        return replace(fit, converged=False,
-                       notes=("poor-fit: residual large; check segment kind",))
-    return fit
+        fit = replace(fit, converged=False,
+                      notes=("poor-fit: residual large; check segment kind",))
+    v, gamma_m = fit.params.values()
+    return _propagate(fit, {name: v * scale, "gamma_m": gamma_m},
+                      {name: (scale, 0), "gamma_m": (0, 1)},
+                      residual_norm=fit.residual_norm * scale)

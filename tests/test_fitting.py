@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,6 +126,16 @@ def test_phase_detuning_sign_flip_mirrors(dev):
     assert relerr(fit_n.params["detuning"], -4.32e9) < 0.01
 
 
+def test_phase_detuning_needs_one_axis(dev):
+    # one 30 kHz sample off at 4.3 GHz is within np.allclose's default rtol
+    f = np.linspace(4.0e9, 4.6e9, 20001)
+    z = 2 * np.pi * KAPPA_OE * mech_susceptibility(f, 4.32e9, KAPPA_O)
+    with pytest.raises(ParameterError, match="^magnitude and phase traces "
+                       "must share one axis$"):
+        fit_phase_detuning(Trace(f, np.abs(z)),
+                           Trace(f + (f[1] - f[0]), np.angle(z)), dev)
+
+
 def test_phase_detuning_narrow_span_flagged(dev):
     f = np.linspace(4.32e9 - 0.3 * KAPPA_O, 4.32e9 + 0.3 * KAPPA_O, 301)
     z = 2 * np.pi * KAPPA_OE * mech_susceptibility(f, 4.32e9, KAPPA_O)
@@ -174,19 +185,22 @@ def test_linewidth_sign_mismatch():
 
 
 def test_linewidth_uncertainties_follow_the_least_squares_rule():
-    # cov = |r|^2 / (m - 2) (X^T X)^-1 and rms sqrt(|r|^2 / m), computed
-    # here from the weighted design rather than taken from the fitter
+    # cov = |r|^2 / (m - 2) (X^T X)^-1 on the (slope, gamma_mi) rows and rms
+    # sqrt(|r|^2 / m), computed here from the weighted design rather than
+    # taken from the fitter
     pts = linewidth_points(noise=0.02, seed=6)
     sw = np.sqrt(np.linspace(0.5, 2.0, len(pts)))
     fit = fit_linewidth_vs_photons(pts, "blue", KAPPA_O, weights=sw ** 2)
     X = np.column_stack([pts[:, 0], np.ones(len(pts))]) * sw[:, None]
     r = X @ [fit.params["slope"], fit.params["intercept"]] - pts[:, 1] * sw
     cost, m = float(r @ r), len(pts)
-    assert fit.param_order == ("slope", "intercept")
+    assert fit.param_order == ("g_om", "gamma_mi", "slope")
     assert fit.residual_norm == pytest.approx(math.sqrt(cost / m), rel=1e-9)
-    np.testing.assert_allclose(fit.cov, cost / (m - 2) * np.linalg.inv(X.T @ X),
+    rows = [fit.param_order.index(name) for name in ("slope", "gamma_mi")]
+    np.testing.assert_allclose(fit.cov[np.ix_(rows, rows)],
+                               cost / (m - 2) * np.linalg.inv(X.T @ X),
                                rtol=1e-6)
-    assert fit.stderr["slope"] == pytest.approx(math.sqrt(fit.cov[0, 0]))
+    assert fit.stderr["slope"] == pytest.approx(math.sqrt(fit.cov[2, 2]))
     assert fit.stderr["gamma_mi"] == pytest.approx(math.sqrt(fit.cov[1, 1]))
 
 
@@ -236,7 +250,7 @@ def test_lorentzian_background_only():
     assert relerr(fit.residual_norm, 0.05) < 0.15
 
 
-def test_lorentzian_linear_background():
+def test_lorentzian_linear_background(solved):
     true = (4.32e9, 8.4e6, 5e9)
     tr = lorentz_trace([true], noise=0.005, seed=10, slope=2e-8)
     fit = fit_lorentzian_multi(tr, 1, background="linear")
@@ -244,10 +258,12 @@ def test_lorentzian_linear_background():
     assert relerr(fit.params["area_1"], true[2]) < 0.02
     assert relerr(fit.params["bg1"], 2e-8) < 0.1
     # cov is in the units of params: bg1 per x-unit, not per span
-    se = dict(zip(fit.param_order, np.sqrt(np.diag(fit.cov))))
-    assert se.keys() == fit.stderr.keys()
-    for name, value in se.items():
-        assert value == pytest.approx(fit.stderr[name], rel=1e-12)
+    span = tr.x[-1] - tr.x[0]
+    assert fit.param_order[-1] == "bg1"
+    assert fit.cov[-1, -1] == pytest.approx(solved[-1].cov[-1, -1] / span ** 2,
+                                            rel=1e-12)
+    assert fit.cov[-1, :-1] == pytest.approx(solved[-1].cov[-1, :-1] / span,
+                                             rel=1e-12)
 
 
 def test_lorentzian_reference_background():
@@ -459,6 +475,23 @@ def test_gauss_newton_uncertainties_follow_the_least_squares_rule(name, dev,
     assert list(fit.stderr.values()) == list(np.sqrt(np.diag(fit.cov)))
 
 
+@pytest.mark.parametrize("kind", ["ringup", "ringdown"])
+def test_ring_fit_of_a_huge_segment_scales_back(kind):
+    # 2**600 times the segment is fit at 2**499: its sums of squares would
+    # overflow at 2**600, and v and the rms scale back by 2**101
+    tr = ring_up_trace() if kind == "ringup" else ring_down_trace()
+    fit = fit_ring(tr, kind)
+    big = fit_ring(Trace(tr.x, tr.y * 2.0 ** 600, "s", "v"), kind)
+    assert big.converged and big.n_iter == fit.n_iter
+    assert big.params["gamma_m"] == pytest.approx(fit.params["gamma_m"],
+                                                  rel=1e-12)
+    name = "v_f" if kind == "ringup" else "v_i"
+    assert big.params[name] == pytest.approx(fit.params[name] * 2.0 ** 600,
+                                             rel=1e-12)
+    assert big.residual_norm == pytest.approx(fit.residual_norm * 2.0 ** 600,
+                                              rel=1e-12)
+
+
 def test_rejected_steps_build_no_jacobian(runs):
     # this trace's fit rejects 3 of its 8 trial steps
     fit = fit_lorentzian_multi(lorentz_trace([(4.32e9, 8.4e6, 5e9)], noise=0.01,
@@ -477,3 +510,155 @@ def test_fit_whose_start_overflows_raises_overflow_error():
     with pytest.raises(OverflowError) as err:
         fit_lorentzian_multi(Trace(f, y), 1)
     assert str(err.value) == "residual sum of squares at the start is inf"
+
+
+# ------------------------------------------------- errors from one covariance
+
+def red_points():
+    pts = linewidth_points(noise=0.02, seed=6)
+    pts[:, 1] = 2 * 8.4e6 - pts[:, 1]       # broadening: red-detuned
+    return pts
+
+
+def constant_segment():
+    t = np.linspace(0.0, 1e-6, 100)
+    return Trace(t, np.full(t.size, 2.0), "s", "v")
+
+
+# every fitter and result kind; the dip stopped short runs one iteration
+ALL_FITS = {
+    **{f"dip_{branch}": (lambda dev, branch=branch: fit_optical_dip(
+        dip_trace(noise=0.01, seed=1), branch=branch))
+       for branch in ("under", "over", None)},
+    "dip_stopped_short": lambda dev: fit_optical_dip(dip_trace(noise=0.01,
+                                                               seed=1)),
+    "phase": FITS["phase"],
+    "linewidth_blue": lambda dev: fit_linewidth_vs_photons(
+        linewidth_points(noise=0.02, seed=6), "blue", KAPPA_O),
+    "linewidth_red": lambda dev: fit_linewidth_vs_photons(red_points(), "red",
+                                                          KAPPA_O),
+    "linewidth_weighted": lambda dev: fit_linewidth_vs_photons(
+        linewidth_points(noise=0.02, seed=6), "blue", KAPPA_O,
+        weights=np.linspace(0.5, 2.0, 12)),
+    "linewidth_zero_slope": lambda dev: fit_linewidth_vs_photons(
+        [[1e4, 8.40e6], [5e4, 8.38e6], [1e5, 8.45e6]], "blue", KAPPA_O),
+    **{f"lorentzian_{n}_{bg}": (
+        lambda dev, n=n, bg=bg: fit_lorentzian_multi(
+            lorentz_peaks(n), n, bg if bg != "reference" else
+            Trace(lorentz_peaks(n).x, np.full(3001, 3.0))))
+       for n in (0, 1, 2, 3) for bg in ("constant", "linear", "reference")},
+    "ringup": FITS["ringup"],
+    "ringdown": FITS["ringdown"],
+    "ring_constant": lambda dev: fit_ring(constant_segment(), "ringdown"),
+}
+
+
+@pytest.mark.parametrize("name", ALL_FITS)
+def test_stderr_is_read_from_cov(name, dev, request):
+    if name == "dip_stopped_short":
+        request.getfixturevalue("one_iteration")
+    fit = ALL_FITS[name](dev)
+    expected = {} if fit.cov is None else \
+        dict(zip(fit.param_order, np.sqrt(np.abs(np.diag(fit.cov)))))
+    assert fit.stderr == expected
+    assert set(fit.param_order) <= set(fit.params)
+    if name.startswith(("dip_stopped", "ring_constant")):
+        assert fit.stderr == {} and fit.param_order == ()
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The solver's FitResult of each Gauss-Newton or linear fit."""
+    seen = []
+    for name in ("_gauss_newton", "_least_squares_result"):
+        def capture(*args, _solve=getattr(fitting, name), **kwargs):
+            seen.append(_solve(*args, **kwargs))
+            return seen[-1]
+        monkeypatch.setattr(fitting, name, capture)
+    return seen
+
+
+@pytest.mark.parametrize("branch", ["under", "over"])
+def test_dip_errors_are_propagated_from_the_solver_cov(branch, solved):
+    fit = fit_optical_dip(dip_trace(noise=0.01, seed=1), branch=branch)
+    solver = solved[-1]
+    assert solver.param_order == ("f_o", "kappa_o", "depth_sq")
+    _, kappa, e = solver.params.values()
+    d = math.sqrt(e)
+    grads = {"depth": [0, 0, 1 / (2 * d)],
+             "kappa_oe_under": [0, (1 - d) / 2, -kappa / (4 * d)],
+             "kappa_oe_over": [0, (1 + d) / 2, kappa / (4 * d)]}
+    grads["kappa_oe"] = grads[f"kappa_oe_{branch}"]
+    for name, g in grads.items():
+        g = np.array(g)
+        assert fit.stderr[name] ** 2 == pytest.approx(g @ solver.cov @ g,
+                                                      rel=1e-12), name
+    grads.update(f_o=[1, 0, 0], kappa_o=[0, 1, 0])
+    G = np.array([grads[name] for name in fit.param_order])
+    np.testing.assert_allclose(fit.cov, G @ solver.cov @ G.T, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sign", ["blue", "red"])
+def test_g_om_error_is_propagated_from_the_solver_cov(sign, solved):
+    pts = linewidth_points(noise=0.02, seed=6) if sign == "blue" \
+        else red_points()
+    fit = fit_linewidth_vs_photons(pts, sign, KAPPA_O)
+    (solver,) = solved
+    assert solver.param_order == ("slope", "intercept")
+    # g_om = sqrt(-/+ slope kappa_o / 4) for blue/red
+    g = np.array([(-1 if sign == "blue" else 1) * KAPPA_O
+                  / (8 * fit.params["g_om"]), 0.0])
+    assert fit.stderr["g_om"] ** 2 == pytest.approx(g @ solver.cov @ g,
+                                                    rel=1e-12)
+    G = np.array([g, [0.0, 1.0], [1.0, 0.0]])     # g_om, gamma_mi, slope
+    np.testing.assert_allclose(fit.cov, G @ solver.cov @ G.T, rtol=1e-12)
+
+
+def solver_returns(monkeypatch, values, cov):
+    """Every Gauss-Newton run returns values with covariance cov."""
+    def solve(model, p0, names, **kwargs):
+        return fitting.FitResult(dict(zip(names, values)), 0.0, True, 1,
+                                 cov=np.array(cov), param_order=tuple(names))
+    monkeypatch.setattr(fitting, "_gauss_newton", solve)
+
+
+def test_dip_at_zero_depth_takes_the_secant_slope(monkeypatch):
+    # d = sqrt(e) at e = 0: depth +/- sqrt(se_e), and kappa_oe_under/over
+    # carry the depth term kappa/2 * sqrt(se_e) too
+    kappa, var_k, cov_ke, var_e = 2.0, 9.0, 0.3, 0.0625
+    solver_returns(monkeypatch, [F_O, kappa, 0.0],
+                   [[4.0, 0, 0], [0, var_k, cov_ke], [0, cov_ke, var_e]])
+    fit = fit_optical_dip(dip_trace())
+    se_e = math.sqrt(var_e)
+    assert fit.params["depth"] == 0.0
+    assert fit.stderr["depth"] == math.sqrt(se_e)
+    dd = 1 / math.sqrt(se_e)          # the secant slope of depth over depth_sq
+    for name, sign in (("kappa_oe_under", -1), ("kappa_oe_over", 1)):
+        var = var_k / 4 + sign * kappa / 2 * dd * cov_ke \
+            + (kappa / 2 * dd) ** 2 * var_e
+        assert fit.stderr[name] ** 2 == pytest.approx(var, rel=1e-12)
+        # the rule that dropped the depth term at d = 0 gave sqrt(var_k) / 2
+        assert fit.stderr[name] != pytest.approx(math.sqrt(var_k) / 2)
+    # no spread in e: the secant slope is 0 and so is the depth error
+    solver_returns(monkeypatch, [F_O, kappa, 0.0],
+                   [[4.0, 0, 0], [0, var_k, 0], [0, 0, 0.0]])
+    fit = fit_optical_dip(dip_trace())
+    assert fit.stderr["depth"] == 0.0
+    assert fit.stderr["kappa_oe_under"] == math.sqrt(var_k) / 2
+
+
+def test_g_om_at_zero_slope_takes_the_secant_slope(monkeypatch):
+    fit = fit_linewidth_vs_photons([[1e4, 8.40e6], [5e4, 8.38e6],
+                                    [1e5, 8.45e6]], "blue", KAPPA_O)
+    assert fit.params["g_om"] == 0.0
+    assert fit.stderr["g_om"] == pytest.approx(
+        math.sqrt(fit.stderr["slope"] * KAPPA_O / 4), rel=1e-12)
+    # a slope with no spread: g_om +/- 0, not a ZeroDivisionError
+    solve = fitting._least_squares_result
+    monkeypatch.setattr(fitting, "_least_squares_result",
+                        lambda *args, **kwargs: replace(
+                            solve(*args, **kwargs), cov=np.zeros((2, 2))))
+    fit = fit_linewidth_vs_photons([[1e4, 8.4e6], [5e4, 8.4e6], [1e5, 8.4e6]],
+                                   "blue", KAPPA_O)
+    assert fit.params["g_om"] == 0.0
+    assert fit.stderr["g_om"] == 0.0
