@@ -9,12 +9,10 @@ invocations produce byte-identical output files. Exit codes: 0 success,
 import argparse
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import core
-from .core import PumpState
 from .deviceio import (load_device, parse_power, read_points, read_text,
                        read_trace, write_eye, write_table, write_trace)
 from .errors import FitError, TransducerError
@@ -24,7 +22,7 @@ from .link import (LinkConfig, eye_diagram, link_metrics, parse_bits, run_link)
 from .spectra import (driven_spectrum, lumped_mode, s_oe_spectrum,
                       thermal_spectrum)
 from .swap import rabi_swap_sim, swap_feasibility
-from .sweep import SweepSpec, evaluate, run_sweep
+from .sweep import SweepSpec, evaluate, override, run_sweep
 
 
 def _print_kv(pairs):
@@ -35,18 +33,12 @@ def _print_kv(pairs):
             print(f"{name} = {value}")
 
 
-def _pump_from_args(args, bundle):
-    """PumpState from --power/--n-c/--detuning, falling back to the file."""
-    pump = bundle.pump
-    sign = args.detuning or (pump.sign if pump is not None else "blue")
-    detuning = bundle.device.f_m if sign == "blue" else -bundle.device.f_m
-    power = parse_power(args.power) if args.power else None
-    if power is None and args.n_c is None:
-        if pump is None:
-            raise TransducerError(
-                "no pump defined: pass --power or --n-c, or add a [pump] section")
-        return PumpState(detuning=detuning, p_on_chip=pump.p_on_chip, n_c=pump.n_c)
-    return PumpState(detuning=detuning, p_on_chip=power, n_c=args.n_c)
+def _pumped(args, env):
+    """(bundle, env) of --device with --power, --n-c and --detuning applied."""
+    values = {} if args.n_c is None else {"pump.n_c": args.n_c}
+    if args.power:
+        values["pump.p_on_chip"] = parse_power(args.power)
+    return override(load_device(args.device), values, env, sign=args.detuning)
 
 
 def _default_grid(modes, args):
@@ -83,14 +75,12 @@ def _print_fit(result: FitResult) -> int:
 # ---------------------------------------------------------------- subcommands
 
 def cmd_efficiency(args) -> int:
-    bundle = load_device(args.device)
-    pump = _pump_from_args(args, bundle)
-    bundle = replace(bundle, pump=pump)
+    bundle, env = _pumped(args, {})
     q = evaluate(("n_c", "gamma_om", "gamma_tot", "c_om", "eta_o", "eta_em",
-                  "eta_tot"), bundle, {})
+                  "eta_tot"), bundle, env)
     _print_kv([
         ("device", str(args.device)),
-        ("detuning_sign", pump.sign),
+        ("detuning_sign", bundle.pump.sign),
         ("n_c", q["n_c"]),
         ("gamma_om_hz", q["gamma_om"]),
         ("gamma_tot_hz", q["gamma_tot"]),
@@ -104,13 +94,13 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    bundle = load_device(args.device)
+    if args.kind == "driven" and not args.power_mu:
+        raise TransducerError("spectrum driven needs --power-mu")
+    bundle, env = _pumped(args, {"temperature": args.temperature})
     dev = bundle.device
     modes = bundle.modes or (lumped_mode(dev),)
     grid = _default_grid(modes, args)
-    n_th = core.thermal_occupation(dev.f_m, args.temperature)
-    pump = _pump_from_args(args, bundle)
-    n_c = core.resolve_photon_number(dev, pump)
+    n_c, n_th = evaluate(("n_c", "n_th"), bundle, env).values()
     if args.kind == "thermal":
         trace = thermal_spectrum(dev, modes, n_c, n_th, grid)
     elif args.kind == "driven":
@@ -119,7 +109,7 @@ def cmd_spectrum(args) -> int:
         trace = driven_spectrum(dev, modes, n_c, n_th, drive_f, p_mu,
                                 args.rbw, grid)
     else:
-        trace = s_oe_spectrum(dev, modes, pump, grid)
+        trace = s_oe_spectrum(dev, modes, bundle.pump, grid)
     write_trace(trace, args.out)
     _print_kv([("kind", args.kind), ("points", len(trace)),
                ("n_c", n_c), ("n_th", n_th), ("out", args.out)])
@@ -183,8 +173,7 @@ def cmd_swap(args) -> int:
     if qubit is None:
         raise TransducerError("device file has no [qubit] section")
     if args.gamma_mi is not None:
-        bundle = replace(bundle, device=replace(bundle.device,
-                                                gamma_mi=args.gamma_mi))
+        bundle, _ = override(bundle, {"device.gamma_mi": args.gamma_mi}, {})
     report = swap_feasibility(bundle.device, qubit)
     outputs = []
     if args.rabi_out:

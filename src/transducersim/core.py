@@ -19,6 +19,9 @@ DetuningSign = Literal["blue", "red"]
 
 # tolerance for a PumpState that declares both power and photon number
 N_C_CONSISTENCY_TOL = 0.05
+# the one error for a pump without a drive, or a quantity without a pump
+NO_PUMP = ("no pump drive: add a [pump] section, or give pump.p_on_chip or "
+           "pump.n_c (--power or --n-c)")
 
 
 def violation(bad, message, *values):
@@ -141,7 +144,7 @@ class PumpState:
 
     def __post_init__(self):
         if self.p_on_chip is None and self.n_c is None:
-            raise ParameterError("PumpState needs p_on_chip or n_c")
+            raise ParameterError(NO_PUMP)
         bad = range_errors(self, finite=("detuning",),
                            nonnegative=("p_on_chip", "n_c"))
         if bad:

@@ -67,10 +67,17 @@ def _least_squares_result(names, p, J, r, converged, n_iter) -> FitResult:
 
 
 def _propagate(fit, params, rows, **changes) -> FitResult:
-    """fit with params, and cov = G cov G^T for the gradient rows G of rows."""
+    """fit with params, and cov = G cov G^T for the gradient rows G of rows.
+
+    A variance that overflows or meets an inf of cov is inf, not nan.
+    """
     G = np.array(list(rows.values()), dtype=float)
-    return replace(fit, params=params, cov=G @ fit.cov @ G.T,
-                   param_order=tuple(rows), **changes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = G @ fit.cov @ G.T
+    var = np.diagonal(cov)
+    np.fill_diagonal(cov, np.where(np.isfinite(var), var, np.inf))
+    return replace(fit, params=params, cov=cov, param_order=tuple(rows),
+                   **changes)
 
 
 def _sqrt_slope(y, c, se_x):

@@ -179,9 +179,10 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     for every sample in the same order as the per-sample update would,
     so a seed gives the same run. The detected voltage is beta times
     the factored carrier (_carrier), two in-place products per bit row.
+    An I, Q or envelope sample that overflows raises OverflowError
+    naming that trace.
     """
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     spb = cfg.samples_per_bit
     n_bits = len(cfg.bits)
     n_steps = n_bits * spb
@@ -223,14 +224,19 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     np.multiply(per_bit, within, out=rows)
     rows *= phase
     i_sig, q_sig = v_det.real, v_det.imag
-    if cfg.noise_rms > 0:
-        i_sig = rng.standard_normal(t.size)
-        i_sig *= cfg.noise_rms
-        i_sig += v_det.real
-        q_sig = rng.standard_normal(t.size)
-        q_sig *= cfg.noise_rms
-        q_sig += v_det.imag
-    env = np.hypot(i_sig, q_sig)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.noise_rms > 0:
+            i_sig = rng.standard_normal(t.size)
+            i_sig *= cfg.noise_rms
+            i_sig += v_det.real
+            q_sig = rng.standard_normal(t.size)
+            q_sig *= cfg.noise_rms
+            q_sig += v_det.imag
+        env = np.hypot(i_sig, q_sig)
+    if not np.isfinite(env).all():      # else I and Q are finite too
+        for name, y in (("I", i_sig), ("Q", q_sig), ("envelope", env)):
+            if not np.isfinite(y).all():
+                raise OverflowError(f"{name} trace is not finite")
     return LinkRun(
         time=t,
         beta=beta,

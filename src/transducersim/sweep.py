@@ -69,7 +69,7 @@ class SweepSpec:
 
 def _pump(bundle: DeviceBundle) -> PumpState:
     if bundle.pump is None:
-        raise ParameterError("quantity needs a [pump] section or pump overrides")
+        raise ParameterError(core.NO_PUMP)
     return bundle.pump
 
 
@@ -130,20 +130,23 @@ def evaluate(names, bundle: DeviceBundle, env: dict) -> dict:
     return values
 
 
-def _with_columns(bundle: DeviceBundle, columns: dict, env: dict):
-    """(bundle, env) with each dotted parameter path set to its column."""
+def override(bundle: DeviceBundle, values: dict, env: dict, *, sign=None):
+    """(bundle, env) with each dotted path set to its value or column.
+
+    The pump starts from the file's [pump], or blue-detuned by f_m; a
+    given pump.n_c or pump.p_on_chip replaces both of the file's values
+    (given together, both are kept and must agree), and sign, "blue" or
+    "red", sets the sign of its detuning. No drive raises core.NO_PUMP.
+    """
     changes, env = {"device": {}, "pump": {}, "qubit": {}}, dict(env)
-    for path, column in columns.items():
+    for path, column in values.items():
         head, _, field = path.partition(".")
         if head == "device":
             if field not in DeviceParams.__dataclass_fields__:
                 raise ParameterError(f"unknown device field {field!r}")
         elif head == "pump":
-            _pump(bundle)
             if field not in ("n_c", "p_on_chip", "detuning"):
                 raise ParameterError(f"unknown pump field {field!r}")
-            if field != "detuning":     # a swept n_c clears the power, and back
-                changes["pump"]["p_on_chip" if field == "n_c" else "n_c"] = None
         elif head == "qubit":
             if field not in _qubit(bundle).__dataclass_fields__:
                 raise ParameterError(f"unknown qubit field {field!r}")
@@ -158,8 +161,19 @@ def _with_columns(bundle: DeviceBundle, columns: dict, env: dict):
                 f"unknown parameter path {path!r}; use device.<field>, "
                 "pump.<field>, qubit.<field>, drive.p_mu, or temperature")
         changes[head][field] = column
+    if sign not in (None, "blue", "red"):
+        raise ParameterError(f"sign must be 'blue' or 'red' (got {sign!r})")
+    pump = changes.pop("pump")
     records = {head: replace(getattr(bundle, head), **fields)
                for head, fields in changes.items() if fields}
+    if pump or sign:
+        start = vars(bundle.pump) if bundle.pump else {"detuning": bundle.device.f_m}
+        if pump.keys() & {"n_c", "p_on_chip"}:
+            start = {**start, "n_c": None, "p_on_chip": None}
+        pump = {**start, **pump}
+        if sign:
+            pump["detuning"] = abs(pump["detuning"]) * (1 if sign == "blue" else -1)
+        records["pump"] = PumpState(**pump)
     return replace(bundle, **records), env
 
 
@@ -178,7 +192,7 @@ def run_sweep(spec: SweepSpec, bundle: DeviceBundle, *,
     results = {name: np.empty(spec.n_rows) for name in spec.quantities}
     for rows in (blue, ~blue):
         if rows.any():
-            group, group_env = _with_columns(
+            group, group_env = override(
                 bundle, {path: col[rows] for path, col in columns.items()}, env)
             for name, column in evaluate(spec.quantities, group,
                                          group_env).items():

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from transducersim import Trace, write_trace
-from transducersim import cli
+from transducersim import cli, core
 from transducersim.cli import main
-from transducersim.deviceio import resolve_device_path
+from transducersim.deviceio import load_device, resolve_device_path
+from transducersim.spectra import lumped_mode
 
 from conftest import reference_run, relerr
 
@@ -400,7 +401,7 @@ def test_chain_overflow_exits_2(argv, error, tmp_path, capsys):
     # finite inputs whose outputs overflow: a named error, no inf or nan
     # on stdout, no CSV and no RuntimeWarning
     big = tmp_path / "big_f_m.cfg"
-    big.write_text(re.sub(r"(?m)^f_m_hz = .*$", "f_m_hz = 1e200",
+    big.write_text(re.sub(r"(?m)^(f_m_hz|detuning_hz) = .*$", r"\1 = 1e200",
                           Path(MEASURED).read_text()))
     out = tmp_path / "never.csv"
     argv = [a.format(out=out, f_m_1e200=big) for a in argv]
@@ -602,3 +603,164 @@ def test_link_csvs_match_the_per_sample_loop(tmp_path, monkeypatch):
         if name == "iq":     # noise can cancel the signal: floor at v0 = 1
             scale = np.maximum(scale, 1.0)
         assert np.all(np.abs(new - old) <= 1e-14 * scale), name
+
+
+# ------------------------------------------------ one override rule (pump)
+
+MEASURED_TEXT = Path(MEASURED).read_text()
+DETUNED_TEXT = re.sub(r"(?m)^detuning_hz = .*$", "detuning_hz = 4.0e9",
+                      MEASURED_TEXT)
+NO_PUMP_TEXT = re.sub(r"(?ms)^\[pump\]\n.*?\n\n", "", MEASURED_TEXT)
+
+
+def device_file(tmp_path, text, name="device"):
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def sweep_rows(capsys, *argv):
+    assert main(["sweep", *argv]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def test_efficiency_keeps_the_files_detuning(tmp_path, capsys):
+    # detuning_hz = 4.0e9 against f_m = 4.32e9: efficiency and sweep read
+    # the same pump
+    dev = device_file(tmp_path, DETUNED_TEXT)
+    assert main(["efficiency", "--device", dev]) == 0
+    eff = kv(capsys)[0]
+    row, = sweep_rows(capsys, "--device", dev, "--param", "temperature",
+                      "--values", "300", "--quantity", "n_c",
+                      "--quantity", "eta_tot")
+    assert (eff["n_c"], eff["eta_tot"]) == (row["n_c"], row["eta_tot"]) \
+        == ("11562.73768", "1.813737848e-07")
+
+
+def test_detuning_flag_sets_the_sign_of_the_files_detuning(tmp_path, capsys):
+    dev = device_file(tmp_path, DETUNED_TEXT)
+    assert main(["efficiency", "--device", dev, "--detuning", "red"]) == 0
+    eff = kv(capsys)[0]
+    row, = sweep_rows(capsys, "--device", dev, "--param", "pump.detuning",
+                      "--values", "-4.0e9", "--quantity", "n_c",
+                      "--quantity", "gamma_tot", "--quantity", "eta_tot")
+    assert eff["detuning_sign"] == "red"
+    assert (eff["n_c"], eff["gamma_tot_hz"], eff["eta_tot"]) == \
+        (row["n_c"], row["gamma_tot"], row["eta_tot"])
+
+
+def test_zipped_drive_does_not_depend_on_path_order(capsys):
+    # both given: both are kept, and they agree within 5 %
+    pairs = [["--param", "pump.n_c", "--values", "6170,12340"],
+             ["--param", "pump.p_on_chip", "--values", "1e-4,2e-4"]]
+    columns = [[row["n_c"] for row in sweep_rows(
+        capsys, "--device", MEASURED, *first, *second, "--quantity", "n_c")]
+        for first, second in (pairs, pairs[::-1])]
+    assert columns == [["6170", "12340"]] * 2
+
+
+def test_zipped_drive_that_disagrees_exits_2_in_either_order(capsys):
+    pairs = [["--param", "pump.n_c", "--values", "1e3,1e4"],
+             ["--param", "pump.p_on_chip", "--values", "1e-4,1e-4"]]
+    for first, second in (pairs, pairs[::-1]):
+        assert main(["sweep", "--device", MEASURED, *first, *second,
+                     "--quantity", "n_c"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: declared n_c=1000 disagrees with n_c=6170 derived from "
+            "p_on_chip=0.0001 W\n"))
+
+
+def test_pump_without_a_pump_section_is_blue_detuned_by_f_m(tmp_path, capsys):
+    dev = device_file(tmp_path, NO_PUMP_TEXT)
+    assert main(["efficiency", "--device", dev, "--n-c", "1e3"]) == 0
+    eff = kv(capsys)[0]
+    row, = sweep_rows(capsys, "--device", dev, "--param", "pump.n_c",
+                      "--values", "1e3", "--quantity", "eta_tot")
+    assert eff["detuning_sign"] == "blue"
+    assert eff["eta_tot"] == row["eta_tot"] == "1.444300411e-08"
+
+
+def test_no_pump_drive_is_one_error_for_cli_and_sweep(tmp_path, capsys):
+    dev = device_file(tmp_path, NO_PUMP_TEXT)
+    errors = []
+    for argv in (["efficiency", "--device", dev],
+                 ["efficiency", "--device", dev, "--detuning", "red"],
+                 ["sweep", "--device", dev, "--param", "device.g_om",
+                  "--values", "1e5", "--quantity", "eta_tot"],
+                 ["sweep", "--device", dev, "--param", "pump.detuning",
+                  "--values", "1e9", "--quantity", "eta_o"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors == [f"error: {core.NO_PUMP}\n"] * 4
+    assert "[pump]" in core.NO_PUMP
+
+
+# ------------------------------------------- spectra of a device without modes
+
+NO_MODES_TEXT = MEASURED_TEXT[:MEASURED_TEXT.index("[[modes]]")]
+
+
+def lumped_modes_text():
+    mode = lumped_mode(load_device(MEASURED).device)
+    return NO_MODES_TEXT + "[[modes]]\n" + "".join(
+        f"{key} = {value:.17g}\n" for key, value in (
+            ("f_hz", mode.f), ("gamma_hz", mode.gamma), ("g_hz", mode.g),
+            ("phi_rad", mode.phi), ("gamma_e_hz", mode.gamma_e)))
+
+
+@pytest.mark.parametrize("kind", ["thermal", "soe"])
+def test_spectrum_without_modes_uses_the_lumped_mode(kind, tmp_path, capsys):
+    csvs = []
+    for name, text in (("lumped", NO_MODES_TEXT),
+                       ("explicit", lumped_modes_text())):
+        out = tmp_path / f"{name}.csv"
+        assert main(["spectrum", kind, "--device",
+                     device_file(tmp_path, text, name), "--points", "201",
+                     "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_sweep_without_modes_uses_the_lumped_mode(tmp_path, capsys):
+    rows = [sweep_rows(capsys, "--device", device_file(tmp_path, text, name),
+                       "--param", "drive.p_mu", "--values", "1e-3",
+                       "--quantity", "coherent_phonons")
+            for name, text in (("lumped", NO_MODES_TEXT),
+                               ("explicit", lumped_modes_text()))]
+    assert rows[0] == rows[1]
+    assert float(rows[0][0]["coherent_phonons"]) > 0
+
+
+# --------------------------------------------------------- named failures
+
+def test_spectrum_driven_without_power_mu_exits_2(tmp_path, capsys):
+    out = tmp_path / "driven.csv"
+    assert main(["spectrum", "driven", "--device", MEASURED, "--out",
+                 str(out), "--points", "11"]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: spectrum driven needs --power-mu\n")
+    assert not out.exists()
+
+
+def test_link_with_huge_noise_warns_nothing(tmp_path, capsys):
+    # the ring fits' covariance, mapped back by 2**k, overflows: its
+    # variances are inf, and numpy prints no warning
+    assert main(["link", "--bits", "0101", "--rate", "1e6", "--gamma-m",
+                 "7.9e6", "--noise-rms", "1e200", "--f-if", "0",
+                 "--out-prefix", str(tmp_path / "noisy")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[:2] == ["eye_opening = 0",
+                                    "extinction_ratio = 0.5264532555"]
+
+
+def test_link_noise_overflow_is_named(tmp_path, capsys):
+    assert main(["link", "--bits", "0101", "--rate", "1e6", "--gamma-m",
+                 "7.9e6", "--drive-mode", "thermal", "--noise-rms", "1e308",
+                 "--out-prefix", str(tmp_path / "never")]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: numeric overflow (I trace is not finite)\n")
+    assert not list(tmp_path.glob("never*"))

@@ -662,3 +662,15 @@ def test_g_om_at_zero_slope_takes_the_secant_slope(monkeypatch):
                                    "blue", KAPPA_O)
     assert fit.params["g_om"] == 0.0
     assert fit.stderr["g_om"] == 0.0
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_FITS if not n.startswith(
+    ("dip_stopped", "ring_constant"))])
+def test_errors_are_inf_when_pinv_fails(name, dev, monkeypatch):
+    # the solver's cov is all inf; G cov G^T meets inf times the zeros of G
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+    monkeypatch.setattr(np.linalg, "pinv", fail)
+    fit = ALL_FITS[name](dev)
+    assert fit.stderr
+    assert all(se == math.inf for se in fit.stderr.values())

@@ -17,7 +17,7 @@ from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
                                     parse_power, read_points,
                                     resolve_device_path, write_table)
 
-from transducersim.sweep import QUANTITIES
+from transducersim.sweep import QUANTITIES, override
 
 from conftest import reference_read_trace, reference_sweep, relerr
 
@@ -658,12 +658,45 @@ def test_sweep_temperature_column_below_expm1_overflow(measured):
 
 def test_sweep_missing_section_is_named(measured):
     bare = replace(measured, pump=None, qubit=None)
-    for path, quantity, section in (("pump.n_c", "eta_o", "[pump]"),
+    for path, quantity, section in (("pump.detuning", "eta_o", "[pump]"),
                                     ("device.g_om", "eta_tot", "[pump]"),
                                     ("qubit.c_q", "eta_o", "[qubit]"),
                                     ("device.g_om", "g_em", "[qubit]")):
         with pytest.raises(ParameterError, match=re.escape(section)):
             run_sweep(SweepSpec(((path, (1.0,)),), (quantity,)), bare)
+
+
+def test_override_drive_replaces_both_file_values(measured):
+    # a file pump with both values; one given value clears the other, and
+    # two given values are both kept, whatever the order of the paths
+    file_pump = replace(measured.pump, n_c=6170.0)
+    bundle = replace(measured, pump=file_pump)
+    for path, kept, cleared in (("pump.n_c", "n_c", "p_on_chip"),
+                                ("pump.p_on_chip", "p_on_chip", "n_c")):
+        pump = override(bundle, {path: 2.0}, {})[0].pump
+        assert (getattr(pump, kept), getattr(pump, cleared)) == (2.0, None)
+    both = [override(bundle, dict(items), {})[0].pump for items in (
+        [("pump.n_c", 12340.0), ("pump.p_on_chip", 2e-4)],
+        [("pump.p_on_chip", 2e-4), ("pump.n_c", 12340.0)])]
+    assert both[0] == both[1] == replace(file_pump, n_c=12340.0,
+                                         p_on_chip=2e-4)
+
+
+def test_override_sign_and_the_pump_without_a_section(measured):
+    red = override(measured, {}, {}, sign="red")[0].pump
+    assert red.detuning == -measured.pump.detuning
+    assert red.p_on_chip == measured.pump.p_on_chip
+    assert override(replace(measured, pump=red), {}, {},
+                    sign="blue")[0].pump.detuning == measured.pump.detuning
+    bare = replace(measured, pump=None)
+    pump = override(bare, {"pump.n_c": 1e3}, {}, sign="red")[0].pump
+    assert (pump.detuning, pump.n_c, pump.p_on_chip) == \
+        (-measured.device.f_m, 1e3, None)
+    assert override(bare, {}, {})[0] == bare
+    with pytest.raises(ParameterError, match=re.escape("[pump]")):
+        override(bare, {}, {}, sign="blue")
+    with pytest.raises(ParameterError, match="sign must be"):
+        override(measured, {}, {}, sign="Blue")
 
 
 def test_write_table(tmp_path):

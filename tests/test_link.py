@@ -475,3 +475,11 @@ def test_harmonic_spectrum_rejects_runs_over_its_budget(f0, n_periods, samples,
     # 2 * (2 warm-up + 65534) periods * 128 samples is the budget exactly
     with pytest.raises(_Reached):
         harmonic_spectrum(cfg, 0.5e6, 65534)
+
+
+def test_run_link_takes_a_seed_or_a_generator():
+    cfg = LinkConfig(bits=(0, 1, 1, 0), rate=1e6, gamma_m=7.9e6,
+                     noise_rms=0.1, drive_mode="thermal")
+    by_seed = run_link(cfg, seed=3)
+    by_generator = run_link(cfg, seed=np.random.default_rng(3))
+    assert np.array_equal(by_seed.envelope.y, by_generator.envelope.y)
