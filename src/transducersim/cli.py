@@ -19,8 +19,7 @@ from .errors import FitError, TransducerError
 from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
                       fit_optical_dip, fit_phase_detuning)
 from .link import (LinkConfig, eye_diagram, link_metrics, parse_bits, run_link)
-from .spectra import (driven_spectrum, lumped_mode, s_oe_spectrum,
-                      thermal_spectrum)
+from .spectra import driven_spectrum, s_oe_spectrum, thermal_spectrum
 from .swap import rabi_swap_sim, swap_feasibility
 from .sweep import SweepSpec, evaluate, override, run_sweep
 
@@ -98,7 +97,7 @@ def cmd_spectrum(args) -> int:
         raise TransducerError("spectrum driven needs --power-mu")
     bundle, env = _pumped(args, {"temperature": args.temperature})
     dev = bundle.device
-    modes = bundle.modes or (lumped_mode(dev),)
+    modes = bundle.mechanical_modes
     grid = _default_grid(modes, args)
     n_c, n_th = evaluate(("n_c", "n_th"), bundle, env).values()
     if args.kind == "thermal":

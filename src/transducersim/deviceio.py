@@ -13,13 +13,14 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .core import DeviceParams, PumpState
 from .errors import DeviceFileError, ParameterError, TraceError, TransducerError
-from .spectra import MechanicalMode
+from .spectra import MechanicalMode, lumped_mode
 from .swap import QubitConfig
 from .trace import Trace
 
@@ -78,6 +79,11 @@ class DeviceBundle:
     pump: PumpState | None = None
     qubit: QubitConfig | None = None
     modes: tuple = ()
+
+    @property
+    def mechanical_modes(self) -> tuple:
+        """The [[modes]], or the lumped mode of a file without any."""
+        return self.modes or (lumped_mode(self.device),)
 
 
 # The file format: section -> (record, key -> required). The three
@@ -311,12 +317,13 @@ def load_device(name: str) -> DeviceBundle:
 
 # ------------------------------------------------------------------ trace CSV
 
-# Lines per conversion block of read_trace and cells per formatting block
-# of write_table: large enough that the per-block overhead is negligible,
-# small enough that a block's strings and floats take a few MB, so peak
-# memory does not grow with the file (converting a 2e5-line trace in one
-# block costs 35 MB more).
-_READ_LINES = 32768
+# Lines per conversion piece of read_trace and cells per formatting block
+# of write_table: large enough that the per-piece overhead is negligible,
+# small enough that a piece's strings and floats take a few MB (2 MB for
+# 8192 lines of 17-digit pairs), so the memory beyond the float columns
+# does not grow with the file (a 2e5-line trace's text takes 8 MB, its
+# list of lines 20 MB).
+_READ_LINES = 8192
 _WRITE_CELLS = 65536
 
 
@@ -333,37 +340,67 @@ def write_eye(eye, path) -> None:
 
 
 def read_trace(path) -> Trace:
-    lines = read_text(path).splitlines()
+    """Trace of a two-column CSV with a 'x_unit,y_unit' header.
+
+    The file is converted _READ_LINES lines at a time, as it is read. A
+    file that is not UTF-8, or has a bad header, a blank line or a bad
+    row, is read again whole, and then line by line (_rows), which names
+    the first fault.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        # newline="": a line ends at \n, \r or \r\n, kept as read, so the
+        # pieces' splitlines() join up to the whole file's
+        pieces = ("".join(lines).splitlines()
+                  for lines in iter(lambda: list(islice(fh, _READ_LINES)), []))
+        try:
+            lines = next(pieces, [])
+            header = _header(path, lines)
+            columns = _columns(chain([lines[1:]], pieces))
+        except (UnicodeDecodeError, TraceError):
+            columns = None
+    if columns is None:
+        lines = read_text(path).splitlines()
+        header = _header(path, lines)
+        columns = _rows(path, lines)
+    return Trace(*columns, *header)
+
+
+def _header(path, lines):
+    """(x_unit, y_unit) of a trace's first line."""
     if not lines:
         raise TraceError(f"{path}: empty file")
     header = [tok.strip() for tok in lines[0].split(",")]
     if len(header) != 2 or any(not tok for tok in header):
         raise TraceError(f"{path}:1: header must be 'x_unit,y_unit' "
                          f"(got {lines[0]!r})")
-    x, y = _columns(lines[1:]) or _rows(path, lines)
-    return Trace(x, y, header[0], header[1])
+    return header
 
 
-def _columns(body):
+def _columns(pieces):
     """(x, y) of body lines that are all 'x,y' with finite values and x
-    strictly increasing, converted a block at a time; None otherwise."""
-    values = np.empty(2 * len(body))
-    for start in range(0, len(body), _READ_LINES):
-        block = body[start:start + _READ_LINES]
-        joined = ",".join(block)
+    strictly increasing, converted a piece of lines at a time; None
+    otherwise."""
+    xs, ys = [], []
+    for lines in pieces:
+        if not lines:
+            continue
+        joined = ",".join(lines)
         # float() takes a tab as a space, the format does not; it rejects
         # any other delimiter, ';' among them
-        if "\t" in joined or not all(line.count(",") == 1 for line in block):
+        if "\t" in joined or not all(line.count(",") == 1 for line in lines):
             return None
         try:    # numpy converts each str cell with float()
-            values[2 * start:2 * (start + len(block))] = \
-                np.array(joined.split(","), dtype=float)
+            values = np.array(joined.split(","), dtype=float)
         except ValueError:
             return None
-    x, y = values.reshape(-1, 2).T.copy()
-    if not (x.size and np.isfinite(values).all() and np.all(np.diff(x) > 0)):
+        if not np.isfinite(values).all():
+            return None
+        xs.append(values[0::2])
+        ys.append(values[1::2])
+    if not xs:
         return None
-    return x, y
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    return (x, y) if (x[1:] > x[:-1]).all() else None
 
 
 def _rows(path, lines):
@@ -389,7 +426,7 @@ def _rows(path, lines):
     if not xs:
         raise TraceError(f"{path}: no data rows")
     x = np.array(xs)
-    if (falls := np.flatnonzero(np.diff(x) <= 0)).size:
+    if (falls := np.flatnonzero(x[1:] <= x[:-1])).size:
         raise TraceError(f"{path}:{line_nos[falls[0] + 1]}: x values must be "
                          "strictly increasing")
     return x, np.array(ys)

@@ -90,8 +90,11 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
     """Levenberg-damped Gauss-Newton on a model p -> (r(p), jac).
 
     jac() builds J(p) from the intermediates of r(p); it is called only
-    at accepted points and dropped before the next trial. More
-    parameters than residuals raise ParameterError before J is built.
+    at accepted points and dropped before the next trial. One Jacobian
+    is alive at a time: the last point's J and r are released before
+    jac() fills the next J, one preallocated (m, n) array, column by
+    column. More parameters than residuals raise ParameterError before
+    J is built.
     Returns the _least_squares_result of the last accepted point,
     converged if the relative step fell below REL_STEP_TOL within
     MAX_ITER. Only cost-decreasing steps are accepted, so the final
@@ -130,12 +133,13 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
             if valid is not None and not valid(p_new):
                 lam *= 10.0
                 continue
-            jac = None      # drop the last point's intermediates first
+            jac = r_new = None      # drop the last trial's arrays first
             r_new, jac = model(p_new)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 scale = np.maximum(np.abs(p_new), scale)
                 rel_step = float(np.max(np.abs(step) / scale))
+                J = r = None    # release the last point's J before the next
                 p, r, J, cost = p_new, r_new, jac(), cost_new
                 lam = max(lam * 0.3, 1e-14)
                 accepted = True
@@ -166,11 +170,19 @@ def _dip(f, y, p):
     D = kappa ** 2 + x2
 
     def jac():
+        J = np.empty((f.size, 3))
+        dR_dfo, dR_dk, dR_de = J.T
         one_me = 1.0 - e
-        dR_dfo = -8.0 * x * kappa ** 2 * one_me / D ** 2
-        dR_dk = -2.0 * kappa * x2 * one_me / D ** 2
-        dR_de = kappa ** 2 / D
-        return np.column_stack([dR_dfo, dR_dk, dR_de])
+        D2 = D ** 2
+        np.multiply(-8.0, x, out=dR_dfo)
+        dR_dfo *= kappa ** 2
+        dR_dfo *= one_me
+        dR_dfo /= D2
+        np.multiply(-2.0 * kappa, x2, out=dR_dk)
+        dR_dk *= one_me
+        dR_dk /= D2
+        np.divide(kappa ** 2, D, out=dR_de)
+        return J
     return (e * kappa ** 2 + x2) / D - y, jac
 
 
@@ -233,6 +245,34 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
 
 # ---------------------------------------------------------- sideband detuning
 
+def _phase(f, z, gain, kappa_o, p):
+    # p = (detuning, amp_re, amp_im): the response a * gain / pole with
+    # a = amp_re + i amp_im, minus z; real parts over imaginary parts
+    delta, a_re, a_im = p
+    n = f.size
+    pole = _pole(f, delta, kappa_o)
+    rz = gain / pole    # rz = a * gain / pole - z, built in place
+    np.multiply(a_re + 1j * a_im, rz, out=rz)
+    np.subtract(rz, z, out=rz)
+    r = np.empty(2 * n)
+    r[:n], r[n:] = rz.real, rz.imag
+    del rz
+
+    def jac():
+        J = np.empty((2 * n, 3))
+        m = gain / pole     # recomputed: keeping m too raises the peak memory
+        J[:n, 1], J[n:, 1] = m.real, m.imag
+        np.negative(m.imag, out=J[:n, 2])
+        J[n:, 2] = m.real
+        del m
+        dm = pole ** 2      # dm = a (-i 2 pi gain) / pole**2, built in place
+        np.divide((-1j * 2 * np.pi) * gain, dm, out=dm)
+        np.multiply(a_re + 1j * a_im, dm, out=dm)
+        J[:n, 0], J[n:, 0] = dm.real, dm.imag
+        return J
+    return r, jac
+
+
 def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
                        dev: DeviceParams) -> FitResult:
     """Signed pump-cavity detuning from a background-subtracted sideband sweep.
@@ -253,26 +293,13 @@ def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
     kappa_o, kappa_oe = dev.kappa_o, dev.kappa_oe
     gain = 2 * np.pi * kappa_oe
 
-    def model(p):
-        delta, a_re, a_im = p
-        pole = _pole(f, delta, kappa_o)
-        r = (a_re + 1j * a_im) * (gain / pole) - z
-
-        def jac():
-            m = gain / pole     # recomputed: keeping m too raises the peak memory
-            dm = (a_re + 1j * a_im) * ((-1j * 2 * np.pi) * gain / pole ** 2)
-            return np.column_stack([
-                np.concatenate([dm.real, dm.imag]),
-                np.concatenate([m.real, m.imag]),
-                np.concatenate([-m.imag, m.real]),
-            ])
-        return np.concatenate([r.real, r.imag]), jac
-
     def from_start(delta0):
         m0 = gain / _pole(f, delta0, kappa_o)
         denom = float(np.vdot(m0, m0).real)
         a0 = complex(np.vdot(m0, z)) / denom if denom > 0 else 0.0 + 0.0j
-        return _gauss_newton(model, [delta0, a0.real, a0.imag],
+        del m0      # a third of J: not held through the fit
+        return _gauss_newton(lambda p: _phase(f, z, gain, kappa_o, p),
+                             [delta0, a0.real, a0.imag],
                              ("detuning", "amp_re", "amp_im"))
 
     f_peak = float(f[np.argmax(trace_mag.y)])
@@ -358,6 +385,42 @@ def _half_max_width(f, y, idx):
     return width if width > 0 else float(f[-1] - f[0]) / 10.0
 
 
+def _lorentz(f, y, u, n_peaks, p):
+    # p = (f_1, gamma_1, area_1, ..., bg0[, bg1]): n_peaks Lorentzians on
+    # the background bg0 (+ bg1 u when u is given), minus y
+    r = np.full(f.size, p[3 * n_peaks])
+    if u is not None:
+        r = r + p[3 * n_peaks + 1] * u
+    for k in range(n_peaks):
+        c, g, a = p[3 * k: 3 * k + 3]
+        hw = 0.5 * g
+        r = r + a * (hw / np.pi) / ((f - c) ** 2 + hw ** 2)
+
+    def jac():
+        # the denominators are recomputed: keeping them raises the peak memory
+        J = np.empty((f.size, p.size))
+        cols = J.T
+        for k in range(n_peaks):
+            c, g, a = p[3 * k: 3 * k + 3]
+            hw = 0.5 * g
+            d_c, d_g, d_a = cols[3 * k: 3 * k + 3]
+            x = f - c
+            denom = np.square(x)
+            np.subtract(denom, hw ** 2, out=d_g)
+            denom += hw ** 2
+            np.divide(hw / np.pi, denom, out=d_a)
+            np.square(denom, out=denom)
+            np.multiply(a * (hw / np.pi) * 2.0, x, out=d_c)
+            d_c /= denom
+            np.multiply(a / (2 * np.pi), d_g, out=d_g)
+            d_g /= denom
+        cols[3 * n_peaks] = 1.0
+        if u is not None:
+            cols[3 * n_peaks + 1] = u
+        return J
+    return r - y, jac
+
+
 def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
                          ) -> FitResult:
     """Sum of Lorentzians plus background, least squares.
@@ -382,8 +445,8 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
             "background must be 'constant', 'linear', or a reference Trace")
     span = float(f[-1] - f[0]) if f.size > 1 else 1.0
     mid = 0.5 * float(f[0] + f[-1])
-    u = (f - mid) / span                      # conditioned linear basis
     n_bg = 1 if background == "constant" else 2
+    u = (f - mid) / span if n_bg == 2 else None     # conditioned linear basis
 
     bg0 = _edge_median(y)
 
@@ -401,37 +464,12 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     names = [f"{q}_{k}" for k in range(1, n_peaks + 1)
              for q in ("f", "gamma", "area")] + ["bg0", "bg1"][:n_bg]
 
-    def model(p):
-        r = np.full(f.size, p[3 * n_peaks])
-        if n_bg == 2:
-            r = r + p[3 * n_peaks + 1] * u
-        for k in range(n_peaks):
-            c, g, a = p[3 * k: 3 * k + 3]
-            hw = 0.5 * g
-            r = r + a * (hw / np.pi) / ((f - c) ** 2 + hw ** 2)
-
-        def jac():
-            # the denominators are recomputed: keeping them raises the peak memory
-            cols = []
-            for k in range(n_peaks):
-                c, g, a = p[3 * k: 3 * k + 3]
-                hw = 0.5 * g
-                denom = (f - c) ** 2 + hw ** 2
-                d_c = a * (hw / np.pi) * 2.0 * (f - c) / denom ** 2
-                d_g = (a / (2 * np.pi)) * ((f - c) ** 2 - hw ** 2) / denom ** 2
-                d_a = (hw / np.pi) / denom
-                cols.extend([d_c, d_g, d_a])
-            cols.append(np.ones_like(f))
-            if n_bg == 2:
-                cols.append(u)
-            return np.column_stack(cols)
-        return r - y, jac
-
     def valid(p):
         return all(p[3 * k + 1] > 0 for k in range(n_peaks))
 
     # names label the peaks in seed order, then in frequency order
-    fit = _gauss_newton(model, p0, names, valid=valid)
+    fit = _gauss_newton(lambda p: _lorentz(f, y, u, n_peaks, p), p0, names,
+                        valid=valid)
     order = np.argsort([fit.params[f"f_{k}"] for k in range(1, n_peaks + 1)])
     perm = [3 * k + i for k in order for i in range(3)] \
         + list(range(3 * n_peaks, len(names)))

@@ -72,7 +72,7 @@ def _as_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ParameterError("grid must be a nonempty 1-d array")
-    if g.size > 1 and not np.all(np.diff(g) > 0):
+    if not (g[1:] > g[:-1]).all():
         raise ParameterError("grid must be strictly increasing")
     return g
 
@@ -128,7 +128,11 @@ def gamma_me_from_phonons(n_coh: float, f_m: float, gamma_m: float,
 
 def _deposit_peak(f: np.ndarray, y: np.ndarray, center: float, width: float,
                   area: float) -> None:
-    """Add a rectangle of the given area to the grid cells it overlaps."""
+    """Add a rectangle of the given area to the grid cells it overlaps.
+
+    For a finite area only the cells between the edges around the
+    rectangle are updated: every other cell would add area * 0 = 0.
+    """
     if area == 0.0:
         return
     edges = np.concatenate(([f[0] - 0.5 * (f[1] - f[0])],
@@ -136,11 +140,17 @@ def _deposit_peak(f: np.ndarray, y: np.ndarray, center: float, width: float,
                             [f[-1] + 0.5 * (f[-1] - f[-2])])) \
         if f.size > 1 else np.array([center - width, center + width])
     lo, hi = center - 0.5 * width, center + 0.5 * width
+    first, stop = 0, f.size
+    if math.isfinite(area):
+        first = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)
+        stop = min(int(np.searchsorted(edges, hi, side="left")), f.size)
+    edges = edges[first:stop + 1]
     overlap = np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo),
                       0.0, None)
     cells = np.diff(edges)
     with np.errstate(invalid="ignore"):
-        y += np.where(cells > 0, area * (overlap / width) / cells, 0.0)
+        y[first:stop] += np.where(cells > 0, area * (overlap / width) / cells,
+                                  0.0)
 
 
 def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,

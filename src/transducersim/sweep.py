@@ -15,9 +15,12 @@ from . import core
 from .core import DeviceParams, PumpState
 from .deviceio import DeviceBundle
 from .errors import ParameterError
-from .spectra import (MechanicalMode, lumped_mode, sideband_rate,
-                      steady_state_coherent_phonons)
+from .spectra import sideband_rate, steady_state_coherent_phonons
 from .swap import QubitConfig, coupling_g_em, qubit_impedance, swap_feasibility
+
+
+# paths that set the same value as another path
+_ALIASES = {"drive.p_mu_w": "drive.p_mu"}
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,14 @@ class SweepSpec:
     def __post_init__(self):
         if not self.targets:
             raise ParameterError("sweep needs at least one parameter path")
+        seen = {}
+        for path, _ in self.targets:
+            key = _ALIASES.get(path, path)
+            if key in seen:
+                alias = "" if seen[key] == path else f" (as {seen[key]!r})"
+                raise ParameterError(
+                    f"parameter path {path!r} is swept twice{alias}")
+            seen[key] = path
         lengths = {len(vals) for _, vals in self.targets}
         if len(lengths) != 1:
             raise ParameterError("zipped sweep value lists must share a length")
@@ -79,10 +90,6 @@ def _qubit(bundle: DeviceBundle) -> QubitConfig:
     return bundle.qubit
 
 
-def _principal_mode(bundle: DeviceBundle) -> MechanicalMode:
-    return bundle.modes[0] if bundle.modes else lumped_mode(bundle.device)
-
-
 def _n_c(bundle, env):
     return core.resolve_photon_number(bundle.device, _pump(bundle))
 
@@ -90,7 +97,7 @@ def _n_c(bundle, env):
 def _coherent_phonons(bundle, env):
     if env["drive.p_mu"] is None:
         raise ParameterError("quantity needs drive.p_mu")
-    mode = _principal_mode(bundle)
+    mode = bundle.mechanical_modes[0]
     return steady_state_coherent_phonons(mode, env["drive.p_mu"], mode.f)
 
 
@@ -111,7 +118,7 @@ QUANTITIES = {
                                                    env["temperature"]),
     "coherent_phonons": _coherent_phonons,
     "coherent_peak_area": lambda b, env: _coherent_phonons(b, env) * sideband_rate(
-        _principal_mode(b), _n_c(b, env), b.device.kappa_o),
+        b.mechanical_modes[0], _n_c(b, env), b.device.kappa_o),
     "z_q": lambda b, env: qubit_impedance(_qubit(b), b.device),
     "g_em": lambda b, env: coupling_g_em(b.device, _qubit(b)),
     "c_em": lambda b, env: swap_feasibility(b.device, _qubit(b)).c_em,
@@ -150,7 +157,7 @@ def override(bundle: DeviceBundle, values: dict, env: dict, *, sign=None):
         elif head == "qubit":
             if field not in _qubit(bundle).__dataclass_fields__:
                 raise ParameterError(f"unknown qubit field {field!r}")
-        elif head == "drive" and field in ("p_mu", "p_mu_w"):
+        elif _ALIASES.get(path, path) == "drive.p_mu":
             env["drive.p_mu"] = column
             continue
         elif head == "temperature" and not field:

@@ -33,7 +33,7 @@ class Trace:
             raise TraceError("empty trace")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise TraceError("trace contains NaN or infinite values")
-        if x.size > 1 and not np.all(np.diff(x) > 0):
+        if not (x[1:] > x[:-1]).all():
             raise TraceError("x values must be strictly increasing")
         x.setflags(write=False)
         y.setflags(write=False)

@@ -13,7 +13,7 @@ from transducersim import (EyeDiagram, LinkRun, ParameterError, Trace,
                            swap_feasibility, thermal_occupation,
                            total_efficiency, total_mech_linewidth)
 from transducersim.link import EXTINCTION_CAP
-from transducersim.spectra import lumped_mode
+from transducersim.spectra import _pole, lumped_mode
 
 
 @pytest.fixture(scope="session")
@@ -216,3 +216,74 @@ def reference_read_trace(path):
             raise TraceError(f"{path}:{line_nos[i]}: x values must be "
                              "strictly increasing")
     return Trace(np.array(xs), np.array(ys), header[0], header[1])
+
+
+# ------------------------------------------- fit models (oracle)
+
+def reference_dip(f, y, p):
+    """_dip's (r, J), J from separate columns and np.column_stack."""
+    f_o, kappa, e = p
+    x = f - f_o
+    x2 = 4.0 * x ** 2
+    D = kappa ** 2 + x2
+    one_me = 1.0 - e
+    dR_dfo = -8.0 * x * kappa ** 2 * one_me / D ** 2
+    dR_dk = -2.0 * kappa * x2 * one_me / D ** 2
+    dR_de = kappa ** 2 / D
+    return (e * kappa ** 2 + x2) / D - y, \
+        np.column_stack([dR_dfo, dR_dk, dR_de])
+
+
+def reference_phase(f, z, gain, kappa_o, p):
+    """_phase's (r, J), both built with np.concatenate, J then with
+    np.column_stack."""
+    delta, a_re, a_im = p
+    pole = _pole(f, delta, kappa_o)
+    r = (a_re + 1j * a_im) * (gain / pole) - z
+    m = gain / pole
+    dm = (a_re + 1j * a_im) * ((-1j * 2 * np.pi) * gain / pole ** 2)
+    return np.concatenate([r.real, r.imag]), np.column_stack([
+        np.concatenate([dm.real, dm.imag]),
+        np.concatenate([m.real, m.imag]),
+        np.concatenate([-m.imag, m.real]),
+    ])
+
+
+def reference_lorentz(f, y, u, n_peaks, p):
+    """_lorentz's (r, J), J from separate columns and np.column_stack."""
+    r = np.full(f.size, p[3 * n_peaks])
+    if u is not None:
+        r = r + p[3 * n_peaks + 1] * u
+    cols = []
+    for k in range(n_peaks):
+        c, g, a = p[3 * k: 3 * k + 3]
+        hw = 0.5 * g
+        r = r + a * (hw / np.pi) / ((f - c) ** 2 + hw ** 2)
+        denom = (f - c) ** 2 + hw ** 2
+        d_c = a * (hw / np.pi) * 2.0 * (f - c) / denom ** 2
+        d_g = (a / (2 * np.pi)) * ((f - c) ** 2 - hw ** 2) / denom ** 2
+        d_a = (hw / np.pi) / denom
+        cols.extend([d_c, d_g, d_a])
+    cols.append(np.ones_like(f))
+    if u is not None:
+        cols.append(u)
+    return r - y, np.column_stack(cols)
+
+
+# ------------------------------------------- drive peak (oracle)
+
+def reference_deposit_peak(f, y, center, width, area):
+    """_deposit_peak as the whole-grid formula computed it: every cell
+    adds its overlap, 0 for the cells the rectangle misses."""
+    if area == 0.0:
+        return
+    edges = np.concatenate(([f[0] - 0.5 * (f[1] - f[0])],
+                            0.5 * (f[:-1] + f[1:]),
+                            [f[-1] + 0.5 * (f[-1] - f[-2])])) \
+        if f.size > 1 else np.array([center - width, center + width])
+    lo, hi = center - 0.5 * width, center + 0.5 * width
+    overlap = np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo),
+                      0.0, None)
+    cells = np.diff(edges)
+    with np.errstate(invalid="ignore"):
+        y += np.where(cells > 0, area * (overlap / width) / cells, 0.0)

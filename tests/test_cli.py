@@ -480,6 +480,24 @@ def test_sweep_bad_values_token_exits_2(capsys):
     assert err.startswith("error: ") and "'abc'" in err
 
 
+@pytest.mark.parametrize("params, message", [
+    (["pump.n_c", "1e3", "pump.n_c", "2e3"],
+     "parameter path 'pump.n_c' is swept twice"),
+    (["drive.p_mu", "1e-3", "drive.p_mu_w", "2e-3"],
+     "parameter path 'drive.p_mu_w' is swept twice (as 'drive.p_mu')"),
+], ids=["same_path", "p_mu_alias"])
+def test_sweep_repeated_path_exits_2(tmp_path, capsys, params, message):
+    # both columns set one value: the first would print a value never used
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--device", MEASURED, "--quantity", "n_c", "--out",
+            str(out)]
+    for path, values in zip(params[::2], params[1::2]):
+        argv += ["--param", path, "--values", values]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_sweep_out_to_directory_exits_2(tmp_path, capsys):
     assert main(["sweep", "--device", MEASURED, "--param", "pump.n_c",
                  "--start", "1e3", "--stop", "1e4", "--quantity", "c_om",

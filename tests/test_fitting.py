@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,8 @@ from transducersim import (FitError, MechanicalMode, ParameterError, Trace,
                            fit_phase_detuning, fit_ring, mech_susceptibility,
                            sideband_rate, thermal_spectrum, write_trace)
 
-from conftest import relerr
+from conftest import (reference_dip, reference_lorentz, reference_phase,
+                      relerr)
 
 F_O, KAPPA_O, KAPPA_OE = 194.9e12, 2.1e9, 0.99e9
 
@@ -510,6 +512,74 @@ def test_fit_whose_start_overflows_raises_overflow_error():
     with pytest.raises(OverflowError) as err:
         fit_lorentzian_multi(Trace(f, y), 1)
     assert str(err.value) == "residual sum of squares at the start is inf"
+
+
+# ---------------------------------------------- one Jacobian at a time
+
+def _random_model(name, rng):
+    """(the fitting model, its conftest oracle) at random parameters."""
+    f = np.sort(rng.uniform(-8e9, 8e9, 1001))
+    y = rng.standard_normal(f.size)
+    if name == "dip":
+        p = np.array([rng.normal(0.0, KAPPA_O), KAPPA_O * rng.uniform(0.2, 3.0),
+                      rng.uniform(0.0, 0.99)])
+        return fitting._dip(f, y, p), reference_dip(f, y, p)
+    if name == "phase":
+        z = y + 1j * rng.standard_normal(f.size)
+        p = np.array([rng.uniform(-4e9, 4e9), rng.normal(), rng.normal()])
+        args = (f, z, 2 * np.pi * KAPPA_OE, KAPPA_O, p)
+        return fitting._phase(*args), reference_phase(*args)
+    _, n_peaks, bg = name.split("_")
+    n_peaks, linear = int(n_peaks), bg == "linear"
+    p = np.concatenate([
+        *([rng.uniform(-8e9, 8e9), rng.uniform(1e6, 1e9), rng.normal() * 1e9]
+          for _ in range(n_peaks)), rng.normal(size=2 if linear else 1)])
+    u = f / 16e9 if linear else None
+    return (fitting._lorentz(f, y, u, n_peaks, p),
+            reference_lorentz(f, y, u, n_peaks, p))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["dip", "phase", "lorentz_0_constant",
+                                  "lorentz_1_linear", "lorentz_3_constant",
+                                  "lorentz_3_linear"])
+def test_filled_jacobians_have_the_column_stack_bytes(name, seed):
+    (r, jac), (r_ref, J_ref) = _random_model(name, np.random.default_rng(seed))
+    J = jac()
+    assert J.flags.c_contiguous and J.shape == J_ref.shape
+    assert J.tobytes() == J_ref.tobytes()
+    assert r.tobytes() == r_ref.tobytes()
+
+
+def _peak_bytes(fit):
+    fit()           # the first call makes the one-time allocations
+    tracemalloc.start()
+    try:
+        fit()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lorentzian_fit_holds_one_jacobian(runs):
+    tr = lorentz_trace([(4.28e9, 4e6, 5e9), (4.32e9, 8.4e6, 8e9),
+                        (4.36e9, 6e6, 3e9)], noise=0.01, seed=3, n=20_000)
+    peak = _peak_bytes(lambda: fit_lorentzian_multi(tr, 3))
+    J = runs[0]["fn"](runs[0]["p0"])[1]()
+    assert J.shape == (20_000, 10)
+    # two live Jacobians alone are 2 J
+    assert peak < 2.0 * J.nbytes
+
+
+def test_phase_fit_holds_one_jacobian(dev, runs):
+    mag, ph = phase_traces(3e9, noise=0.01, n=20_000)
+    peak = _peak_bytes(lambda: fit_phase_detuning(mag, ph, dev))
+    J = runs[0]["fn"](runs[0]["p0"])[1]()
+    assert J.shape == (40_000, 3)
+    # a trial step peaks at 8/3 J: J, and z, r, the pole and two residual
+    # buffers, 1/3 J each; keeping the last J and r while jac() fills the
+    # next J, beside z, the pole, the new r and m, would reach 11/3 J
+    assert peak < 3.0 * J.nbytes
 
 
 # ------------------------------------------------- errors from one covariance

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import re
+import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
                                     parse_power, read_points,
                                     resolve_device_path, write_table)
 
+from transducersim.spectra import _as_grid
 from transducersim.sweep import QUANTITIES, override
 
 from conftest import reference_read_trace, reference_sweep, relerr
@@ -393,7 +396,7 @@ def _random_columns(n):
     return np.unique(cells[:n]).tolist(), cells[n:2 * n].tolist()
 
 
-BLOCK = 8      # read_trace's lines per conversion block in these tests
+BLOCK = 8      # read_trace's lines per conversion piece in these tests
 _RANDOM_COLUMNS = _random_columns(3 * BLOCK + 3)
 # (name, file text): read_trace must agree with the per-line reference on
 # each, in the arrays it returns or in the exception it raises
@@ -449,6 +452,16 @@ TRACE_CORPUS = [
         f"{x:.17g},{y:.17g}\n" for x, y in zip(*_RANDOM_COLUMNS))),
     ("second_block_blank", "hz,lin\n" + _rows_text(BLOCK + 2) + "\n"
      + _rows_text(2, start=BLOCK + 2)),
+    # pieces are cut just after a newline: a CRLF, a lone CR or a line far
+    # longer than the rest never splits a line between two pieces
+    ("crlf_pieces", "hz,lin\r\n" + _rows_text(3 * BLOCK).replace("\n", "\r\n")),
+    ("lone_cr_pieces", "hz,lin\r" + _rows_text(3 * BLOCK).replace("\n", "\r")),
+    ("mixed_endings_pieces", "hz,lin\n" + "".join(
+        f"{k}.5,{k}{end}" for k, end in zip(range(3 * BLOCK),
+                                           ["\n", "\r\n", "\r", "\x0c"] * BLOCK))),
+    ("uneven_lines", "hz,lin\n" + "1.0000000000000000000000000000000000000001,"
+     + "0" * 400 + "\n" + _rows_text(3 * BLOCK, start=2)),
+    ("no_final_newline", "hz,lin\n" + _rows_text(2 * BLOCK + 1) + "99.5,1"),
 ]
 
 
@@ -478,6 +491,75 @@ def test_read_trace_matches_per_line_reference(tmp_path, monkeypatch, name,
     assert (got.x_unit, got.y_unit) == (expected.x_unit, expected.y_unit)
     # a valid file goes line by line only where it has blank lines
     assert bool(calls) == any(not line.strip() for line in text.splitlines()[1:])
+
+
+def test_read_trace_holds_no_whole_line_list(tmp_path, monkeypatch):
+    # the reader holds a piece of the lines and the float columns: less
+    # than half of the list of all lines, which it no longer builds
+    monkeypatch.setattr(deviceio, "_READ_LINES", 1000)
+    x = np.linspace(4.0e9, 4.6e9, 50_000)
+    path = tmp_path / "long.csv"
+    write_trace(Trace(x, np.sin(x / 1e6)), path)
+    lines = path.read_text().splitlines()
+    whole = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+    del lines
+    tracemalloc.start()
+    try:
+        got = read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.x.tobytes() == x.tobytes()
+    assert peak < 0.5 * whole
+
+
+@pytest.mark.parametrize("header", ["hz,lin", "hz"])
+def test_read_trace_names_a_late_decode_error_as_the_whole_file_read(
+        tmp_path, monkeypatch, header):
+    # the byte that is not UTF-8 lies pieces after the start, behind a
+    # good or a bad header: the error is the whole file's, at its offset
+    monkeypatch.setattr(deviceio, "_READ_LINES", BLOCK)
+    data = (header + "\n" + _rows_text(5 * BLOCK)).encode() + b"1,\xff\n"
+    path = tmp_path / "late.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as codec:
+        data.decode("utf-8-sig")
+    with pytest.raises(TransducerError) as err:
+        read_trace(path)
+    assert str(err.value) == f"{path}: not a text file ({codec.value})"
+
+
+def test_strictly_increasing_checks_agree_with_the_difference(tmp_path):
+    # x[1:] > x[:-1] against diff(x) > 0 on neighbours that are equal,
+    # infinite, nan, or a step whose difference overflows: the Trace, the
+    # spectrum grid and the trace reader each check it
+    cases = {"equal": [1.0, 1.0], "huge_step": [-1e308, 1e308],
+             "inf": [0.0, math.inf], "inf_inf": [math.inf, math.inf],
+             "nan": [0.0, math.nan], "minus_inf": [-math.inf, 0.0],
+             "subnormal": [0.0, 5e-324], "falls": [1.0, 0.0, 2.0]}
+    for name, values in cases.items():
+        x = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rising = bool(np.all(np.diff(x) > 0))
+        try:
+            Trace(x, np.zeros(x.size))
+            trace_ok = True
+        except TraceError:
+            trace_ok = False
+        assert trace_ok == (rising and bool(np.isfinite(x).all())), name
+        try:
+            _as_grid(x)
+            grid_ok = True
+        except ParameterError:
+            grid_ok = False
+        assert grid_ok == rising, name
+        path = tmp_path / f"{name}.csv"
+        path.write_text("hz,lin\n" + "".join(f"{v!r},0\n" for v in values))
+        if rising and np.isfinite(x).all():
+            assert read_trace(path).x.tobytes() == x.tobytes(), name
+        else:
+            with pytest.raises(TraceError):
+                read_trace(path)
 
 
 def test_trace_rejects_nan(tmp_path):

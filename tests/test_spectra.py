@@ -11,8 +11,9 @@ from transducersim import (CODATA, FitError, MechanicalMode, ParameterError,
                            thermal_spectrum, total_efficiency,
                            total_mech_linewidth)
 from transducersim.core import DeviceParams
+from transducersim.spectra import _deposit_peak
 
-from conftest import relerr
+from conftest import reference_deposit_peak, relerr
 
 N_TH_300K = 1446.4874967108869
 
@@ -139,6 +140,49 @@ def test_driven_coherent_area_linear_in_power(dev, mode):
         mask = np.abs(grid - mode.f) > 100e3
         assert np.array_equal(dr.y[mask], th[mask])
     assert relerr(areas[1], 10 * areas[0]) < 1e-9
+
+
+def _rectangles(f, rng):
+    """(center, width) of rectangles inside the grid, across either end,
+    over all of it, and wholly outside it."""
+    lo, hi = f[0], f[-1]
+    span = max(hi - lo, 1.0)
+    inside = [(rng.uniform(lo, hi), rng.uniform(0.0, 0.2) * span + 1e-3)
+              for _ in range(4)]
+    return inside + [
+        (lo, 0.5 * span), (hi, 0.5 * span), (0.5 * (lo + hi), 3.0 * span),
+        (lo - span, 0.5 * span), (hi + span, 0.5 * span),
+        (hi + 0.5 * span, span),        # its low edge is the grid's last edge
+    ]
+
+
+def _random_grid(kind, rng):
+    if kind == "one_cell":
+        return np.array([rng.normal()])
+    if kind == "two_cells":
+        return np.sort(rng.normal(size=2))
+    if kind == "uneven":
+        return np.unique(rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(0, 9))
+    if kind == "ulp_cell":          # neighbours an ulp apart
+        f = np.unique(rng.uniform(1.0, 2.0, 50))
+        f[-1] = np.nextafter(f[-2], np.inf)
+        return f
+    return np.linspace(4.2e9, 4.4e9, 2001) + rng.uniform(0.0, 1e5)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["one_cell", "two_cells", "uneven",
+                                  "ulp_cell", "ghz"])
+def test_drive_peak_matches_the_whole_grid_formula(kind, seed):
+    rng = np.random.default_rng(seed)
+    f = _random_grid(kind, rng)
+    base = rng.uniform(0.0, 1.0, f.size)
+    for center, width in _rectangles(f, rng):
+        for area in (rng.uniform(0.1, 10.0), -2.5, math.inf):
+            got, want = base.copy(), base.copy()
+            _deposit_peak(f, got, center, width, area)
+            reference_deposit_peak(f, want, center, width, area)
+            assert got.tobytes() == want.tobytes(), (center, width, area)
 
 
 # ------------------------------------------------------- thermal-peak scaling
