@@ -134,6 +134,10 @@ def cmd_fit(args) -> int:
     else:
         background = args.background
         if args.reference is not None:
+            if background == "linear":
+                raise TransducerError("--reference fits a constant background "
+                                      "and cannot be combined with "
+                                      "--background linear")
             background = read_trace(args.reference)
         result = fit_lorentzian_multi(read_trace(args.trace), args.n_peaks,
                                       background)

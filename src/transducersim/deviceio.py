@@ -11,9 +11,9 @@ dBm/W conversion lives here; the physics modules are watts-only.
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -317,14 +317,14 @@ def load_device(name: str) -> DeviceBundle:
 
 # ------------------------------------------------------------------ trace CSV
 
-# Lines per conversion piece of read_trace and cells per formatting block
-# of write_table: large enough that the per-piece overhead is negligible,
-# small enough that a piece's strings and floats take a few MB (2 MB for
-# 8192 lines of 17-digit pairs), so the memory beyond the float columns
-# does not grow with the file (a 2e5-line trace's text takes 8 MB, its
-# list of lines 20 MB).
-_READ_LINES = 8192
+# Cells per formatting block of write_table: large enough that the
+# per-block overhead is negligible, small enough that a block's strings
+# take a few MB, so the memory beyond the table does not grow with it.
 _WRITE_CELLS = 65536
+# The bytes a trace body may hold and still go to np.loadtxt: it strips
+# tabs, form feeds, NEL and other separators around a field, where the
+# format rejects them or splitlines() ends a line.
+_PLAIN = b"0123456789eE.+-, \r\n"
 
 
 def write_trace(trace: Trace, path) -> None:
@@ -342,27 +342,30 @@ def write_eye(eye, path) -> None:
 def read_trace(path) -> Trace:
     """Trace of a two-column CSV with a 'x_unit,y_unit' header.
 
-    The file is converted _READ_LINES lines at a time, as it is read. A
-    file that is not UTF-8, or has a bad header, a blank line or a bad
-    row, is read again whole, and then line by line (_rows), which names
-    the first fault.
+    A file whose first line is one UTF-8 line and whose body holds only
+    _PLAIN bytes is parsed by np.loadtxt, and the Trace checks its
+    values. Any other file, or one that np.loadtxt or the Trace rejects,
+    is read whole and line by line (_rows), which names the first fault.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        # newline="": a line ends at \n, \r or \r\n, kept as read, so the
-        # pieces' splitlines() join up to the whole file's
-        pieces = ("".join(lines).splitlines()
-                  for lines in iter(lambda: list(islice(fh, _READ_LINES)), []))
-        try:
-            lines = next(pieces, [])
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.readline().decode("utf-8-sig").splitlines()
+            plain = len(lines) == 1 and not any(
+                block.translate(None, _PLAIN)
+                for block in iter(lambda: fh.read(1 << 20), b""))
+        if plain:
             header = _header(path, lines)
-            columns = _columns(chain([lines[1:]], pieces))
-        except (UnicodeDecodeError, TraceError):
-            columns = None
-    if columns is None:
-        lines = read_text(path).splitlines()
-        header = _header(path, lines)
-        columns = _rows(path, lines)
-    return Trace(*columns, *header)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty body warns
+                xy = np.loadtxt(path, delimiter=",", comments=None,
+                                skiprows=1, ndmin=2, encoding="utf-8-sig")
+            if xy.shape[1] == 2:
+                return Trace(*xy.T.copy(), *header)
+    except (ValueError, Warning, TraceError):
+        pass    # UnicodeDecodeError is a ValueError
+    lines = read_text(path).splitlines()
+    header = _header(path, lines)
+    return Trace(*_rows(path, lines), *header)
 
 
 def _header(path, lines):
@@ -376,36 +379,10 @@ def _header(path, lines):
     return header
 
 
-def _columns(pieces):
-    """(x, y) of body lines that are all 'x,y' with finite values and x
-    strictly increasing, converted a piece of lines at a time; None
-    otherwise."""
-    xs, ys = [], []
-    for lines in pieces:
-        if not lines:
-            continue
-        joined = ",".join(lines)
-        # float() takes a tab as a space, the format does not; it rejects
-        # any other delimiter, ';' among them
-        if "\t" in joined or not all(line.count(",") == 1 for line in lines):
-            return None
-        try:    # numpy converts each str cell with float()
-            values = np.array(joined.split(","), dtype=float)
-        except ValueError:
-            return None
-        if not np.isfinite(values).all():
-            return None
-        xs.append(values[0::2])
-        ys.append(values[1::2])
-    if not xs:
-        return None
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    return (x, y) if (x[1:] > x[:-1]).all() else None
-
-
 def _rows(path, lines):
-    """(x, y) of a trace's lines read one at a time: slower than _columns,
-    but it skips blank lines and names the line that breaks the format."""
+    """(x, y) of a trace's lines read one at a time: the reference for
+    np.loadtxt's path, slower, but it skips blank lines and names the
+    line that breaks the format."""
     xs, ys, line_nos = [], [], []
     for no, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -126,24 +126,30 @@ def gamma_me_from_phonons(n_coh: float, f_m: float, gamma_m: float,
     return 0.5 * math.pi * n_coh * CODATA.h * f_m * gamma_m ** 2 / p_mu
 
 
-def _deposit_peak(f: np.ndarray, y: np.ndarray, center: float, width: float,
-                  area: float) -> None:
-    """Add a rectangle of the given area to the grid cells it overlaps.
+def _cell_edges(f: np.ndarray, center: float, width: float) -> np.ndarray:
+    """Edges of the cells a drive peak is deposited into: midpoints between
+    grid points, the end cells as wide as their neighbours; on a one-point
+    grid, one cell of twice the width around center."""
+    if f.size == 1:
+        return np.array([center - width, center + width])
+    return np.concatenate(([f[0] - 0.5 * (f[1] - f[0])],
+                           0.5 * (f[:-1] + f[1:]),
+                           [f[-1] + 0.5 * (f[-1] - f[-2])]))
 
-    For a finite area only the cells between the edges around the
-    rectangle are updated: every other cell would add area * 0 = 0.
+
+def _deposit_peak(edges: np.ndarray, y: np.ndarray, center: float,
+                  width: float, area: float) -> None:
+    """Add a rectangle of the given area to the cells (_cell_edges) it
+    overlaps.
+
+    Only the cells between the edges around the rectangle are updated:
+    every other cell would add area * 0 = 0.
     """
     if area == 0.0:
         return
-    edges = np.concatenate(([f[0] - 0.5 * (f[1] - f[0])],
-                            0.5 * (f[:-1] + f[1:]),
-                            [f[-1] + 0.5 * (f[-1] - f[-2])])) \
-        if f.size > 1 else np.array([center - width, center + width])
     lo, hi = center - 0.5 * width, center + 0.5 * width
-    first, stop = 0, f.size
-    if math.isfinite(area):
-        first = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)
-        stop = min(int(np.searchsorted(edges, hi, side="left")), f.size)
+    first = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)
+    stop = min(int(np.searchsorted(edges, hi, side="left")), y.size)
     edges = edges[first:stop + 1]
     overlap = np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo),
                       0.0, None)
@@ -161,15 +167,24 @@ def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
     n_coh_j * Gamma_om_j; the drive peak is instrument-limited, so it is
     rendered as a rectangle of width rbw whose area is the physical
     quantity. Coherent phonons scale linearly with p_mu while the
-    thermal part is unaffected.
+    thermal part is unaffected. A rectangle that overlaps none of the
+    grid's cells is an error, not a spectrum without its peak.
     """
-    require(positive={"rbw": rbw})
+    require(positive={"rbw": rbw, "drive_f": drive_f})
     thermal = thermal_spectrum(dev, modes, n_c, n_th, grid)
     f = thermal.x
     y = thermal.y.copy()
+    edges = _cell_edges(f, drive_f, rbw)
+    if drive_f + 0.5 * rbw <= edges[0] or drive_f - 0.5 * rbw >= edges[-1]:
+        raise ParameterError(
+            f"drive peak at drive_f = {drive_f!r} Hz, rbw = {rbw!r} Hz lies "
+            f"outside the grid's cells ({edges[0]:.10g} to {edges[-1]:.10g} Hz)")
     for mode in modes:
-        n_coh = steady_state_coherent_phonons(mode, p_mu, drive_f)
-        _deposit_peak(f, y, drive_f, rbw, n_coh * sideband_rate(mode, n_c, dev.kappa_o))
+        # a float, so that an overflowing n_coh times a zero rate is a
+        # nan area, which the Trace rejects, and not a numpy warning
+        n_coh = float(steady_state_coherent_phonons(mode, p_mu, drive_f))
+        _deposit_peak(edges, y, drive_f, rbw,
+                      n_coh * sideband_rate(mode, n_c, dev.kappa_o))
     return Trace(f, y, "hz", "lin", label="driven sideband spectrum", rbw=rbw)
 
 

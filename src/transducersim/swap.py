@@ -96,10 +96,12 @@ def rabi_swap_sim(dev: DeviceParams, q: QubitConfig, t_grid,
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ParameterError("t_grid must contain at least two times")
-    if t[0] < 0 or not np.all(np.diff(t) > 0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = np.diff(t)   # inf where a step overflows, nan inf - inf
+    if t[0] < 0 or not np.all(step > 0):
         raise ParameterError("t_grid must be nonnegative and strictly increasing")
     g_em = coupling_g_em(dev, q)
-    if g_em > 0 and float(np.max(np.diff(t))) > 1.0 / (10.0 * g_em):
+    if g_em > 0 and float(np.max(step)) > 1.0 / (10.0 * g_em):
         raise SamplingError(
             f"t_grid step exceeds 1/(10*g_em) = {1.0 / (10.0 * g_em):.3g} s; "
             "the exchange would alias")
@@ -114,13 +116,16 @@ def rabi_swap_sim(dev: DeviceParams, q: QubitConfig, t_grid,
     e_down = np.exp((mu - omega) * t)
     cosh_part = 0.5 * (e_up + e_down)        # e^(mu t) cosh(W t)
     # e^(mu t) sinh(W t)/W: e^(mu t) t at W = 0; below |W t| = 1 the
-    # difference of the exponentials cancels, so scale that by sinh(z)/z
+    # difference of the exponentials cancels, so scale that by sinh(z)/z,
+    # which rounds to 1 below |z| = 1e-150, where numpy's complex
+    # division of a subnormal z by itself would overflow
     sinh_part = (np.exp(mu * t) * t).astype(complex)
     if omega != 0:
         z = omega * t
-        far = np.abs(z) >= 1.0
+        size = np.abs(z)
+        far = size >= 1.0
         sinh_part[far] = (e_up[far] - e_down[far]) / (2 * omega)
-        near = ~far & (t > 0)
+        near = ~far & (size > 1e-150)
         sinh_part[near] *= np.sinh(z[near]) / z[near]
     a = cosh_part + half * sinh_part
     b = -1j * g2 * sinh_part

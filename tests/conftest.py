@@ -184,8 +184,9 @@ def reference_sweep(spec, bundle, temperature=300.0, drive_p_mu=None):
 # ------------------------------------------- trace CSV reference (oracle)
 
 def reference_read_trace(path):
-    """read_trace as the per-line loop computed it, error messages included."""
-    lines = Path(path).read_text().splitlines()
+    """read_trace as the per-line loop computed it, error messages included;
+    a file that is not UTF-8 raises the UnicodeDecodeError."""
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     if not lines:
         raise TraceError(f"{path}: empty file")
     header = [tok.strip() for tok in lines[0].split(",")]

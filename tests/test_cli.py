@@ -763,6 +763,29 @@ def test_spectrum_driven_without_power_mu_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectrum_driven_off_the_grid_exits_2(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["spectrum", "driven", "--device", MEASURED, "--power-mu",
+                 "-22dbm", "--drive-f", "1e300", "--points", "101", "--out",
+                 str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: drive peak at drive_f = 1e+300 Hz, rbw = 50000.0 Hz lies "
+            "outside the grid's cells (4235160000 to 4404840000 Hz)\n")
+    assert not out.exists()
+
+
+def test_fit_lorentz_reference_with_linear_background_exits_2(tmp_path,
+                                                              capsys):
+    f = np.linspace(4.2e9, 4.45e9, 401)
+    path = tmp_path / "peak.csv"
+    write_trace(Trace(f, 1.0 + 1.0 / (1.0 + ((f - 4.3e9) / 1e7) ** 2)), path)
+    assert main(["fit", "lorentz", "--trace", str(path), "--n-peaks", "1",
+                 "--background", "linear", "--reference", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --reference fits a constant background and cannot be "
+            "combined with --background linear\n")
+
+
 def test_link_with_huge_noise_warns_nothing(tmp_path, capsys):
     # the ring fits' covariance, mapped back by 2**k, overflows: its
     # variances are inf, and numpy prints no warning

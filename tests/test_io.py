@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 from transducersim import (DeviceBundle, DeviceFileError, ParameterError,
-                           SweepSpec, Trace, TraceError, TransducerError,
-                           load_device, read_trace, run_sweep,
-                           thermal_occupation, write_device, write_trace)
+                           SamplingError, SweepSpec, Trace, TraceError,
+                           TransducerError, load_device, rabi_swap_sim,
+                           read_trace, run_sweep, thermal_occupation,
+                           write_device, write_trace)
 from transducersim import deviceio
 from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
                                     parse_device, parse_device_text,
@@ -396,10 +398,16 @@ def _random_columns(n):
     return np.unique(cells[:n]).tolist(), cells[n:2 * n].tolist()
 
 
-BLOCK = 8      # read_trace's lines per conversion piece in these tests
+BLOCK = 8      # rows per block in the *_block_* and *_pieces cases
 _RANDOM_COLUMNS = _random_columns(3 * BLOCK + 3)
-# (name, file text): read_trace must agree with the per-line reference on
-# each, in the arrays it returns or in the exception it raises
+# the bytes a trace body may hold and still go to np.loadtxt
+PLAIN = b"0123456789eE.+-, \r\n"
+# each byte before, inside and after the x field, and after the y field,
+# of the last row
+_BYTE_ROWS = {"before": b"%s3,4", "inside": b"3%s5,4", "after": b"3%s,4",
+              "after_y": b"3,4%s"}
+# (name, file text or bytes): read_trace must agree with the per-line
+# reference on each, in the arrays it returns or in the exception it raises
 TRACE_CORPUS = [
     ("plain", "hz,lin\n1,2\n2,3\n"),
     ("one_row", "s,v\n-0.0,5e-324\n"),
@@ -462,22 +470,49 @@ TRACE_CORPUS = [
     ("uneven_lines", "hz,lin\n" + "1.0000000000000000000000000000000000000001,"
      + "0" * 400 + "\n" + _rows_text(3 * BLOCK, start=2)),
     ("no_final_newline", "hz,lin\n" + _rows_text(2 * BLOCK + 1) + "99.5,1"),
+    ("bom_crlf", "\ufeffhz,lin\r\n1,2\r\n2,3\r\n"),
+    ("header_form_feed", "hz,lin\x0c\n1,2\n2,3\n"),
+    ("header_nel", "hz,\x85lin\n1,2\n"),
+    ("header_line_separator", "hz,lin\u2028\n1,2\n2,3\n"),
+    ("one_column_body", "hz,lin\n1\n2\n"),
+    ("three_column_body", "hz,lin\n1,2,3\n2,3,4\n"),
+    ("blank_body", "hz,lin\n\n\r\n\n"),
+    ("spaces_only_line", "hz,lin\n1,2\n  \n2,3\n"),
+    # the byte outside PLAIN lies past the reader's first 1 MB block
+    ("late_form_feed", "hz,lin\n" + _rows_text(70_000) + "1e9,1\x0c"),
+    *((f"byte_{b:02x}_{where}",
+       b"hz,lin\n1,2\n" + row % bytes([b]) + b"\n")
+      for b in range(256) for where, row in _BYTE_ROWS.items()),
 ]
 
 
+def _routed_to_rows(data):
+    """Whether read_trace must take the per-line path on a valid file: its
+    first line splits, its body holds a byte outside PLAIN, or np.loadtxt
+    rejects it, which among valid files only a line of spaces makes it do."""
+    head, newline, body = data.partition(b"\n")
+    return (len((head + newline).decode("utf-8-sig").splitlines()) != 1
+            or bool(body.translate(None, PLAIN))
+            or any(line and not line.strip(" ")
+                   for line in body.decode().splitlines()))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, text", TRACE_CORPUS,
                          ids=[name for name, _ in TRACE_CORPUS])
 def test_read_trace_matches_per_line_reference(tmp_path, monkeypatch, name,
                                                text):
-    monkeypatch.setattr(deviceio, "_READ_LINES", BLOCK)
     path = tmp_path / f"{name}.csv"
-    path.write_bytes(text.encode("utf-8"))
+    data = text if isinstance(text, bytes) else text.encode("utf-8")
+    path.write_bytes(data)
     try:
         expected = reference_read_trace(path)
-    except TraceError as err:
-        with pytest.raises(type(err)) as got:
+    except (TraceError, UnicodeDecodeError) as err:
+        if isinstance(err, UnicodeDecodeError):
+            err = TransducerError(f"{path}: not a text file ({err})")
+        with pytest.raises(TransducerError) as got:
             read_trace(path)
-        assert str(got.value) == str(err)
+        assert (type(got.value), str(got.value)) == (type(err), str(err))
         return
     per_line, calls = deviceio._rows, []
 
@@ -489,14 +524,26 @@ def test_read_trace_matches_per_line_reference(tmp_path, monkeypatch, name,
     assert got.x.tobytes() == expected.x.tobytes()
     assert got.y.tobytes() == expected.y.tobytes()
     assert (got.x_unit, got.y_unit) == (expected.x_unit, expected.y_unit)
-    # a valid file goes line by line only where it has blank lines
-    assert bool(calls) == any(not line.strip() for line in text.splitlines()[1:])
+    assert bool(calls) == _routed_to_rows(data)
 
 
-def test_read_trace_holds_no_whole_line_list(tmp_path, monkeypatch):
-    # the reader holds a piece of the lines and the float columns: less
-    # than half of the list of all lines, which it no longer builds
-    monkeypatch.setattr(deviceio, "_READ_LINES", 1000)
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_read_trace_of_a_blank_body_warns_nothing(tmp_path, action):
+    # np.loadtxt warns on a body with no data; the reader falls back
+    # whatever the caller's warning filter is, and no warning escapes
+    path = tmp_path / "blank.csv"
+    path.write_text("hz,lin\n\n\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(TraceError) as err:
+            read_trace(path)
+    assert str(err.value) == f"{path}: no data rows"
+    assert caught == []
+
+
+def test_read_trace_holds_no_whole_line_list(tmp_path):
+    # the reader holds np.loadtxt's table and the columns copied from it:
+    # less than half of the list of all lines, which it never builds
     x = np.linspace(4.0e9, 4.6e9, 50_000)
     path = tmp_path / "long.csv"
     write_trace(Trace(x, np.sin(x / 1e6)), path)
@@ -515,10 +562,9 @@ def test_read_trace_holds_no_whole_line_list(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("header", ["hz,lin", "hz"])
 def test_read_trace_names_a_late_decode_error_as_the_whole_file_read(
-        tmp_path, monkeypatch, header):
-    # the byte that is not UTF-8 lies pieces after the start, behind a
-    # good or a bad header: the error is the whole file's, at its offset
-    monkeypatch.setattr(deviceio, "_READ_LINES", BLOCK)
+        tmp_path, header):
+    # the byte that is not UTF-8 lies rows after the start, behind a good
+    # or a bad header: the error is the whole file's, at its offset
     data = (header + "\n" + _rows_text(5 * BLOCK)).encode() + b"1,\xff\n"
     path = tmp_path / "late.csv"
     path.write_bytes(data)
@@ -529,10 +575,11 @@ def test_read_trace_names_a_late_decode_error_as_the_whole_file_read(
     assert str(err.value) == f"{path}: not a text file ({codec.value})"
 
 
-def test_strictly_increasing_checks_agree_with_the_difference(tmp_path):
+def test_strictly_increasing_checks_agree_with_the_difference(tmp_path,
+                                                             measured):
     # x[1:] > x[:-1] against diff(x) > 0 on neighbours that are equal,
     # infinite, nan, or a step whose difference overflows: the Trace, the
-    # spectrum grid and the trace reader each check it
+    # spectrum grid, the trace reader and the Rabi time grid each check it
     cases = {"equal": [1.0, 1.0], "huge_step": [-1e308, 1e308],
              "inf": [0.0, math.inf], "inf_inf": [math.inf, math.inf],
              "nan": [0.0, math.nan], "minus_inf": [-math.inf, 0.0],
@@ -553,6 +600,14 @@ def test_strictly_increasing_checks_agree_with_the_difference(tmp_path):
         except ParameterError:
             grid_ok = False
         assert grid_ok == rising, name
+        try:
+            rabi_swap_sim(measured.device, measured.qubit, x)
+            rabi_ok = True
+        except SamplingError:   # the step check, after the grid passed
+            rabi_ok = True
+        except ParameterError:
+            rabi_ok = False
+        assert rabi_ok == (rising and x[0] >= 0), name
         path = tmp_path / f"{name}.csv"
         path.write_text("hz,lin\n" + "".join(f"{v!r},0\n" for v in values))
         if rising and np.isfinite(x).all():

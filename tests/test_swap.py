@@ -150,6 +150,15 @@ def test_rabi_damped_matches_analytic_diagonalization(dev, qubit):
     assert np.max(np.abs(phonons.y - m_ref)) < 1e-4
 
 
+@pytest.mark.parametrize("step", [5e-324, 1e-318, 1e-200])
+def test_rabi_tiny_time_step_is_the_initial_state(dev, qubit, step):
+    # sinh(W t)/W rounds to t: numpy's complex division of a subnormal
+    # W t by itself overflows, and must not be reached
+    q_exc, phonons = rabi_swap_sim(dev, qubit, [0.0, step])
+    assert q_exc.y.tolist() == [1.0, 1.0]
+    assert phonons.y.tolist() == [0.0, 0.0]
+
+
 def test_rabi_exceptional_point_stays_finite(dev, qubit):
     # kappa_mu = 4 g_em and gamma_mi = 8 g_em make the generator defective:
     # W^2 = (pi*(gamma_mi - kappa_mu)/2)^2 - (2*pi*g_em)^2 = 0 exactly
