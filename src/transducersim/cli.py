@@ -18,7 +18,7 @@ from .deviceio import (load_device, parse_power, read_points, read_text,
 from .errors import FitError, TransducerError
 from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
                       fit_optical_dip, fit_phase_detuning)
-from .link import (LinkConfig, eye_diagram, link_metrics, parse_bits, run_link)
+from .link import LinkConfig, _measure, parse_bits, run_link
 from .spectra import driven_spectrum, s_oe_spectrum, thermal_spectrum
 from .swap import rabi_swap_sim, swap_feasibility
 from .sweep import SweepSpec, evaluate, override, run_sweep
@@ -152,19 +152,19 @@ def cmd_link(args) -> int:
                      samples_per_bit=args.samples_per_bit,
                      drive_mode=args.drive_mode)
     run = run_link(cfg, seed=args.seed)
-    metrics = link_metrics(run, cfg)    # an overflow raises before any write
+    eye, metrics, notes = _measure(run, cfg)  # an overflow raises before a write
     env_path = f"{args.out_prefix}_envelope.csv"
     write_trace(run.envelope, env_path)
     iq_path = f"{args.out_prefix}_iq.csv"
     write_table(iq_path, ["t_s", "i_v", "q_v"],
                 np.column_stack([run.time, run.i_trace.y, run.q_trace.y]))
     outputs = [("envelope", env_path), ("iq", iq_path)]
-    try:
+    if eye is not None:
         eye_path = f"{args.out_prefix}_eye.csv"
-        write_eye(eye_diagram(run, cfg), eye_path)
+        write_eye(eye, eye_path)
         outputs.append(("eye", eye_path))
-    except TransducerError as err:
-        print(f"note: no eye diagram ({err})", file=sys.stderr)
+    for note in notes:
+        print(f"note: {note}", file=sys.stderr)
     _print_kv([(k, v) for k, v in metrics.items()]
               + [(name, path) for name, path in outputs])
     return 0

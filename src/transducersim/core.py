@@ -27,13 +27,11 @@ NO_PUMP = ("no pump drive: add a [pump] section, or give pump.p_on_chip or "
 def violation(bad, message, *values):
     """message quoting values where bad first holds, or None where it never does.
 
-    bad is a comparison of scalars or of arrays. A scalar comparison
-    quotes the values as they are, so scalar calls keep their messages;
-    an array comparison quotes each array value by its element at the
-    first failing index.
+    bad is a comparison of scalars or of arrays. Each array value is
+    quoted by its element at the first failing index; every other value
+    is quoted as it is, so scalar calls keep their messages.
     """
-    if not isinstance(bad, np.ndarray):
-        return message.format(*values) if bad else None
+    bad = np.asarray(bad)
     if not bad.any():
         return None
     i = int(bad.argmax())
@@ -203,24 +201,31 @@ def backaction_rate(dev: DeviceParams, n_c: float) -> float:
     return 4.0 * n_c * dev.g_om ** 2 / dev.kappa_o
 
 
+def sign_factor(sign: DetuningSign) -> float:
+    """+1.0 for a "blue" pump, -1.0 for a "red" one."""
+    if sign not in ("blue", "red"):
+        raise ParameterError(f"sign must be 'blue' or 'red' (got {sign!r})")
+    return 1.0 if sign == "blue" else -1.0
+
+
+def stable_sign(dev: DeviceParams, gamma_om: float, sign: DetuningSign) -> float:
+    """sign_factor(sign), after an InstabilityError for a blue pump at
+    gamma_om >= gamma_mi: gamma_tot = gamma_mi - gamma_om reaches zero
+    there, and the mode self-oscillates."""
+    s = sign_factor(sign)
+    if s > 0 and (msg := violation(
+            gamma_om >= dev.gamma_mi,
+            "backaction rate {:.4g} Hz >= intrinsic linewidth {:.4g} Hz: "
+            "parametric oscillation threshold", gamma_om, dev.gamma_mi)):
+        raise InstabilityError(msg)
+    return s
+
+
 def total_mech_linewidth(dev: DeviceParams, n_c: float,
                          sign: DetuningSign) -> float:
-    """Operating mechanical linewidth gamma_mi -/+ gamma_om (blue/red), Hz.
-
-    A blue-detuned pump narrows the line; past gamma_om >= gamma_mi the
-    mode self-oscillates and an InstabilityError is raised.
-    """
+    """Operating mechanical linewidth gamma_mi -/+ gamma_om (blue/red), Hz."""
     g_om = backaction_rate(dev, n_c)
-    if sign == "blue":
-        if msg := violation(
-                g_om >= dev.gamma_mi,
-                "backaction rate {:.4g} Hz >= intrinsic linewidth {:.4g} Hz: "
-                "parametric oscillation threshold", g_om, dev.gamma_mi):
-            raise InstabilityError(msg)
-        return dev.gamma_mi - g_om
-    if sign == "red":
-        return dev.gamma_mi + g_om
-    raise ParameterError(f"sign must be 'blue' or 'red' (got {sign!r})")
+    return dev.gamma_mi - stable_sign(dev, g_om, sign) * g_om
 
 
 def efficiencies(dev: DeviceParams, gamma_m: float) -> tuple[float, float]:
@@ -241,21 +246,16 @@ def total_efficiency(dev: DeviceParams, pump: PumpState,
     cooperativity and eta_em evaluated at the bare mechanical linewidth
     gamma_mi + gamma_me; the (1 -/+ C)^2 denominator carries the
     backaction. Maximum for red detuning is eta_oc*eta_o*eta_em at C = 1.
+    A blue pump raises at stable_sign's threshold gamma_om >= gamma_mi,
+    where gamma_tot reaches zero, with gamma_om read as C * gamma_m so
+    that C < 1 below it even where gamma_me rounds away against gamma_mi.
     """
     n_c = resolve_photon_number(dev, pump)
     gamma_bare = dev.gamma_m
     c_om = cooperativity(dev, n_c, gamma_bare)
+    s = stable_sign(dev, c_om * gamma_bare, sign)
     eta_o, eta_em = efficiencies(dev, gamma_bare)
-    if sign == "blue":
-        if msg := violation(c_om >= 1.0, "C_om = {:.4g} >= 1 under blue detuning",
-                            c_om):
-            raise InstabilityError(msg)
-        denom = (1.0 - c_om) ** 2
-    elif sign == "red":
-        denom = (1.0 + c_om) ** 2
-    else:
-        raise ParameterError(f"sign must be 'blue' or 'red' (got {sign!r})")
-    return dev.eta_oc * eta_o * eta_em * 4.0 * c_om / denom
+    return dev.eta_oc * eta_o * eta_em * 4.0 * c_om / (1.0 - s * c_om) ** 2
 
 
 def thermal_occupation(f_m: float, temperature: float) -> float:

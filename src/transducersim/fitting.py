@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DeviceParams, require, require_integer
+from .core import DeviceParams, require, require_integer, sign_factor
 from .errors import FitError, ParameterError
 from .spectra import _lorentzian_density, _pole
 from .trace import Trace
@@ -329,8 +329,7 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
         raise ParameterError("need at least 3 (n_c, gamma) points")
     if not np.all(np.isfinite(pts)):
         raise ParameterError("points must be finite")
-    if sign not in ("blue", "red"):
-        raise ParameterError(f"sign must be 'blue' or 'red' (got {sign!r})")
+    expected = -sign_factor(sign)     # the slope's sign under `sign`
     n_c, gam = pts[:, 0], pts[:, 1]
     w = np.ones_like(gam) if weights is None else np.asarray(weights, float)
     if w.shape != gam.shape:
@@ -348,7 +347,6 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
     slope, intercept = float(coef[0]), float(coef[1])
     se_slope = fit.stderr["slope"]
 
-    expected = -1.0 if sign == "blue" else 1.0
     signed = expected * slope          # positive when consistent with `sign`
     # a slope whose total effect across the swept range is numerically
     # negligible against the intercept is zero, not a tiny g_om

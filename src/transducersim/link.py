@@ -320,15 +320,15 @@ def ring_segments(run: LinkRun, cfg: LinkConfig):
     return best["ringup"][1], best["ringdown"][1]
 
 
-def link_metrics(run: LinkRun, cfg: LinkConfig) -> dict:
-    """Eye metrics plus fitted ring-up/ring-down linewidths."""
-    metrics = {}
+def _measure(run: LinkRun, cfg: LinkConfig):
+    """(eye or None, link_metrics' dict, one note per metric left out)."""
+    eye, metrics, notes = None, {}, []
     try:
         eye = eye_diagram(run, cfg)
         metrics["eye_opening"] = eye.opening
         metrics["extinction_ratio"] = eye.extinction_ratio
-    except ParameterError:
-        pass
+    except ParameterError as err:
+        notes.append(f"no eye diagram ({err})")
     up, down = ring_segments(run, cfg)
     for seg, kind, key in ((up, "ringup", "gamma_m_ringup"),
                            (down, "ringdown", "gamma_m_ringdown")):
@@ -336,11 +336,19 @@ def link_metrics(run: LinkRun, cfg: LinkConfig) -> dict:
             continue
         try:
             fit = fit_ring(seg, kind)
-        except FitError:
+        except FitError as err:
+            notes.append(f"no {key} ({err})")
             continue
         if fit.converged:
             metrics[key] = fit.params["gamma_m"]
-    return metrics
+        else:
+            notes.append(f"no {key} ({'; '.join(fit.notes)})")
+    return eye, metrics, notes
+
+
+def link_metrics(run: LinkRun, cfg: LinkConfig) -> dict:
+    """Eye metrics plus fitted ring-up/ring-down linewidths."""
+    return _measure(run, cfg)[1]
 
 
 def harmonic_spectrum(cfg: LinkConfig, f0: float, n_periods: int = 64,

@@ -94,6 +94,13 @@ def _n_c(bundle, env):
     return core.resolve_photon_number(bundle.device, _pump(bundle))
 
 
+def _c_om(bundle, env):
+    dev = bundle.device
+    c_om = core.cooperativity(dev, _n_c(bundle, env), dev.gamma_m)
+    core.stable_sign(dev, c_om * dev.gamma_m, _pump(bundle).sign)
+    return c_om
+
+
 def _coherent_phonons(bundle, env):
     if env["drive.p_mu"] is None:
         raise ParameterError("quantity needs drive.p_mu")
@@ -108,8 +115,7 @@ QUANTITIES = {
     "gamma_om": lambda b, env: core.backaction_rate(b.device, _n_c(b, env)),
     "gamma_tot": lambda b, env: core.total_mech_linewidth(
         b.device, _n_c(b, env), _pump(b).sign),
-    "c_om": lambda b, env: core.cooperativity(b.device, _n_c(b, env),
-                                              b.device.gamma_m),
+    "c_om": _c_om,
     "eta_o": lambda b, env: core.efficiencies(b.device, b.device.gamma_m)[0],
     "eta_em": lambda b, env: core.efficiencies(b.device, b.device.gamma_m)[1],
     "eta_tot": lambda b, env: core.total_efficiency(b.device, _pump(b),
@@ -168,18 +174,19 @@ def override(bundle: DeviceBundle, values: dict, env: dict, *, sign=None):
                 f"unknown parameter path {path!r}; use device.<field>, "
                 "pump.<field>, qubit.<field>, drive.p_mu, or temperature")
         changes[head][field] = column
-    if sign not in (None, "blue", "red"):
-        raise ParameterError(f"sign must be 'blue' or 'red' (got {sign!r})")
+    factor = None if sign is None else core.sign_factor(sign)
     pump = changes.pop("pump")
     records = {head: replace(getattr(bundle, head), **fields)
                for head, fields in changes.items() if fields}
-    if pump or sign:
+    if pump or factor:
         start = vars(bundle.pump) if bundle.pump else {"detuning": bundle.device.f_m}
         if pump.keys() & {"n_c", "p_on_chip"}:
             start = {**start, "n_c": None, "p_on_chip": None}
         pump = {**start, **pump}
-        if sign:
-            pump["detuning"] = abs(pump["detuning"]) * (1 if sign == "blue" else -1)
+        if factor:
+            if factor < 0 and not np.all(pump["detuning"]):
+                raise ParameterError("a red pump needs a nonzero detuning")
+            pump["detuning"] = abs(pump["detuning"]) * factor
         records["pump"] = PumpState(**pump)
     return replace(bundle, **records), env
 

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from transducersim import Trace, write_trace
-from transducersim import cli, core
+from transducersim import cli, core, link
 from transducersim.cli import main
 from transducersim.deviceio import load_device, resolve_device_path
+from transducersim.link import eye_diagram
 from transducersim.spectra import lumped_mode
 
 from conftest import reference_run, relerr
@@ -177,6 +178,22 @@ def test_link_default_sampling_resolves_the_dynamics(tmp_path, capsys):
     assert code == 0
     out, _ = kv(capsys)
     assert float(out["eye_opening"]) > 0.9
+
+
+def test_link_names_a_dropped_ring_fit_and_builds_the_eye_once(
+        tmp_path, capsys, monkeypatch):
+    eyes = []
+    monkeypatch.setattr(link, "eye_diagram",
+                        lambda *a: eyes.append(a) or eye_diagram(*a))
+    assert main(["link", "--bits", "0110", "--rate", "1e9", "--gamma-m",
+                 "1e3", "--f-if", "0", "--out-prefix",
+                 str(tmp_path / "r")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "note: no gamma_m_ringup (non-convergence)\n"
+    assert out.splitlines()[:3] == ["eye_opening = 0",
+                                    "extinction_ratio = 1.000002749",
+                                    "gamma_m_ringdown = 1000.000008"]
+    assert len(eyes) == 1
 
 
 def test_link_needs_bits(capsys):
@@ -388,7 +405,8 @@ def _overflow_text():
     (["sweep", "--device", MEASURED, "--param", "pump.detuning", "--values",
       "4.32e9,4.32e9", "--param", "pump.n_c", "--values", "1e3,1e300",
       "--quantity", "eta_tot", "--quantity", "c_om", "--out", "{out}"],
-     "C_om = inf >= 1 under blue detuning"),
+     "backaction rate inf Hz >= intrinsic linewidth 8.4e+06 Hz: parametric "
+     "oscillation threshold"),
     (["efficiency", "--device", "{f_m_1e200}", "--power", "-7.9dbm"],
      f"numeric overflow ({_overflow_text()})"),
     # the link's samples are finite, but the eye's mean high level overflows
@@ -716,6 +734,33 @@ def test_no_pump_drive_is_one_error_for_cli_and_sweep(tmp_path, capsys):
     assert "[pump]" in core.NO_PUMP
 
 
+def test_red_pump_on_a_zero_detuning_exits_2(tmp_path, capsys):
+    # abs(0.0) * -1.0 is -0.0, which PumpState.sign calls blue
+    dev = device_file(tmp_path, re.sub(r"(?m)^detuning_hz = .*$",
+                                       "detuning_hz = 0", MEASURED_TEXT))
+    assert main(["efficiency", "--device", dev, "--detuning", "red"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a red pump needs a nonzero detuning\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--param", "pump.n_c", "--values", "262190",
+     "--quantity", "gamma_tot"],
+    ["sweep", "--param", "pump.n_c", "--values", "262190",
+     "--quantity", "c_om"],
+    ["sweep", "--param", "pump.n_c", "--values", "262190",
+     "--quantity", "eta_tot"],
+    ["efficiency", "--n-c", "262190"],
+], ids=["gamma_tot", "c_om", "eta_tot", "efficiency"])
+def test_one_blue_threshold_for_every_quantity(argv, capsys):
+    # gamma_om = gamma_mi (8.4 MHz) while C_om, taken at gamma_mi +
+    # gamma_me, is still 0.99999558: every quantity is past the threshold
+    assert main([*argv, "--device", MEASURED]) == 2
+    assert capsys.readouterr() == (
+        "", "error: backaction rate 8.4e+06 Hz >= intrinsic linewidth "
+            "8.4e+06 Hz: parametric oscillation threshold\n")
+
+
 # ------------------------------------------- spectra of a device without modes
 
 NO_MODES_TEXT = MEASURED_TEXT[:MEASURED_TEXT.index("[[modes]]")]
@@ -788,12 +833,15 @@ def test_fit_lorentz_reference_with_linear_background_exits_2(tmp_path,
 
 def test_link_with_huge_noise_warns_nothing(tmp_path, capsys):
     # the ring fits' covariance, mapped back by 2**k, overflows: its
-    # variances are inf, and numpy prints no warning
+    # variances are inf, and numpy prints no warning; stderr holds only
+    # the notes naming the two dropped ring fits
     assert main(["link", "--bits", "0101", "--rate", "1e6", "--gamma-m",
                  "7.9e6", "--noise-rms", "1e200", "--f-if", "0",
                  "--out-prefix", str(tmp_path / "noisy")]) == 0
     out, err = capsys.readouterr()
-    assert err == ""
+    assert err == "".join(
+        f"note: no gamma_m_{kind} (poor-fit: residual large; check segment "
+        "kind)\n" for kind in ("ringup", "ringdown"))
     assert out.splitlines()[:2] == ["eye_opening = 0",
                                     "extinction_ratio = 0.5264532555"]
 

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from transducersim import (DeviceParams, InstabilityError, ParameterError,
-                           PumpState, TransducerError, backaction_rate,
-                           cooperativity, dbm_to_w, efficiencies,
+from transducersim import (DeviceBundle, DeviceParams, InstabilityError,
+                           ParameterError, PumpState, TransducerError,
+                           backaction_rate, cooperativity, dbm_to_w,
+                           efficiencies, fit_linewidth_vs_photons,
                            photon_number, resolve_photon_number,
                            thermal_occupation, total_efficiency,
                            total_mech_linewidth)
+from transducersim.sweep import evaluate, override
 
 from conftest import relerr
 
@@ -320,6 +323,64 @@ def test_columns_quote_the_first_failing_element(table_dev):
             build(column[1])
         assert type(from_column.value) is type(from_scalar.value)
         assert str(from_column.value) == str(from_scalar.value)
+
+
+def test_one_sign_rule_for_every_entry_point(table_dev):
+    pump = PumpState(detuning=4.32e9, n_c=1e3)
+    calls = [lambda s: total_mech_linewidth(table_dev, 1e3, s),
+             lambda s: total_efficiency(table_dev, pump, s),
+             lambda s: fit_linewidth_vs_photons([[0, 1], [1, 2], [2, 3]], s,
+                                                1e9),
+             lambda s: override(DeviceBundle(table_dev, pump), {}, {}, sign=s)]
+    for call in calls:
+        with pytest.raises(ParameterError) as err:
+            call("Blue")
+        assert str(err.value) == "sign must be 'blue' or 'red' (got 'Blue')"
+
+
+def test_gamma_tot_c_om_and_eta_tot_share_the_blue_threshold():
+    # gamma_om below gamma_mi, in [gamma_mi, gamma_mi + gamma_me), where
+    # C_om at the bare linewidth is still below 1, and above: a blue pump
+    # raises for all three quantities or for none; a red pump never does
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        d = random_device(rng)
+        d = replace(d, gamma_me=rng.uniform(1.0, d.gamma_mi))
+        for gamma_om, unstable in (
+                (d.gamma_mi * rng.uniform(0.0, 0.99), False),
+                (d.gamma_mi + d.gamma_me * rng.uniform(0.01, 0.99), True),
+                (d.gamma_m * rng.uniform(1.01, 10.0), True)):
+            n_c = n_c_for_backaction(d, gamma_om)
+            assert (cooperativity(d, n_c, d.gamma_m) < 1) == \
+                (gamma_om < d.gamma_m)
+            for detuning in (d.f_m, -d.f_m):
+                bundle = DeviceBundle(d, PumpState(detuning=detuning, n_c=n_c))
+                raised = []
+                for name in ("gamma_tot", "c_om", "eta_tot"):
+                    try:
+                        evaluate((name,), bundle, {})
+                    except InstabilityError:
+                        raised.append(name)
+                blue_unstable = unstable and detuning > 0
+                assert raised == ["gamma_tot", "c_om", "eta_tot"] * blue_unstable
+
+
+def test_blue_efficiency_next_to_the_threshold_stays_finite():
+    # with gamma_me = 0, C_om is gamma_om / gamma_mi; read off another
+    # rounding of 4 n_c g_om^2 / kappa_o, it can reach 1.0 just below
+    # the threshold, where (1 - C_om)^2 is zero
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        d = replace(random_device(rng), gamma_me=0.0)
+        n_c = n_c_for_backaction(d, d.gamma_mi)
+        for _ in range(8):
+            n_c = math.nextafter(n_c, 0.0)
+            try:
+                eta = total_efficiency(d, PumpState(detuning=d.f_m, n_c=n_c),
+                                       "blue")
+            except InstabilityError:
+                continue
+            assert eta == 0.0
 
 
 def test_pump_sign_of_a_detuning_column():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from transducersim import (LinkConfig, ParameterError, SamplingError, Trace,
-                           eye_diagram, fit_ring, harmonic_spectrum,
+from transducersim import (FitError, LinkConfig, ParameterError, SamplingError,
+                           Trace, eye_diagram, fit_ring, harmonic_spectrum,
                            link_metrics, parse_bits, run_link)
 from transducersim import link
 from transducersim.link import EXTINCTION_CAP, ring_segments
@@ -355,6 +355,20 @@ def test_link_metrics_bundle():
     metrics = link_metrics(run_link(cfg), cfg)
     assert metrics["eye_opening"] > 0.9
     assert relerr(metrics["gamma_m_ringdown"], 7.9e6) < 0.02
+
+
+def test_link_metrics_leave_out_a_ring_fit_that_raises(monkeypatch):
+    cfg = cfg_for(PRBS48, 1e6, gamma_m=7.9e6)
+    run = run_link(cfg)
+
+    def fit_ring(segment, kind):
+        raise FitError("segment too short to fit")
+    monkeypatch.setattr(link, "fit_ring", fit_ring)
+    eye, metrics, notes = link._measure(run, cfg)
+    assert metrics == link_metrics(run, cfg) == {
+        "eye_opening": eye.opening, "extinction_ratio": eye.extinction_ratio}
+    assert notes == [f"no gamma_m_{kind} (segment too short to fit)"
+                     for kind in ("ringup", "ringdown")]
 
 
 # ------------------------------------------------------------- thermal drive
