@@ -27,7 +27,7 @@ from .spectra import (CoherentCalibration, MechanicalMode,
                       steady_state_coherent_phonons, thermal_spectrum)
 from .swap import (QubitConfig, SwapFeasibility, coupling_g_em,
                    qubit_impedance, rabi_swap_sim, swap_feasibility)
-from .sweep import SweepSpec, run_sweep
+from .sweep import SweepSpec, run_sweep, sweep_table
 from .trace import Trace
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
 from .link import LinkConfig, _measure, parse_bits, run_link
 from .spectra import driven_spectrum, s_oe_spectrum, thermal_spectrum
 from .swap import rabi_swap_sim, swap_feasibility
-from .sweep import SweepSpec, evaluate, override, run_sweep
+from .sweep import SweepSpec, evaluate, override, sweep_table
 
 
 def _print_kv(pairs):
@@ -211,6 +211,8 @@ def _parse_values(text: str) -> tuple:
 def cmd_sweep(args) -> int:
     bundle = load_device(args.device)
     if args.values:
+        if args.start is not None or args.stop is not None:
+            raise TransducerError("--values cannot be combined with --start/--stop")
         if len(args.param) != len(args.values):
             raise TransducerError("each --param needs a matching --values list")
         targets = tuple((path, _parse_values(vals))
@@ -224,17 +226,18 @@ def cmd_sweep(args) -> int:
         spec = SweepSpec.from_range(args.param[0], args.start, args.stop,
                                     args.count, args.scale, args.quantity)
     drive_p_mu = parse_power(args.power_mu) if args.power_mu else None
-    rows = run_sweep(spec, bundle, temperature=args.temperature,
-                     drive_p_mu=drive_p_mu)
-    columns = [path for path, _ in spec.targets] + list(spec.quantities)
+    table = sweep_table(spec, bundle, temperature=args.temperature,
+                        drive_p_mu=drive_p_mu)
+    header = [path for path, _ in spec.targets] + list(spec.quantities)
+    columns = [table[name] for name in header]
     if args.out:
-        write_table(args.out, columns, [[row[c] for c in columns] for row in rows])
-        print(f"rows = {len(rows)}")
+        write_table(args.out, header, np.column_stack(columns))
+        print(f"rows = {spec.n_rows}")
         print(f"out = {args.out}")
     else:
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(f"{row[c]:.10g}" for c in columns))
+        print(",".join(header))
+        for row in zip(*(col.tolist() for col in columns)):
+            print(",".join(f"{v:.10g}" for v in row))
     return 0
 
 

@@ -211,12 +211,15 @@ def sign_factor(sign: DetuningSign) -> float:
 def stable_sign(dev: DeviceParams, gamma_om: float, sign: DetuningSign) -> float:
     """sign_factor(sign), after an InstabilityError for a blue pump at
     gamma_om >= gamma_mi: gamma_tot = gamma_mi - gamma_om reaches zero
-    there, and the mode self-oscillates."""
+    there, and the mode self-oscillates. Both rates are quoted by repr,
+    so unequal rates never print equal."""
     s = sign_factor(sign)
     if s > 0 and (msg := violation(
             gamma_om >= dev.gamma_mi,
-            "backaction rate {:.4g} Hz >= intrinsic linewidth {:.4g} Hz: "
-            "parametric oscillation threshold", gamma_om, dev.gamma_mi)):
+            "backaction rate {!r} Hz >= intrinsic linewidth {!r} Hz: "
+            "parametric oscillation threshold",
+            np.asarray(gamma_om, dtype=float),
+            np.asarray(dev.gamma_mi, dtype=float))):
         raise InstabilityError(msg)
     return s
 

@@ -58,20 +58,25 @@ class SweepSpec:
     def from_range(cls, path: str, start: float, stop: float, count: int,
                    scale: str, quantities) -> "SweepSpec":
         core.require_integer(count=count)
+        core.require(finite={"start": start, "stop": stop})
         if count < 1:
             raise ParameterError(f"count must be >= 1 (got {count!r})")
         if count > 1 and not start < stop:
             raise ParameterError(f"need start < stop (got {start!r}, {stop!r})")
-        if scale == "linear":
-            values = np.linspace(start, stop, count)
-        elif scale == "log":
-            if start <= 0:
-                raise ParameterError("log scale needs start > 0")
-            values = np.geomspace(start, stop, count)
-        else:
-            raise ParameterError(f"scale must be 'linear' or 'log' (got {scale!r})")
-        return cls(((path, tuple(float(v) for v in values)),),
-                   tuple(quantities))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if scale == "linear":
+                values = np.linspace(start, stop, count)
+            elif scale == "log":
+                if start <= 0:
+                    raise ParameterError("log scale needs start > 0")
+                values = np.geomspace(start, stop, count)
+            else:
+                raise ParameterError(
+                    f"scale must be 'linear' or 'log' (got {scale!r})")
+        if not np.isfinite(values).all():
+            raise ParameterError("start and stop span a grid that overflows "
+                                 f"(got {start!r}, {stop!r})")
+        return cls(((path, tuple(values.tolist())),), tuple(quantities))
 
     @property
     def n_rows(self) -> int:
@@ -191,10 +196,11 @@ def override(bundle: DeviceBundle, values: dict, env: dict, *, sign=None):
     return replace(bundle, **records), env
 
 
-def run_sweep(spec: SweepSpec, bundle: DeviceBundle, *,
-              temperature: float = 300.0,
-              drive_p_mu: float | None = None) -> list[dict]:
-    """One row per value set; row order follows the value lists.
+def sweep_table(spec: SweepSpec, bundle: DeviceBundle, *,
+                temperature: float = 300.0,
+                drive_p_mu: float | None = None) -> dict:
+    """{path or quantity name: float64 column}: the swept paths, then the
+    quantities; row order follows the value lists.
 
     Rows pumped at detuning >= 0 and < 0 are evaluated as two groups,
     because the detuning sign picks the branch of the chain.
@@ -211,6 +217,14 @@ def run_sweep(spec: SweepSpec, bundle: DeviceBundle, *,
             for name, column in evaluate(spec.quantities, group,
                                          group_env).items():
                 results[name][rows] = column
-    table = {**columns, **results}
+    return {**columns, **results}
+
+
+def run_sweep(spec: SweepSpec, bundle: DeviceBundle, *,
+              temperature: float = 300.0,
+              drive_p_mu: float | None = None) -> list[dict]:
+    """The rows of sweep_table, one {name: float} dict per value set."""
+    table = sweep_table(spec, bundle, temperature=temperature,
+                        drive_p_mu=drive_p_mu)
     return [dict(zip(table, row))
             for row in zip(*(col.tolist() for col in table.values()))]

@@ -4,19 +4,20 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from transducersim import Trace, write_trace
+from transducersim import SweepSpec, Trace, write_trace
 from transducersim import cli, core, link
 from transducersim.cli import main
-from transducersim.deviceio import load_device, resolve_device_path
+from transducersim.deviceio import load_device, resolve_device_path, write_table
 from transducersim.link import eye_diagram
 from transducersim.spectra import lumped_mode
 
-from conftest import reference_run, relerr
+from conftest import reference_run, reference_sweep, relerr
 
 MEASURED = str(resolve_device_path("table1_measured"))
 
@@ -338,6 +339,62 @@ def test_sweep_writes_table(tmp_path, capsys):
     assert len(lines) == 6
 
 
+CLI_SWEEPS = {
+    "log_range": (["--param", "pump.n_c", "--start", "1e3", "--stop", "1e5",
+                   "--count", "25", "--scale", "log"],
+                  (("pump.n_c", tuple(np.geomspace(1e3, 1e5, 25).tolist())),)),
+    "one_row": (["--param", "pump.n_c", "--start", "2.5e4", "--stop", "1e5",
+                 "--count", "1"],
+                (("pump.n_c", (2.5e4,)),)),
+    "zipped_blue_red": (["--param", "pump.detuning", "--values",
+                         "-4.32e9,4.32e9,-1e9,0,-2e9,3e9", "--param",
+                         "pump.n_c", "--values", "1e3,2e3,3e3,4e3,5e3,6e3"],
+                        (("pump.detuning",
+                          (-4.32e9, 4.32e9, -1e9, 0.0, -2e9, 3e9)),
+                         ("pump.n_c", (1e3, 2e3, 3e3, 4e3, 5e3, 6e3)))),
+}
+
+
+@pytest.mark.parametrize("params,targets", CLI_SWEEPS.values(), ids=CLI_SWEEPS)
+def test_sweep_bytes_are_the_reference_rows(tmp_path, capsys, params, targets):
+    # n_c is asked for twice, and printed twice
+    quantities = ("n_c", "gamma_tot", "eta_tot", "c_om", "n_c")
+    header = [path for path, _ in targets] + list(quantities)
+    rows = [[row[name] for name in header] for row in reference_sweep(
+        SweepSpec(targets, quantities), load_device(MEASURED))]
+    argv = ["sweep", "--device", MEASURED, *params,
+            *(arg for q in quantities for arg in ("--quantity", q))]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("".join(
+        ",".join(line) + "\n" for line in
+        [header, *([f"{v:.10g}" for v in row] for row in rows)]), "")
+    out, want = tmp_path / "sweep.csv", tmp_path / "want.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"rows = {len(rows)}\nout = {out}\n", "")
+    write_table(want, header, rows)
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--param", "pump.n_c", "--start", "1e3", "--stop", "inf", "--count", "3",
+      "--quantity", "n_c"], "stop must be finite (got inf)"),
+    (["--param", "pump.n_c", "--start", "-1e308", "--stop", "1e308",
+      "--quantity", "n_c"],
+     "start and stop span a grid that overflows (got -1e+308, 1e+308)"),
+    (["--param", "pump.n_c", "--values", "1e3", "--start", "5", "--quantity",
+      "n_c"], "--values cannot be combined with --start/--stop"),
+    (["--param", "pump.n_c", "--values", "262190", "--quantity", "c_om"],
+     "backaction rate 8400020.853080569 Hz >= intrinsic linewidth "
+     "8400000.0 Hz: parametric oscillation threshold"),
+], ids=["stop_inf", "grid_overflow", "values_and_range", "threshold"])
+def test_sweep_input_errors_are_one_line(capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--device", MEASURED, *argv]) == 2
+    assert caught == []
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_fit_dip_on_directory_exits_2(tmp_path, capsys):
     assert main(["fit", "dip", "--trace", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -405,7 +462,7 @@ def _overflow_text():
     (["sweep", "--device", MEASURED, "--param", "pump.detuning", "--values",
       "4.32e9,4.32e9", "--param", "pump.n_c", "--values", "1e3,1e300",
       "--quantity", "eta_tot", "--quantity", "c_om", "--out", "{out}"],
-     "backaction rate inf Hz >= intrinsic linewidth 8.4e+06 Hz: parametric "
+     "backaction rate inf Hz >= intrinsic linewidth 8400000.0 Hz: parametric "
      "oscillation threshold"),
     (["efficiency", "--device", "{f_m_1e200}", "--power", "-7.9dbm"],
      f"numeric overflow ({_overflow_text()})"),
@@ -757,8 +814,8 @@ def test_one_blue_threshold_for_every_quantity(argv, capsys):
     # gamma_me, is still 0.99999558: every quantity is past the threshold
     assert main([*argv, "--device", MEASURED]) == 2
     assert capsys.readouterr() == (
-        "", "error: backaction rate 8.4e+06 Hz >= intrinsic linewidth "
-            "8.4e+06 Hz: parametric oscillation threshold\n")
+        "", "error: backaction rate 8400020.853080569 Hz >= intrinsic "
+            "linewidth 8400000.0 Hz: parametric oscillation threshold\n")
 
 
 # ------------------------------------------- spectra of a device without modes

@@ -6,7 +6,7 @@ import pytest
 
 from transducersim import (DeviceBundle, DeviceParams, InstabilityError,
                            ParameterError, PumpState, TransducerError,
-                           backaction_rate, cooperativity, dbm_to_w,
+                           backaction_rate, cooperativity, core, dbm_to_w,
                            efficiencies, fit_linewidth_vs_photons,
                            photon_number, resolve_photon_number,
                            thermal_occupation, total_efficiency,
@@ -145,6 +145,22 @@ def test_linewidth_blue_instability(table_dev):
     n_c = n_c_for_backaction(table_dev, 1.01 * TABLE["gamma_mi"])
     with pytest.raises(InstabilityError):
         total_mech_linewidth(table_dev, n_c, "blue")
+
+
+@pytest.mark.parametrize("as_column", [False, True], ids=["scalar", "column"])
+def test_threshold_message_tells_rates_one_ulp_apart(table_dev, as_column):
+    # {:.4g} printed both rates as 8.4e+06, hiding which one is larger
+    gamma_mi = table_dev.gamma_mi
+    above = math.nextafter(gamma_mi, math.inf)
+    dev, gamma_om = table_dev, above
+    if as_column:
+        dev = replace(table_dev, gamma_mi=np.float64(gamma_mi))
+        gamma_om = np.array([0.0, above, 2 * above])
+    with pytest.raises(InstabilityError) as err:
+        core.stable_sign(dev, gamma_om, "blue")
+    assert str(err.value) == (
+        "backaction rate 8400000.000000002 Hz >= intrinsic linewidth "
+        "8400000.0 Hz: parametric oscillation threshold")
 
 
 # ---------------------------------------------------------------- efficiencies

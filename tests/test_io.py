@@ -13,8 +13,8 @@ import pytest
 from transducersim import (DeviceBundle, DeviceFileError, ParameterError,
                            SamplingError, SweepSpec, Trace, TraceError,
                            TransducerError, load_device, rabi_swap_sim,
-                           read_trace, run_sweep, thermal_occupation,
-                           write_device, write_trace)
+                           read_trace, run_sweep, sweep_table,
+                           thermal_occupation, write_device, write_trace)
 from transducersim import deviceio
 from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
                                     parse_device, parse_device_text,
@@ -731,6 +731,10 @@ def test_sweep_range_validation():
         SweepSpec.from_range("pump.n_c", 1.0, 2.0, 0, "linear", ["c_om"])
     single = SweepSpec.from_range("pump.n_c", 1.0, 2.0, 1, "linear", ["c_om"])
     assert single.n_rows == 1
+    for start, stop, scale in ((1e3, math.inf, "log"), (math.nan, 1.0, "linear"),
+                               (-1e308, 1e308, "linear")):
+        with pytest.raises(ParameterError):
+            SweepSpec.from_range("pump.n_c", start, stop, 3, scale, ["c_om"])
 
 
 N_C = tuple(np.geomspace(1e2, 1e5, 40).tolist())
@@ -758,6 +762,33 @@ def test_sweep_matches_per_row_reference(measured, targets):
     for g, w in zip(got, want):
         for key, value in w.items():
             assert abs(g[key] - value) <= 1e-15 * abs(value), (key, g[key], value)
+
+
+TABLE_SWEEPS = {
+    "log_range": (("pump.n_c", tuple(np.geomspace(1e3, 1e5, 25).tolist())),),
+    "zipped": (("pump.n_c", N_C),
+               ("device.g_om", tuple(np.linspace(1e4, 2e5, 40).tolist()))),
+    "blue_red_interleaved": (("pump.detuning",
+                              (-4.32e9, 4.32e9, -1e9, 0.0, -2e9, 3e9)),
+                             ("pump.n_c", (1e3, 2e3, 3e3, 4e3, 5e3, 6e3))),
+    "one_row": (("pump.n_c", (2.5e4,)),),
+}
+
+
+@pytest.mark.parametrize("targets", TABLE_SWEEPS.values(), ids=TABLE_SWEEPS)
+def test_sweep_table_columns_are_the_rows(measured, targets):
+    # c_om is asked for twice: the table, like a row, holds it once
+    quantities = ("n_c", "gamma_om", "gamma_tot", "c_om", "eta_tot", "c_om")
+    spec = SweepSpec(targets, quantities)
+    table = sweep_table(spec, measured)
+    assert list(table) == [path for path, _ in targets] + list(quantities[:-1])
+    for column in table.values():
+        assert column.dtype == np.float64 and column.shape == (spec.n_rows,)
+    by_column = [list(zip(table, row))
+                 for row in zip(*(col.tolist() for col in table.values()))]
+    assert by_column == [list(row.items()) for row in run_sweep(spec, measured)]
+    assert by_column == [list(row.items())
+                         for row in reference_sweep(spec, measured)]
 
 
 BAD_MIDDLE_ROW = {
