@@ -15,7 +15,7 @@ import numpy as np
 from . import core
 from .deviceio import (load_device, parse_power, read_points, read_text,
                        read_trace, write_eye, write_table, write_trace)
-from .errors import FitError, TransducerError
+from .errors import FitError, ParameterError, TransducerError
 from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
                       fit_optical_dip, fit_phase_detuning)
 from .link import LinkConfig, _measure, parse_bits, run_link
@@ -46,9 +46,15 @@ def _default_grid(modes, args):
         else min(m.f for m in modes) - span
     f_hi = args.f_stop if args.f_stop is not None \
         else max(m.f for m in modes) + span
+    core.require(finite={"--f-start": f_lo, "--f-stop": f_hi})
     if f_hi <= f_lo:
         raise TransducerError(f"need f_start < f_stop (got {f_lo}, {f_hi})")
-    return _linspace(f_lo, f_hi, args.points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = _linspace(f_lo, f_hi, args.points)
+    if not np.isfinite(grid).all():
+        raise ParameterError("--f-start and --f-stop span a grid that "
+                             f"overflows (got {f_lo!r}, {f_hi!r})")
+    return grid
 
 
 def _linspace(start, stop, points):
@@ -211,8 +217,10 @@ def _parse_values(text: str) -> tuple:
 def cmd_sweep(args) -> int:
     bundle = load_device(args.device)
     if args.values:
-        if args.start is not None or args.stop is not None:
-            raise TransducerError("--values cannot be combined with --start/--stop")
+        if any(v is not None for v in (args.start, args.stop, args.count,
+                                         args.scale)):
+            raise TransducerError("--values cannot be combined with "
+                                  "--start/--stop/--count/--scale")
         if len(args.param) != len(args.values):
             raise TransducerError("each --param needs a matching --values list")
         targets = tuple((path, _parse_values(vals))
@@ -224,7 +232,8 @@ def cmd_sweep(args) -> int:
         if args.start is None or args.stop is None:
             raise TransducerError("range sweeps need --start and --stop")
         spec = SweepSpec.from_range(args.param[0], args.start, args.stop,
-                                    args.count, args.scale, args.quantity)
+                                    10 if args.count is None else args.count,
+                                    args.scale or "linear", args.quantity)
     drive_p_mu = parse_power(args.power_mu) if args.power_mu else None
     table = sweep_table(spec, bundle, temperature=args.temperature,
                         drive_p_mu=drive_p_mu)
@@ -330,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated values for the matching --param")
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--scale", choices=["linear", "log"], default="linear")
+    p.add_argument("--count", type=int, help="range points (default 10)")
+    p.add_argument("--scale", choices=["linear", "log"],
+                   help="range spacing (default linear)")
     p.add_argument("--quantity", action="append", required=True,
                    help="output quantity (repeatable)")
     p.add_argument("--temperature", type=float, default=300.0)

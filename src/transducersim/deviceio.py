@@ -353,8 +353,7 @@ def read_trace(path) -> Trace:
             plain = len(lines) == 1 and not any(
                 block.translate(None, _PLAIN)
                 for block in iter(lambda: fh.read(1 << 20), b""))
-        if plain:
-            header = _header(path, lines)
+        if plain and (header := _header(lines[0])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an empty body warns
                 xy = np.loadtxt(path, delimiter=",", comments=None,
@@ -364,27 +363,37 @@ def read_trace(path) -> Trace:
     except (ValueError, Warning, TraceError):
         pass    # UnicodeDecodeError is a ValueError
     lines = read_text(path).splitlines()
-    header = _header(path, lines)
-    return Trace(*_rows(path, lines), *header)
-
-
-def _header(path, lines):
-    """(x_unit, y_unit) of a trace's first line."""
     if not lines:
         raise TraceError(f"{path}: empty file")
-    header = [tok.strip() for tok in lines[0].split(",")]
-    if len(header) != 2 or any(not tok for tok in header):
+    if not (header := _header(lines[0])):
         raise TraceError(f"{path}:1: header must be 'x_unit,y_unit' "
                          f"(got {lines[0]!r})")
+    return Trace(*_rows(path, lines, 2, True), *header)
+
+
+def _header(line):
+    """[x_unit, y_unit] of a header line, or None: a header has two
+    non-empty fields, and neither one parses as a number, so a line of
+    two numbers is data."""
+    header = [tok.strip() for tok in line.split(",")]
+    if len(header) != 2 or not all(header):
+        return None
+    for tok in header:
+        try:
+            float(tok)
+            return None
+        except ValueError:
+            pass
     return header
 
 
-def _rows(path, lines):
-    """(x, y) of a trace's lines read one at a time: the reference for
-    np.loadtxt's path, slower, but it skips blank lines and names the
-    line that breaks the format."""
+def _rows(path, lines, first, increasing):
+    """(x, y) of lines[first - 1:], numbered from first and read one at a
+    time: the reference for np.loadtxt's path, slower, but it skips blank
+    lines and names the line that breaks the format. increasing requires
+    strictly increasing x."""
     xs, ys, line_nos = [], [], []
-    for no, line in enumerate(lines[1:], start=2):
+    for no, line in enumerate(lines[first - 1:], start=first):
         if not line.strip():
             continue
         if any(bad in line for bad in (";", "\t")) or line.count(",") != 1:
@@ -403,7 +412,7 @@ def _rows(path, lines):
     if not xs:
         raise TraceError(f"{path}: no data rows")
     x = np.array(xs)
-    if (falls := np.flatnonzero(x[1:] <= x[:-1])).size:
+    if increasing and (falls := np.flatnonzero(x[1:] <= x[:-1])).size:
         raise TraceError(f"{path}:{line_nos[falls[0] + 1]}: x values must be "
                          "strictly increasing")
     return x, np.array(ys)
@@ -427,23 +436,9 @@ def write_table(path, header, rows) -> None:
 
 
 def read_points(path) -> np.ndarray:
-    """Two-column CSV (with or without a non-numeric header) -> (N, 2) array."""
-    rows = []
-    for no, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TraceError(f"{path}:{no}: expected two comma-separated values")
-        try:
-            x, y = float(parts[0]), float(parts[1])
-        except ValueError:
-            if no == 1:
-                continue  # header
-            raise TraceError(f"{path}:{no}: cannot parse numbers in {line!r}")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise TraceError(f"{path}:{no}: non-finite value")
-        rows.append((x, y))
-    if not rows:
-        raise TraceError(f"{path}: no data rows")
-    return np.array(rows)
+    """(N, 2) array of a two-column CSV, read by read_trace's line rule
+    with the header optional and x in any order; a first line of two
+    numbers is data."""
+    lines = read_text(path).splitlines()
+    first = 2 if lines and _header(lines[0]) else 1
+    return np.column_stack(_rows(path, lines, first, False))

@@ -424,11 +424,12 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     """Sum of Lorentzians plus background, least squares.
 
     background is "constant", "linear", or a reference Trace measured
-    off-resonance (interpolated and subtracted before a constant-
-    background fit). Peaks are seeded by iterative peak picking
-    (max, local fit, subtract) and refined jointly; the result lists
-    (f_k, gamma_k, area_k) sorted by frequency. Heavily overlapping
-    peaks show up as exploding standard errors rather than failures.
+    off-resonance over at least the trace's x span (interpolated and
+    subtracted before a constant-background fit). Peaks are seeded by
+    iterative peak picking (max, local fit, subtract) and refined
+    jointly; the result lists (f_k, gamma_k, area_k) sorted by
+    frequency. Heavily overlapping peaks show up as exploding standard
+    errors rather than failures.
     """
     require_integer(n_peaks=n_peaks)
     if n_peaks < 0:
@@ -436,6 +437,11 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     f = trace.x
     y = trace.y.copy()
     if isinstance(background, Trace):
+        lo, hi = background.x[[0, -1]].tolist()
+        if lo > f[0] or hi < f[-1]:     # np.interp would clamp
+            raise ParameterError(
+                f"reference spans x {lo!r} to {hi!r}, which does not cover "
+                f"the trace's {float(f[0])!r} to {float(f[-1])!r}")
         y = y - np.interp(f, background.x, background.y)
         background = "constant"
     if background not in ("constant", "linear"):

@@ -346,6 +346,9 @@ CLI_SWEEPS = {
     "one_row": (["--param", "pump.n_c", "--start", "2.5e4", "--stop", "1e5",
                  "--count", "1"],
                 (("pump.n_c", (2.5e4,)),)),
+    "default_count_and_scale": (
+        ["--param", "pump.n_c", "--start", "1e3", "--stop", "1e4"],
+        (("pump.n_c", tuple(np.linspace(1e3, 1e4, 10).tolist())),)),
     "zipped_blue_red": (["--param", "pump.detuning", "--values",
                          "-4.32e9,4.32e9,-1e9,0,-2e9,3e9", "--param",
                          "pump.n_c", "--values", "1e3,2e3,3e3,4e3,5e3,6e3"],
@@ -382,17 +385,84 @@ def test_sweep_bytes_are_the_reference_rows(tmp_path, capsys, params, targets):
       "--quantity", "n_c"],
      "start and stop span a grid that overflows (got -1e+308, 1e+308)"),
     (["--param", "pump.n_c", "--values", "1e3", "--start", "5", "--quantity",
-      "n_c"], "--values cannot be combined with --start/--stop"),
+      "n_c"],
+     "--values cannot be combined with --start/--stop/--count/--scale"),
+    (["--param", "pump.n_c", "--values", "1e3", "--count", "5", "--scale",
+      "log", "--quantity", "n_c"],
+     "--values cannot be combined with --start/--stop/--count/--scale"),
+    (["--param", "pump.n_c", "--values", "1e3", "--scale", "linear",
+      "--quantity", "n_c"],
+     "--values cannot be combined with --start/--stop/--count/--scale"),
     (["--param", "pump.n_c", "--values", "262190", "--quantity", "c_om"],
      "backaction rate 8400020.853080569 Hz >= intrinsic linewidth "
      "8400000.0 Hz: parametric oscillation threshold"),
-], ids=["stop_inf", "grid_overflow", "values_and_range", "threshold"])
+], ids=["stop_inf", "grid_overflow", "values_and_range", "values_and_count",
+        "values_and_default_scale", "threshold"])
 def test_sweep_input_errors_are_one_line(capsys, argv, message):
+    assert_one_line_error(capsys, ["sweep", "--device", MEASURED, *argv],
+                          message)
+
+
+def assert_one_line_error(capsys, argv, message):
+    """argv exits 2 with `error: message` alone on stderr, nothing on
+    stdout, and no warning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["sweep", "--device", MEASURED, *argv]) == 2
+        assert main(argv) == 2
     assert caught == []
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--f-start", "1", "--f-stop", "inf"],
+     "--f-stop must be finite (got inf)"),
+    (["--f-start", "-1e308", "--f-stop", "1e308"], "--f-start and --f-stop "
+     "span a grid that overflows (got -1e+308, 1e+308)"),
+    (["--f-start", "nan"], "--f-start must be finite (got nan)"),
+], ids=["stop_inf", "grid_overflow", "start_nan"])
+def test_spectrum_grid_errors_are_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert_one_line_error(capsys, ["spectrum", "soe", "--device", MEASURED,
+                                   *argv, "--points", "5", "--out", str(out)],
+                          message)
+    assert not out.exists()
+
+
+def _lorentz_csv(path, f, header="hz,lin\n"):
+    y = 1.01 + 1.0 / (1.0 + ((f - 4.3e9) / 2e6) ** 2)
+    path.write_text(header + "".join(f"{a!r},{b!r}\n"
+                                     for a, b in zip(f.tolist(), y.tolist())))
+
+
+@pytest.mark.parametrize("case", ["headerless_trace", "reference_short",
+                                  "malformed_first_point", "tab_in_point"])
+def test_csv_input_errors_are_one_line(tmp_path, capsys, case):
+    trace, ref, pts = (tmp_path / name for name in ("t.csv", "r.csv", "p.csv"))
+    f = np.linspace(4.2e9, 4.4e9, 2001)
+    _lorentz_csv(trace, f)
+    _lorentz_csv(ref, np.linspace(4.0e9, 4.05e9, 101))
+    linewidth = ["fit", "linewidth", "--points", str(pts), "--sign", "blue",
+                 "--kappa-o", "2.11e9"]
+    if case == "headerless_trace":
+        _lorentz_csv(trace, f, header="")
+        argv = ["fit", "lorentz", "--trace", str(trace), "--n-peaks", "1"]
+        message = (f"{trace}:1: header must be 'x_unit,y_unit' "
+                   f"(got {trace.read_text().splitlines()[0]!r})")
+    elif case == "reference_short":
+        argv = ["fit", "lorentz", "--trace", str(trace), "--n-peaks", "1",
+                "--reference", str(ref)]
+        message = ("reference spans x 4000000000.0 to 4050000000.0, which "
+                   "does not cover the trace's 4200000000.0 to 4400000000.0")
+    elif case == "malformed_first_point":
+        pts.write_text("1000,8.39e6x\n2000,8.38e6\n3000,8.37e6\n4000,8.36e6\n")
+        argv, message = linewidth, \
+            f"{pts}:1: cannot parse numbers in '1000,8.39e6x'"
+    else:
+        pts.write_text("n_c,gamma_hz\n1000,\t8.39e6\n2000,8.38e6\n"
+                       "3000,8.37e6\n")
+        argv, message = linewidth, (f"{pts}:2: expected two comma-separated "
+                                    "values (got '1000,\\t8.39e6')")
+    assert_one_line_error(capsys, argv, message)
 
 
 def test_fit_dip_on_directory_exits_2(tmp_path, capsys):

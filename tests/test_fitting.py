@@ -278,6 +278,31 @@ def test_lorentzian_reference_background():
     assert abs(fit.params["bg0"]) < 1e-6 * true[2]
 
 
+@pytest.mark.parametrize("span", [(4.21e9, 4.45e9), (4.2e9, 4.44e9),
+                                  (4.0e9, 4.05e9)],
+                         ids=["starts_late", "ends_early", "disjoint"])
+def test_lorentzian_reference_must_cover_the_trace(span):
+    # np.interp holds a reference's end value past its span: a reference
+    # that does not reach both trace ends is an error, not a flat extension
+    tr = lorentz_trace([(4.32e9, 8.4e6, 5e9)], bg=7.5)
+    x = np.linspace(*span, 101)
+    with pytest.raises(ParameterError) as err:
+        fit_lorentzian_multi(tr, 1, background=Trace(x, np.full(x.size, 7.5)))
+    assert str(err.value) == (
+        f"reference spans x {span[0]!r} to {span[1]!r}, which does not cover "
+        "the trace's 4200000000.0 to 4450000000.0")
+
+
+def test_lorentzian_reference_wider_than_the_trace():
+    true = (4.32e9, 8.4e6, 5e9)
+    tr = lorentz_trace([true], bg=7.5)
+    x = np.linspace(4.1e9, 4.5e9, 101)
+    reference = Trace(x, np.full(x.size, 7.5))
+    fit = fit_lorentzian_multi(tr, 1, background=reference)
+    assert fit.converged
+    assert relerr(fit.params["area_1"], true[2]) < 1e-6
+
+
 def test_lorentzian_two_separated_peaks_independent():
     g1, g2 = 4e6, 6e6
     sep = 10 * max(g1, g2)

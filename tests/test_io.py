@@ -634,6 +634,28 @@ def test_trace_mixed_delimiters_names_line(tmp_path):
     assert ":3" in str(err.value)
 
 
+@pytest.mark.parametrize("first, body", [
+    ("4200000000.0,1.0103998400639744", "4200100000.0,1.02\n"),
+    ("1,2", "2,3\n"),
+    ("hz,1", "1,2\n"),
+    (" 1e3 , lin", "1,2\n"),
+    ("nan,inf", "1,2\n"),
+    ("1_000,lin", "1,2\n"),
+    ("1,2", "2,3\t\n"),        # a body that goes to the per-line path
+], ids=["two_numbers", "small_numbers", "numeric_y_unit", "numeric_x_unit",
+        "non_finite_numbers", "underscore_number", "per_line_body"])
+def test_read_trace_rejects_a_first_line_holding_a_number(tmp_path, first,
+                                                          body):
+    # a header's fields are units: a number in either one makes the first
+    # line data, and a trace needs its header
+    path = tmp_path / "headerless.csv"
+    path.write_text(first + "\n" + body)
+    with pytest.raises(TraceError) as err:
+        read_trace(path)
+    assert str(err.value) == \
+        f"{path}:1: header must be 'x_unit,y_unit' (got {first!r})"
+
+
 def test_read_points(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("n_c,gamma_hz\n1e4,8.3e6\n2e4,8.2e6\n")
@@ -646,6 +668,53 @@ def test_read_points_without_header_after_a_byte_order_mark(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_bytes(b"\xef\xbb\xbf1e4,8.3e6\n2e4,8.2e6\n")
     assert read_points(path).tolist() == [[1e4, 8.3e6], [2e4, 8.2e6]]
+
+
+@pytest.mark.parametrize("text", [
+    "n_c,gamma_hz\n3e4,8.1e6\n1e4,8.3e6\n1e4,8.2e6\n",
+    "3e4,8.1e6\n1e4,8.3e6\n1e4,8.2e6\n",
+    "\ufeff3e4,8.1e6\r\n1e4,8.3e6\r\n1e4,8.2e6\r\n",
+    "\ufeffn_c , gamma_hz\n\n3e4,8.1e6\n  \n1e4,8.3e6\n1e4,8.2e6\n\n",
+    "\n3e4,8.1e6\n1e4,8.3e6\n1e4,8.2e6",
+], ids=["header", "no_header", "bom_crlf_no_header", "bom_header_blanks",
+        "leading_blank"])
+def test_read_points_takes_an_optional_header_and_any_x_order(tmp_path, text):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(text.encode())
+    assert read_points(path).tolist() == \
+        [[3e4, 8.1e6], [1e4, 8.3e6], [1e4, 8.2e6]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1000,8.39e6x\n2000,8.38e6\n3000,8.37e6\n",
+     ":1: cannot parse numbers in '1000,8.39e6x'"),
+    ("n_c,\n1000,8.39e6\n", ":1: cannot parse numbers in 'n_c,'"),
+    ("n_c,gamma_hz\n1000,\t8.39e6\n",
+     ":2: expected two comma-separated values (got '1000,\\t8.39e6')"),
+    ("1000,\t8.39e6\n", ":1: expected two comma-separated values "
+                         "(got '1000,\\t8.39e6')"),
+    ("n_c,gamma_hz\n1000;8.39e6\n",
+     ":2: expected two comma-separated values (got '1000;8.39e6')"),
+    ("n_c;gamma_hz\n1000,8.39e6\n",
+     ":1: expected two comma-separated values (got 'n_c;gamma_hz')"),
+    ("n_c,gamma_hz,x\n1000,8.39e6\n",
+     ":1: expected two comma-separated values (got 'n_c,gamma_hz,x')"),
+    ("\nn_c,gamma_hz\n1000,8.39e6\n",
+     ":2: cannot parse numbers in 'n_c,gamma_hz'"),
+    ("n_c,gamma_hz\n\n1000,8.39e6\n\n2000,x\n",
+     ":5: cannot parse numbers in '2000,x'"),
+    ("n_c,gamma_hz\n\n \n", ": no data rows"),
+    ("", ": no data rows"),
+], ids=["malformed_first_row", "empty_header_field", "tab", "tab_no_header",
+        "semicolon", "semicolon_header", "three_column_header",
+        "header_after_blank", "blank_lines_counted", "header_only", "empty"])
+def test_read_points_names_the_line_that_breaks_the_format(tmp_path, text,
+                                                           message):
+    path = tmp_path / "pts.csv"
+    path.write_text(text)
+    with pytest.raises(TraceError) as err:
+        read_points(path)
+    assert str(err.value) == f"{path}{message}"
 
 
 @pytest.mark.parametrize("row", ["nan,8.2e6", "2e4,inf", "-inf,8.2e6"])
