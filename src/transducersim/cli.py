@@ -46,21 +46,31 @@ def _default_grid(modes, args):
         else min(m.f for m in modes) - span
     f_hi = args.f_stop if args.f_stop is not None \
         else max(m.f for m in modes) + span
-    core.require(finite={"--f-start": f_lo, "--f-stop": f_hi})
+    bounds = {"--f-start": f_lo, "--f-stop": f_hi}
+    core.require(finite=bounds)
     if f_hi <= f_lo:
         raise TransducerError(f"need f_start < f_stop (got {f_lo}, {f_hi})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = _linspace(f_lo, f_hi, args.points)
-    if not np.isfinite(grid).all():
-        raise ParameterError("--f-start and --f-stop span a grid that "
-                             f"overflows (got {f_lo!r}, {f_hi!r})")
-    return grid
+    return _linspace(f_lo, f_hi, args.points, bounds)
 
 
-def _linspace(start, stop, points):
+def _linspace(start, stop, points, bounds):
+    """np.linspace(start, stop, points), finite and strictly increasing.
+
+    bounds maps the flags that set the span to their values; the errors
+    name them, since the user never gave a grid.
+    """
     if points < 2:
         raise TransducerError(f"--points must be >= 2 (got {points})")
-    return np.linspace(start, stop, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(start, stop, points)
+    if not np.isfinite(grid).all():
+        raise ParameterError(f"{' and '.join(bounds)} span a grid that overflows "
+                             f"(got {', '.join(map(repr, bounds.values()))})")
+    if not (np.diff(grid) > 0).all():   # the span holds too few floats
+        span = " to ".join(f"{flag} {value!r}" for flag, value in bounds.items())
+        raise ParameterError(f"--points {points} over {span} repeats values; "
+                             "lower --points or widen the span")
+    return grid
 
 
 def _print_fit(result: FitResult) -> int:
@@ -189,7 +199,7 @@ def cmd_swap(args) -> int:
         t_max = args.t_max if args.t_max is not None \
             else 4.0 / max(report.g_em, 1.0)
         core.require(positive={"--t-max": t_max})
-        t_grid = _linspace(0.0, t_max, args.points)
+        t_grid = _linspace(0.0, t_max, args.points, {"--t-max": t_max})
         qubit_tr, mech_tr = rabi_swap_sim(bundle.device, qubit, t_grid,
                                           lossless=args.lossless)
         write_table(args.rabi_out, ["t_s", "qubit_excitation", "phonons"],

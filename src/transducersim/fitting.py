@@ -93,8 +93,11 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
     at accepted points and dropped before the next trial. One Jacobian
     is alive at a time: the last point's J and r are released before
     jac() fills the next J, one preallocated (m, n) array, column by
-    column. More parameters than residuals raise ParameterError before
-    J is built.
+    column. The large-trace models allocate it column-major,
+    np.empty((n, m)).T, so each column op reads and writes m*8
+    contiguous bytes instead of a strided pass over every cache line of J.
+    More parameters than residuals raise ParameterError before J is
+    built.
     Returns the _least_squares_result of the last accepted point,
     converged if the relative step fell below REL_STEP_TOL within
     MAX_ITER. Only cost-decreasing steps are accepted, so the final
@@ -170,7 +173,7 @@ def _dip(f, y, p):
     D = kappa ** 2 + x2
 
     def jac():
-        J = np.empty((f.size, 3))
+        J = np.empty((3, f.size)).T     # column-major: see _gauss_newton
         dR_dfo, dR_dk, dR_de = J.T
         one_me = 1.0 - e
         D2 = D ** 2
@@ -259,7 +262,7 @@ def _phase(f, z, gain, kappa_o, p):
     del rz
 
     def jac():
-        J = np.empty((2 * n, 3))
+        J = np.empty((3, 2 * n)).T     # column-major: see _gauss_newton
         m = gain / pole     # recomputed: keeping m too raises the peak memory
         J[:n, 1], J[n:, 1] = m.real, m.imag
         np.negative(m.imag, out=J[:n, 2])
@@ -396,7 +399,7 @@ def _lorentz(f, y, u, n_peaks, p):
 
     def jac():
         # the denominators are recomputed: keeping them raises the peak memory
-        J = np.empty((f.size, p.size))
+        J = np.empty((p.size, f.size)).T    # column-major: see _gauss_newton
         cols = J.T
         for k in range(n_peaks):
             c, g, a = p[3 * k: 3 * k + 3]

@@ -128,8 +128,11 @@ def test_spectrum_soe_writes_csv(tmp_path):
      "--points must be >= 2 (got 1)"),
     (["swap", "--device", MEASURED, "--t-max", "-1"],
      "--t-max must be finite and > 0 (got -1.0)"),
+    (["swap", "--device", MEASURED, "--t-max", "1e-322", "--points", "50"],
+     "--points 50 over --t-max 1e-322 repeats values; lower --points or "
+     "widen the span"),
 ], ids=["spectrum", "swap", "spectrum_0", "spectrum_1", "swap_0", "swap_1",
-        "swap_t_max"])
+        "swap_t_max", "swap_repeated_times"])
 def test_negative_points_exits_2(argv, error, tmp_path, capsys):
     # swap checks its grid before it prints the feasibility report
     assert main(argv + ["--rabi-out" if argv[0] == "swap" else "--out",
@@ -419,7 +422,10 @@ def assert_one_line_error(capsys, argv, message):
     (["--f-start", "-1e308", "--f-stop", "1e308"], "--f-start and --f-stop "
      "span a grid that overflows (got -1e+308, 1e+308)"),
     (["--f-start", "nan"], "--f-start must be finite (got nan)"),
-], ids=["stop_inf", "grid_overflow", "start_nan"])
+    (["--f-start", "1", "--f-stop", "1.0000000000000004"], "--points 5 over "
+     "--f-start 1.0 to --f-stop 1.0000000000000004 repeats values; lower "
+     "--points or widen the span"),
+], ids=["stop_inf", "grid_overflow", "start_nan", "repeated_values"])
 def test_spectrum_grid_errors_are_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     assert_one_line_error(capsys, ["spectrum", "soe", "--device", MEASURED,

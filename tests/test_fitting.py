@@ -571,9 +571,45 @@ def _random_model(name, rng):
 def test_filled_jacobians_have_the_column_stack_bytes(name, seed):
     (r, jac), (r_ref, J_ref) = _random_model(name, np.random.default_rng(seed))
     J = jac()
-    assert J.flags.c_contiguous and J.shape == J_ref.shape
+    assert J.flags.f_contiguous and J.shape == J_ref.shape
     assert J.tobytes() == J_ref.tobytes()
     assert r.tobytes() == r_ref.tobytes()
+
+
+def _row_major(model):
+    """model with jac() returning a C-order copy of its J."""
+    def wrapped(p):
+        r, jac = model(p)
+        return r, lambda: np.ascontiguousarray(jac())
+    return wrapped
+
+
+@pytest.mark.parametrize("name", ["dip", "phase", "lorentz_1", "lorentz_3"])
+def test_column_major_jacobian_fits_as_a_row_major_one(monkeypatch, dev, name):
+    # the layout moves only the last bits of J^T r, never the fit
+    pairs, solve = [], fitting._gauss_newton
+
+    def both(model, p0, names, **kwargs):
+        fit = solve(model, p0, names, **kwargs)
+        pairs.append((fit, solve(_row_major(model), p0, names, **kwargs)))
+        return fit
+    monkeypatch.setattr(fitting, "_gauss_newton", both)
+    if name == "dip":
+        fit_optical_dip(dip_trace(noise=0.01, seed=1))
+    elif name == "phase":
+        fit_phase_detuning(*phase_traces(3e9, noise=0.01), dev)
+    elif name == "lorentz_1":
+        fit_lorentzian_multi(lorentz_trace([(4.32e9, 8.4e6, 5e9)], noise=0.01,
+                                           seed=8), 1)
+    else:
+        fit_lorentzian_multi(lorentz_trace(
+            [(4.28e9, 4e6, 5e9), (4.32e9, 8.4e6, 8e9), (4.36e9, 6e6, 3e9)],
+            noise=0.01, seed=3, slope=1e-9), 3, background="linear")
+    assert len(pairs) == (2 if name == "phase" else 1)
+    for fit, row_major in pairs:
+        assert fit.converged and fit.n_iter == row_major.n_iter
+        for key, value in fit.params.items():
+            assert relerr(value, row_major.params[key]) < 1e-12, key
 
 
 def _peak_bytes(fit):
