@@ -15,13 +15,14 @@ import numpy as np
 from . import core
 from .deviceio import (load_device, parse_power, read_points, read_text,
                        read_trace, write_eye, write_table, write_trace)
-from .errors import FitError, ParameterError, TransducerError
+from .errors import FitError, TransducerError
 from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
                       fit_optical_dip, fit_phase_detuning)
 from .link import LinkConfig, _measure, parse_bits, run_link
 from .spectra import driven_spectrum, s_oe_spectrum, thermal_spectrum
 from .swap import rabi_swap_sim, swap_feasibility
 from .sweep import SweepSpec, evaluate, override, sweep_table
+from .trace import grid
 
 
 def _print_kv(pairs):
@@ -46,31 +47,14 @@ def _default_grid(modes, args):
         else min(m.f for m in modes) - span
     f_hi = args.f_stop if args.f_stop is not None \
         else max(m.f for m in modes) + span
-    bounds = {"--f-start": f_lo, "--f-stop": f_hi}
-    core.require(finite=bounds)
-    if f_hi <= f_lo:
-        raise TransducerError(f"need f_start < f_stop (got {f_lo}, {f_hi})")
-    return _linspace(f_lo, f_hi, args.points, bounds)
+    return grid(f_lo, f_hi, _points(args), ("--f-start", "--f-stop", "--points"))
 
 
-def _linspace(start, stop, points, bounds):
-    """np.linspace(start, stop, points), finite and strictly increasing.
-
-    bounds maps the flags that set the span to their values; the errors
-    name them, since the user never gave a grid.
-    """
-    if points < 2:
-        raise TransducerError(f"--points must be >= 2 (got {points})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.linspace(start, stop, points)
-    if not np.isfinite(grid).all():
-        raise ParameterError(f"{' and '.join(bounds)} span a grid that overflows "
-                             f"(got {', '.join(map(repr, bounds.values()))})")
-    if not (np.diff(grid) > 0).all():   # the span holds too few floats
-        span = " to ".join(f"{flag} {value!r}" for flag, value in bounds.items())
-        raise ParameterError(f"--points {points} over {span} repeats values; "
-                             "lower --points or widen the span")
-    return grid
+def _points(args) -> int:
+    """--points of a spectrum or a Rabi grid, which needs two or more."""
+    if args.points < 2:
+        raise TransducerError(f"--points must be >= 2 (got {args.points})")
+    return args.points
 
 
 def _print_fit(result: FitResult) -> int:
@@ -114,17 +98,17 @@ def cmd_spectrum(args) -> int:
     bundle, env = _pumped(args, {"temperature": args.temperature})
     dev = bundle.device
     modes = bundle.mechanical_modes
-    grid = _default_grid(modes, args)
+    f = _default_grid(modes, args)
     n_c, n_th = evaluate(("n_c", "n_th"), bundle, env).values()
     if args.kind == "thermal":
-        trace = thermal_spectrum(dev, modes, n_c, n_th, grid)
+        trace = thermal_spectrum(dev, modes, n_c, n_th, f)
     elif args.kind == "driven":
         p_mu = parse_power(args.power_mu)
         drive_f = args.drive_f if args.drive_f is not None else dev.f_m
         trace = driven_spectrum(dev, modes, n_c, n_th, drive_f, p_mu,
-                                args.rbw, grid)
+                                args.rbw, f)
     else:
-        trace = s_oe_spectrum(dev, modes, bundle.pump, grid)
+        trace = s_oe_spectrum(dev, modes, bundle.pump, f)
     write_trace(trace, args.out)
     _print_kv([("kind", args.kind), ("points", len(trace)),
                ("n_c", n_c), ("n_th", n_th), ("out", args.out)])
@@ -199,7 +183,7 @@ def cmd_swap(args) -> int:
         t_max = args.t_max if args.t_max is not None \
             else 4.0 / max(report.g_em, 1.0)
         core.require(positive={"--t-max": t_max})
-        t_grid = _linspace(0.0, t_max, args.points, {"--t-max": t_max})
+        t_grid = grid(0.0, t_max, _points(args), (None, "--t-max", "--points"))
         qubit_tr, mech_tr = rabi_swap_sim(bundle.device, qubit, t_grid,
                                           lossless=args.lossless)
         write_table(args.rabi_out, ["t_s", "qubit_excitation", "phonons"],
@@ -235,15 +219,16 @@ def cmd_sweep(args) -> int:
             raise TransducerError("each --param needs a matching --values list")
         targets = tuple((path, _parse_values(vals))
                         for path, vals in zip(args.param, args.values))
-        spec = SweepSpec(targets=targets, quantities=tuple(args.quantity))
     else:
         if len(args.param) != 1:
             raise TransducerError("range sweeps take exactly one --param")
         if args.start is None or args.stop is None:
             raise TransducerError("range sweeps need --start and --stop")
-        spec = SweepSpec.from_range(args.param[0], args.start, args.stop,
-                                    10 if args.count is None else args.count,
-                                    args.scale or "linear", args.quantity)
+        values = grid(args.start, args.stop,
+                      10 if args.count is None else args.count,
+                      ("--start", "--stop", "--count"), args.scale or "linear")
+        targets = ((args.param[0], tuple(values.tolist())),)
+    spec = SweepSpec(targets=targets, quantities=tuple(args.quantity))
     drive_p_mu = parse_power(args.power_mu) if args.power_mu else None
     table = sweep_table(spec, bundle, temperature=args.temperature,
                         drive_p_mu=drive_p_mu)

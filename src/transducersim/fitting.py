@@ -53,10 +53,13 @@ def _least_squares_result(names, p, J, r, converged, n_iter) -> FitResult:
 
     The one rule for fit uncertainties: cov = s2 * pinv(J^T J) with
     s2 = |r|^2 / max(m - n, 1) for m residuals and n parameters (inf if
-    pinv fails), residual_norm the rms of r.
+    pinv fails; a FitError if r = 0 leaves no noise to estimate s2 from),
+    residual_norm the rms of r.
     """
     m, n = J.shape
     cost = float(r @ r)
+    if cost == 0:
+        raise FitError("zero residual: no noise to estimate uncertainties from")
     try:
         cov = cost / max(m - n, 1) * np.linalg.pinv(J.T @ J)
     except np.linalg.LinAlgError:

@@ -11,7 +11,7 @@ responses are computed and scanned.
 The detected quadratures oscillate at the intermediate frequency. The
 carrier is factored into one phase per bit times one row of phases
 within a bit, each reduced modulo one cycle, so it stays exact however
-long the run; harmonic_spectrum demodulates with its conjugate.
+long the run; harmonic_spectrum runs at f_if = 0, where it is 1.
 Additive Gaussian noise is applied on I and Q after demodulation with a
 caller-seeded generator.
 """
@@ -149,7 +149,8 @@ def _carrier(cfg: LinkConfig):
     the carrier there is per_bit[j, 0] * within[m - 1]: a column of one
     phase per bit times one row of phases within a bit. Each phase is
     reduced modulo one cycle by an exact fmod (n*f_if % period), so no
-    argument grows with the run length; the carrier at t = 0 is 1.
+    argument grows with the run length; it is 1 at t = 0, and everywhere
+    at f_if = 0, where harmonic_spectrum runs so it need not demodulate.
     """
     def phases(n, period):
         return np.exp(2j * np.pi * (n * cfg.f_if % period / period))
@@ -355,11 +356,11 @@ def harmonic_spectrum(cfg: LinkConfig, f0: float, n_periods: int = 64,
                       seed=0) -> Trace:
     """Two-sided PSD of the demodulated envelope for a square-wave drive.
 
-    Drives the link with an n_periods-long 50%-duty square wave of
-    fundamental f0 (bit rate 2*f0), demodulates to baseband, and
-    returns the periodogram on offsets from the carrier. An exact
-    integer number of periods lands every harmonic on an FFT bin, so
-    only odd harmonics carry power, filtered by the mechanical
+    Drives the link at f_if = 0 with an n_periods-long 50%-duty square
+    wave of fundamental f0 (bit rate 2*f0), so I + iQ is the baseband
+    envelope, and returns its periodogram on offsets from the carrier.
+    An exact integer number of periods lands every harmonic on an FFT
+    bin, so only odd harmonics carry power, filtered by the mechanical
     susceptibility. The square wave keeps cfg's sample rate.
     """
     require(positive={"f0": f0})
@@ -379,15 +380,9 @@ def harmonic_spectrum(cfg: LinkConfig, f0: float, n_periods: int = 64,
             f"samples, over the budget of {HARMONIC_MAX_SAMPLES}")
     warmup, spb = int(warmup), int(spb)
     square = replace(cfg, bits=(1, 0) * (warmup + n_periods), rate=2.0 * f0,
-                     samples_per_bit=spb)
+                     samples_per_bit=spb, f_if=0.0)
     run = run_link(square, seed=seed)
-    # demodulate to baseband with the conjugate carrier: offsets are
-    # relative to the carrier
     z = run.i_trace.y + 1j * run.q_trace.y
-    rows = z[1:].reshape(-1, spb)
-    phase, within = _carrier(square)
-    rows *= within.conj()
-    rows *= phase.conj()
     n = 2 * n_periods * spb
     start = 2 * warmup * spb
     dt = 1.0 / square.sample_rate

@@ -19,7 +19,7 @@ import numpy as np
 from .constants import CODATA
 from .core import DeviceParams, PumpState, require, resolve_photon_number
 from .errors import FitError, ParameterError
-from .trace import Trace
+from .trace import Trace, axis
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,6 @@ def sideband_rate(mode: MechanicalMode, n_c: float, kappa_o: float) -> float:
     return 4.0 * n_c * mode.g ** 2 / kappa_o
 
 
-def _as_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ParameterError("grid must be a nonempty 1-d array")
-    if not (g[1:] > g[:-1]).all():
-        raise ParameterError("grid must be strictly increasing")
-    return g
-
-
 def _lorentzian_density(f, center, gamma):
     """Unit-area Lorentzian (1/pi)(gamma/2)/((f-center)^2+(gamma/2)^2)."""
     hw = 0.5 * gamma
@@ -92,7 +83,7 @@ def thermal_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
     the integrated area of each mode equals Gamma_j and the peak
     density is 2 Gamma_j / (pi gamma_j).
     """
-    f = _as_grid(grid)
+    f = axis(grid, "grid")
     y = np.zeros_like(f)
     for mode in modes:
         rate = n_th * sideband_rate(mode, n_c, dev.kappa_o)
@@ -271,7 +262,7 @@ def s_oe_spectrum(dev: DeviceParams, modes, pump: PumpState, grid) -> Trace:
     """
     if not modes:
         raise ParameterError("empty mode list: nothing to transduce")
-    f = _as_grid(grid)
+    f = axis(grid, "grid")
     n_c = resolve_photon_number(dev, pump)
     amp = np.zeros(f.size, dtype=complex)
     for mode in modes:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import DeviceParams, require
 from .errors import ParameterError, SamplingError
-from .trace import Trace
+from .trace import Trace, axis
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,12 @@ def rabi_swap_sim(dev: DeviceParams, q: QubitConfig, t_grid,
     In the lossless limit the exchange oscillates at 2*g_em with the
     first full swap at t = 1/(4*g_em).
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ParameterError("t_grid must contain at least two times")
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = np.diff(t)   # inf where a step overflows, nan inf - inf
-    if t[0] < 0 or not np.all(step > 0):
-        raise ParameterError("t_grid must be nonnegative and strictly increasing")
+    t = axis(t_grid, "t_grid")
+    if t.size < 2 or t[0] < 0:
+        raise ParameterError("t_grid must hold at least two times, all >= 0")
     g_em = coupling_g_em(dev, q)
-    if g_em > 0 and float(np.max(step)) > 1.0 / (10.0 * g_em):
+    # the times are finite and >= 0, so no step overflows
+    if g_em > 0 and float(np.max(np.diff(t))) > 1.0 / (10.0 * g_em):
         raise SamplingError(
             f"t_grid step exceeds 1/(10*g_em) = {1.0 / (10.0 * g_em):.3g} s; "
             "the exchange would alias")

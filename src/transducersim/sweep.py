@@ -17,6 +17,7 @@ from .deviceio import DeviceBundle
 from .errors import ParameterError
 from .spectra import sideband_rate, steady_state_coherent_phonons
 from .swap import QubitConfig, coupling_g_em, qubit_impedance, swap_feasibility
+from .trace import grid
 
 
 # paths that set the same value as another path
@@ -57,25 +58,7 @@ class SweepSpec:
     @classmethod
     def from_range(cls, path: str, start: float, stop: float, count: int,
                    scale: str, quantities) -> "SweepSpec":
-        core.require_integer(count=count)
-        core.require(finite={"start": start, "stop": stop})
-        if count < 1:
-            raise ParameterError(f"count must be >= 1 (got {count!r})")
-        if count > 1 and not start < stop:
-            raise ParameterError(f"need start < stop (got {start!r}, {stop!r})")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if scale == "linear":
-                values = np.linspace(start, stop, count)
-            elif scale == "log":
-                if start <= 0:
-                    raise ParameterError("log scale needs start > 0")
-                values = np.geomspace(start, stop, count)
-            else:
-                raise ParameterError(
-                    f"scale must be 'linear' or 'log' (got {scale!r})")
-        if not np.isfinite(values).all():
-            raise ParameterError("start and stop span a grid that overflows "
-                                 f"(got {start!r}, {stop!r})")
+        values = grid(start, stop, count, ("start", "stop", "count"), scale)
         return cls(((path, tuple(values.tolist())),), tuple(quantities))
 
     @property

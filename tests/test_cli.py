@@ -383,10 +383,14 @@ def test_sweep_bytes_are_the_reference_rows(tmp_path, capsys, params, targets):
 
 @pytest.mark.parametrize("argv,message", [
     (["--param", "pump.n_c", "--start", "1e3", "--stop", "inf", "--count", "3",
-      "--quantity", "n_c"], "stop must be finite (got inf)"),
+      "--quantity", "n_c"], "--stop must be finite (got inf)"),
     (["--param", "pump.n_c", "--start", "-1e308", "--stop", "1e308",
       "--quantity", "n_c"],
-     "start and stop span a grid that overflows (got -1e+308, 1e+308)"),
+     "--start and --stop span a grid that overflows (got -1e+308, 1e+308)"),
+    (["--param", "pump.n_c", "--start", "1", "--stop", "1.0000000000000004",
+      "--count", "5", "--quantity", "n_c"],
+     "--count 5 over --start 1.0 to --stop 1.0000000000000004 repeats "
+     "values; lower --count or widen the span"),
     (["--param", "pump.n_c", "--values", "1e3", "--start", "5", "--quantity",
       "n_c"],
      "--values cannot be combined with --start/--stop/--count/--scale"),
@@ -399,7 +403,8 @@ def test_sweep_bytes_are_the_reference_rows(tmp_path, capsys, params, targets):
     (["--param", "pump.n_c", "--values", "262190", "--quantity", "c_om"],
      "backaction rate 8400020.853080569 Hz >= intrinsic linewidth "
      "8400000.0 Hz: parametric oscillation threshold"),
-], ids=["stop_inf", "grid_overflow", "values_and_range", "values_and_count",
+], ids=["stop_inf", "grid_overflow", "repeated_values", "values_and_range",
+        "values_and_count",
         "values_and_default_scale", "threshold"])
 def test_sweep_input_errors_are_one_line(capsys, argv, message):
     assert_one_line_error(capsys, ["sweep", "--device", MEASURED, *argv],
@@ -962,6 +967,23 @@ def test_fit_lorentz_reference_with_linear_background_exits_2(tmp_path,
     assert capsys.readouterr() == (
         "", "error: --reference fits a constant background and cannot be "
             "combined with --background linear\n")
+
+
+def test_fit_with_a_zero_residual_exits_3(tmp_path, capsys):
+    # a trace divided by itself leaves no noise to estimate the
+    # uncertainties from, so no +/- 0 is printed
+    path = tmp_path / "th.csv"
+    assert main(["spectrum", "thermal", "--device", MEASURED, "--points",
+                 "401", "--out", str(path)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit", "lorentz", "--trace", str(path), "--n-peaks", "1",
+                     "--reference", str(path)]) == 3
+    assert caught == []
+    assert capsys.readouterr() == (
+        "", "fit error: zero residual: no noise to estimate uncertainties "
+            "from\n")
 
 
 def test_link_with_huge_noise_warns_nothing(tmp_path, capsys):

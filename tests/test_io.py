@@ -11,18 +11,19 @@ import numpy as np
 import pytest
 
 from transducersim import (DeviceBundle, DeviceFileError, ParameterError,
-                           SamplingError, SweepSpec, Trace, TraceError,
-                           TransducerError, load_device, rabi_swap_sim,
-                           read_trace, run_sweep, sweep_table,
-                           thermal_occupation, write_device, write_trace)
+                           SweepSpec, Trace, TraceError, TransducerError,
+                           driven_spectrum, load_device, rabi_swap_sim,
+                           read_trace, run_sweep, s_oe_spectrum, sweep_table,
+                           thermal_occupation, thermal_spectrum, write_device,
+                           write_trace)
 from transducersim import deviceio
 from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
                                     parse_device, parse_device_text,
                                     parse_power, read_points,
                                     resolve_device_path, write_table)
 
-from transducersim.spectra import _as_grid
 from transducersim.sweep import QUANTITIES, override
+from transducersim.trace import axis
 
 from conftest import reference_read_trace, reference_sweep, relerr
 
@@ -577,44 +578,49 @@ def test_read_trace_names_a_late_decode_error_as_the_whole_file_read(
 
 def test_strictly_increasing_checks_agree_with_the_difference(tmp_path,
                                                              measured):
-    # x[1:] > x[:-1] against diff(x) > 0 on neighbours that are equal,
-    # infinite, nan, or a step whose difference overflows: the Trace, the
-    # spectrum grid, the trace reader and the Rabi time grid each check it
+    # neighbours that are equal, infinite, nan, or a step whose difference
+    # overflows: axis() accepts exactly the finite arrays whose diff(x) is
+    # > 0, and the Trace, the spectrum grids, the Rabi time grid and the
+    # trace reader reject the others with its error, before any arithmetic
+    # could warn (an aliasing SamplingError on [0, inf] before)
     cases = {"equal": [1.0, 1.0], "huge_step": [-1e308, 1e308],
              "inf": [0.0, math.inf], "inf_inf": [math.inf, math.inf],
              "nan": [0.0, math.nan], "minus_inf": [-math.inf, 0.0],
              "subnormal": [0.0, 5e-324], "falls": [1.0, 0.0, 2.0]}
+    dev, modes = measured.device, measured.mechanical_modes
+    rule = "must be a nonempty 1-d array of finite, strictly increasing values"
     for name, values in cases.items():
         x = np.array(values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rising = bool(np.all(np.diff(x) > 0))
-        try:
-            Trace(x, np.zeros(x.size))
-            trace_ok = True
-        except TraceError:
-            trace_ok = False
-        assert trace_ok == (rising and bool(np.isfinite(x).all())), name
-        try:
-            _as_grid(x)
-            grid_ok = True
-        except ParameterError:
-            grid_ok = False
-        assert grid_ok == rising, name
-        try:
-            rabi_swap_sim(measured.device, measured.qubit, x)
-            rabi_ok = True
-        except SamplingError:   # the step check, after the grid passed
-            rabi_ok = True
-        except ParameterError:
-            rabi_ok = False
-        assert rabi_ok == (rising and x[0] >= 0), name
         path = tmp_path / f"{name}.csv"
         path.write_text("hz,lin\n" + "".join(f"{v!r},0\n" for v in values))
-        if rising and np.isfinite(x).all():
-            assert read_trace(path).x.tobytes() == x.tobytes(), name
-        else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = bool(np.isfinite(x).all() and np.all(np.diff(x) > 0))
+        if not ok:
+            for axis_name, call in (
+                    ("x", lambda: axis(x, "x")),
+                    ("x", lambda: Trace(x, np.zeros(x.size))),
+                    ("grid", lambda: thermal_spectrum(dev, modes, 1e4, 1.0, x)),
+                    ("grid", lambda: driven_spectrum(dev, modes, 1e4, 1.0,
+                                                     dev.f_m, 1e-9, 50e3, x)),
+                    ("grid", lambda: s_oe_spectrum(dev, modes, measured.pump,
+                                                   x)),
+                    ("t_grid", lambda: rabi_swap_sim(dev, measured.qubit, x))):
+                with pytest.raises(TraceError) as err:
+                    call()
+                assert str(err.value) == f"{axis_name} {rule}", name
             with pytest.raises(TraceError):
                 read_trace(path)
+            continue
+        assert axis(x, "x").tobytes() == x.tobytes(), name
+        assert Trace(x, np.zeros(x.size)).x.tobytes() == x.tobytes(), name
+        assert read_trace(path).x.tobytes() == x.tobytes(), name
+        if x[0] < 0:
+            with pytest.raises(ParameterError) as err:
+                rabi_swap_sim(dev, measured.qubit, x)
+            assert str(err.value) == "t_grid must hold at least two times, " \
+                "all >= 0", name
+        else:
+            rabi_swap_sim(dev, measured.qubit, x)
 
 
 def test_trace_rejects_nan(tmp_path):
