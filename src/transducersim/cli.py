@@ -13,8 +13,9 @@ import sys
 import numpy as np
 
 from . import core
-from .deviceio import (load_device, parse_power, read_points, read_text,
-                       read_trace, write_eye, write_table, write_trace)
+from .deviceio import (_write_rows, load_device, parse_power, read_points,
+                       read_text, read_trace, write_eye, write_table,
+                       write_trace)
 from .errors import FitError, TransducerError
 from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
                       fit_optical_dip, fit_phase_detuning)
@@ -233,15 +234,13 @@ def cmd_sweep(args) -> int:
     table = sweep_table(spec, bundle, temperature=args.temperature,
                         drive_p_mu=drive_p_mu)
     header = [path for path, _ in spec.targets] + list(spec.quantities)
-    columns = [table[name] for name in header]
+    rows = np.column_stack([table[name] for name in header])
     if args.out:
-        write_table(args.out, header, np.column_stack(columns))
+        write_table(args.out, header, rows)
         print(f"rows = {spec.n_rows}")
         print(f"out = {args.out}")
     else:
-        print(",".join(header))
-        for row in zip(*(col.tolist() for col in columns)):
-            print(",".join(f"{v:.10g}" for v in row))
+        _write_rows(sys.stdout, header, rows, "%.10g")
     return 0
 
 

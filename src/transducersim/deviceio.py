@@ -317,7 +317,7 @@ def load_device(name: str) -> DeviceBundle:
 
 # ------------------------------------------------------------------ trace CSV
 
-# Cells per formatting block of write_table: large enough that the
+# Cells per formatting block of _write_rows: large enough that the
 # per-block overhead is negligible, small enough that a block's strings
 # take a few MB, so the memory beyond the table does not grow with it.
 _WRITE_CELLS = 65536
@@ -426,13 +426,20 @@ def write_table(path, header, rows) -> None:
     it back with float() reproduces the value bit for bit.
     """
     table = np.asarray(rows, dtype=float)
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    step = max(1, _WRITE_CELLS // len(header))
     with open(path, "w") as out:
-        out.write(",".join(header) + "\n")
-        for start in range(0, len(table), step):
-            block = table[start:start + step]
-            out.write(row * len(block) % tuple(block.ravel().tolist()))
+        _write_rows(out, header, table, "%.17g")
+
+
+def _write_rows(out, header, table: np.ndarray, fmt: str) -> None:
+    """Write the header line, then each row of the float array table with
+    every cell in the %-format fmt, to the text stream out: one %
+    operation per block of _WRITE_CELLS cells."""
+    row = ",".join([fmt] * len(header)) + "\n"
+    step = max(1, _WRITE_CELLS // len(header))
+    out.write(",".join(header) + "\n")
+    for start in range(0, len(table), step):
+        block = table[start:start + step]
+        out.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_points(path) -> np.ndarray:

@@ -52,9 +52,11 @@ def lumped_mode(dev: DeviceParams) -> MechanicalMode:
                           phi=0.0, gamma_e=dev.gamma_me)
 
 
+@np.errstate(over="ignore")
 def _pole(f, center, width):
     """i 2*pi (center - f) + pi width: the denominator of a single-pole
-    response of full width `width` at `center`, seen at frequency f."""
+    response of full width `width` at `center`, seen at frequency f; a
+    term that overflows is inf, whose response is the right limit 0."""
     return 1j * 2 * np.pi * (center - f) + np.pi * width
 
 
@@ -68,8 +70,10 @@ def sideband_rate(mode: MechanicalMode, n_c: float, kappa_o: float) -> float:
     return 4.0 * n_c * mode.g ** 2 / kappa_o
 
 
+@np.errstate(over="ignore")
 def _lorentzian_density(f, center, gamma):
-    """Unit-area Lorentzian (1/pi)(gamma/2)/((f-center)^2+(gamma/2)^2)."""
+    """Unit-area Lorentzian (1/pi)(gamma/2)/((f-center)^2+(gamma/2)^2);
+    where (f-center)^2 overflows, the density is the right limit 0."""
     hw = 0.5 * gamma
     return (hw / np.pi) / ((f - center) ** 2 + hw ** 2)
 
@@ -120,12 +124,22 @@ def gamma_me_from_phonons(n_coh: float, f_m: float, gamma_m: float,
 def _cell_edges(f: np.ndarray, center: float, width: float) -> np.ndarray:
     """Edges of the cells a drive peak is deposited into: midpoints between
     grid points, the end cells as wide as their neighbours; on a one-point
-    grid, one cell of twice the width around center."""
+    grid, one cell of twice the width around center. An edge that
+    overflows is inf."""
     if f.size == 1:
         return np.array([center - width, center + width])
-    return np.concatenate(([f[0] - 0.5 * (f[1] - f[0])],
-                           0.5 * (f[:-1] + f[1:]),
-                           [f[-1] + 0.5 * (f[-1] - f[-2])]))
+    with np.errstate(over="ignore"):
+        return np.concatenate(([f[0] - 0.5 * (f[1] - f[0])],
+                               0.5 * (f[:-1] + f[1:]),
+                               [f[-1] + 0.5 * (f[-1] - f[-2])]))
+
+
+def _overlapped(edges: np.ndarray, lo: float, hi: float) -> tuple:
+    """(first, stop): the cells (_cell_edges) first to stop - 1 are the
+    only ones the interval from lo to hi can overlap."""
+    first = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)
+    stop = min(int(np.searchsorted(edges, hi, side="left")), edges.size - 1)
+    return first, stop
 
 
 def _deposit_peak(edges: np.ndarray, y: np.ndarray, center: float,
@@ -139,8 +153,7 @@ def _deposit_peak(edges: np.ndarray, y: np.ndarray, center: float,
     if area == 0.0:
         return
     lo, hi = center - 0.5 * width, center + 0.5 * width
-    first = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)
-    stop = min(int(np.searchsorted(edges, hi, side="left")), y.size)
+    first, stop = _overlapped(edges, lo, hi)
     edges = edges[first:stop + 1]
     overlap = np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo),
                       0.0, None)
@@ -159,17 +172,27 @@ def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
     rendered as a rectangle of width rbw whose area is the physical
     quantity. Coherent phonons scale linearly with p_mu while the
     thermal part is unaffected. A rectangle that overlaps none of the
-    grid's cells is an error, not a spectrum without its peak.
+    grid's cells, or a cell of no finite width, is an error, not a
+    spectrum without its peak.
     """
     require(positive={"rbw": rbw, "drive_f": drive_f})
     thermal = thermal_spectrum(dev, modes, n_c, n_th, grid)
     f = thermal.x
     y = thermal.y.copy()
     edges = _cell_edges(f, drive_f, rbw)
-    if drive_f + 0.5 * rbw <= edges[0] or drive_f - 0.5 * rbw >= edges[-1]:
+    lo, hi = drive_f - 0.5 * rbw, drive_f + 0.5 * rbw
+    peak = f"drive peak at drive_f = {drive_f!r} Hz, rbw = {rbw!r} Hz"
+    if hi <= edges[0] or lo >= edges[-1]:
         raise ParameterError(
-            f"drive peak at drive_f = {drive_f!r} Hz, rbw = {rbw!r} Hz lies "
-            f"outside the grid's cells ({edges[0]:.10g} to {edges[-1]:.10g} Hz)")
+            f"{peak} lies outside the grid's cells "
+            f"({edges[0]:.10g} to {edges[-1]:.10g} Hz)")
+    first, stop = _overlapped(edges, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        widths = np.diff(edges[first:stop + 1])
+    if not np.isfinite(widths).all():
+        raise ParameterError(
+            f"{peak} overlaps a cell of no finite width on the grid from "
+            f"{f[0]:.10g} to {f[-1]:.10g} Hz")
     for mode in modes:
         # a float, so that an overflowing n_coh times a zero rate is a
         # nan area, which the Trace rejects, and not a numpy warning

@@ -206,8 +206,16 @@ def sweep_table(spec: SweepSpec, bundle: DeviceBundle, *,
 def run_sweep(spec: SweepSpec, bundle: DeviceBundle, *,
               temperature: float = 300.0,
               drive_p_mu: float | None = None) -> list[dict]:
-    """The rows of sweep_table, one {name: float} dict per value set."""
+    """The rows of sweep_table, one {name: float} dict per value set.
+
+    Each row is a copy of one dict holding the table's keys, filled one
+    column at a time, so no row walks the keys or grows from empty.
+    """
     table = sweep_table(spec, bundle, temperature=temperature,
                         drive_p_mu=drive_p_mu)
-    return [dict(zip(table, row))
-            for row in zip(*(col.tolist() for col in table.values()))]
+    keys = dict.fromkeys(table)
+    rows = [keys.copy() for _ in range(spec.n_rows)]
+    for name, column in table.items():
+        for row, value in zip(rows, column.tolist()):
+            row[name] = value
+    return rows

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from transducersim import SweepSpec, Trace, write_trace
-from transducersim import cli, core, link
+from transducersim import cli, core, deviceio, link
 from transducersim.cli import main
 from transducersim.deviceio import load_device, resolve_device_path, write_table
 from transducersim.link import eye_diagram
@@ -379,6 +379,21 @@ def test_sweep_bytes_are_the_reference_rows(tmp_path, capsys, params, targets):
     assert capsys.readouterr() == (f"rows = {len(rows)}\nout = {out}\n", "")
     write_table(want, header, rows)
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_stdout_sweep_across_blocks_is_the_reference_rows(capsys, monkeypatch):
+    # 11 cells a block over 4 columns: 2 rows a block, 25 rows in 13 blocks
+    monkeypatch.setattr(deviceio, "_WRITE_CELLS", 11)
+    params, targets = CLI_SWEEPS["log_range"]
+    quantities = ("c_om", "eta_tot", "c_om")
+    header = [path for path, _ in targets] + list(quantities)
+    rows = [[row[name] for name in header] for row in reference_sweep(
+        SweepSpec(targets, quantities), load_device(MEASURED))]
+    assert main(["sweep", "--device", MEASURED, *params,
+                 *(arg for q in quantities for arg in ("--quantity", q))]) == 0
+    assert capsys.readouterr() == ("".join(
+        ",".join(line) + "\n" for line in
+        [header, *([f"{v:.10g}" for v in row] for row in rows)]), "")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -861,9 +861,26 @@ def test_sweep_table_columns_are_the_rows(measured, targets):
         assert column.dtype == np.float64 and column.shape == (spec.n_rows,)
     by_column = [list(zip(table, row))
                  for row in zip(*(col.tolist() for col in table.values()))]
-    assert by_column == [list(row.items()) for row in run_sweep(spec, measured)]
+    rows = run_sweep(spec, measured)
+    assert by_column == [list(row.items()) for row in rows]
     assert by_column == [list(row.items())
                          for row in reference_sweep(spec, measured)]
+    for i, row in enumerate(rows):
+        for name, value in row.items():
+            assert type(value) is float
+            assert np.float64(value).tobytes() == table[name][i].tobytes()
+
+
+@pytest.mark.parametrize("targets", TABLE_SWEEPS.values(), ids=TABLE_SWEEPS)
+def test_run_sweep_rows_are_independent(measured, targets):
+    spec = SweepSpec(targets, ("n_c", "eta_tot"))
+    rows = run_sweep(spec, measured)
+    want = [dict(row) for row in rows]
+    rows[-1]["n_c"] = -1.0
+    rows[-1]["extra"] = 0.0
+    del rows[0]["eta_tot"]
+    assert rows[1:-1] == want[1:-1]
+    assert run_sweep(spec, measured) == want
 
 
 BAD_MIDDLE_ROW = {

@@ -226,6 +226,36 @@ def test_drive_peak_across_a_grid_end_is_kept(dev, mode):
     assert dr[0] > th[0] and np.array_equal(dr[1:], th[1:])
 
 
+# grids whose ends lie near the float limit; pytest turns every numpy
+# warning into an error, so each call below also emits none
+@pytest.mark.parametrize("grid", [
+    [-1e308, 0.0, 4.32e9, 1e308],
+    [-1.7e308, 0.0, 4.32e9, 1.7e308],   # both end cells are infinitely wide
+])
+def test_spectra_at_the_float_limit_are_finite(dev, mode, grid):
+    pump = PumpState(detuning=dev.f_m, n_c=1.0e4)
+    for y in (thermal_spectrum(dev, [mode], 1.0e4, 10.0, grid).y,
+              driven_spectrum(dev, [mode], 1.0e4, 10.0, dev.f_m, 1e-9, 50e3,
+                              grid).y,
+              s_oe_spectrum(dev, [mode], pump, grid).y):
+        assert y[0] == y[-1] == 0.0 and y[2] > 0.0
+
+
+@pytest.mark.parametrize("grid, drive_f", [
+    ([-1e308, 1e308], 4.32e9),                  # f[1] - f[0] overflows
+    ([-1.7e308, 0.0, 4.32e9, 1.7e308], 1e308),  # in the infinite end cell
+    ([1.5e308, 1.6e308, 1.7e308], 1.6e308),     # the midpoints overflow
+])
+def test_drive_peak_in_a_cell_of_no_finite_width_is_an_error(dev, mode, grid,
+                                                             drive_f):
+    with pytest.raises(ParameterError) as err:
+        driven_spectrum(dev, [mode], 1.0e4, 10.0, drive_f, 1e-9, 50e3, grid)
+    assert str(err.value) == (
+        f"drive peak at drive_f = {drive_f!r} Hz, rbw = 50000.0 Hz overlaps a "
+        f"cell of no finite width on the grid from {grid[0]:.10g} to "
+        f"{grid[-1]:.10g} Hz")
+
+
 # ------------------------------------------------------- thermal-peak scaling
 
 def synth_driven(dev, gamma_op, n_c, p_mu, rbw=50e3, points=9601,
