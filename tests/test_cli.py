@@ -622,6 +622,58 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
     assert [m for m in added if m.split(".")[0] not in allowed] == []
 
 
+def test_import_does_not_load_the_csv_formatter(tmp_path):
+    # _g17 builds its tables when it is imported: at the first CSV written.
+    # That CSV's one cell, just below 0.1, has floor(np.log10) one too high,
+    # so its k is corrected to a power of ten not yet made
+    code = ("import sys; import transducersim, transducersim.cli; "
+            "print('transducersim._g17' in sys.modules); "
+            "transducersim.deviceio.write_table(sys.argv[1], ['a'], "
+            "[[0.09999999999999999]]); "
+            "print('transducersim._g17' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    path = tmp_path / "first.csv"
+    assert subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          check=True, capture_output=True,
+                          text=True).stdout == "False\nTrue\n"
+    assert path.read_text() == "a\n%.17g\n" % 0.09999999999999999
+
+
+# small runs of every command that writes a CSV, with the files it writes
+CSV_RUNS = {
+    "link": (["link", "--bits", "0110100111", "--rate", "1e6", "--gamma-m",
+              "7.9e6", "--drive-mode", "thermal", "--noise-rms", "0.05",
+              "--out-prefix", "{dir}/l"],
+             ("l_envelope.csv", "l_iq.csv", "l_eye.csv")),
+    "spectrum": (["spectrum", "driven", "--device", MEASURED, "--power-mu",
+                  "-22dbm", "--points", "2001", "--out", "{dir}/s.csv"],
+                 ("s.csv",)),
+    "sweep": (["sweep", "--device", MEASURED, "--param", "pump.n_c",
+               "--start", "1e3", "--stop", "1e5", "--count", "500", "--scale",
+               "log", "--quantity", "eta_tot", "--quantity", "gamma_tot",
+               "--out", "{dir}/w.csv"], ("w.csv",)),
+    "swap": (["swap", "--device", MEASURED, "--gamma-mi", "3e6",
+              "--rabi-out", "{dir}/r.csv"], ("r.csv",)),
+}
+
+
+@pytest.mark.parametrize("argv,files", CSV_RUNS.values(), ids=CSV_RUNS)
+def test_csv_cells_are_their_values_in_percent_17g(tmp_path, capsys, argv,
+                                                   files):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 0
+    capsys.readouterr()
+    for name in files:
+        text = (tmp_path / name).read_text()
+        body = text.splitlines()[1:]
+        want = [",".join("%.17g" % float(cell) for cell in line.split(","))
+                for line in body]
+        # the first line that differs, not a diff of every line
+        assert next((pair for pair in zip(body, want) if pair[0] != pair[1]),
+                    None) is None
+        assert body and text.endswith("\n")
+        assert text.count("\n") == len(body) + 1
+
+
 def test_fit_with_more_parameters_than_points_exits_2(tmp_path, capsys):
     f = np.linspace(4.2e9, 4.45e9, 11)
     path = tmp_path / "short.csv"

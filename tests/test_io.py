@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -993,3 +994,99 @@ def test_write_table_bytes_match_per_cell_format(tmp_path, monkeypatch,
     expected = ",".join(header) + "\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in table.tolist())
     assert path.read_bytes() == expected.encode()
+
+
+def _assert_percent_table(path, header, table):
+    """path holds the bytes of write_table by % alone: the header line,
+    then one "%.17g" per cell. A mismatch names its first line: a diff of
+    megabytes would take pytest minutes to build."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    want = (",".join(header) + "\n"
+            + row * len(table) % tuple(table.ravel().tolist())).encode()
+    got = path.read_bytes()
+    if got != want:
+        first = next((pair for pair in zip(got.splitlines(), want.splitlines())
+                      if pair[0] != pair[1]), "one is a prefix of the other")
+        pytest.fail(f"first line that differs, written and by %: {first}")
+
+
+def test_write_table_matches_percent_on_random_bit_patterns(tmp_path):
+    # 3e5 cells in blocks of the default size: every exponent, subnormals,
+    # infinities and nans, and the cells the formatter hands back to %
+    bits = np.random.default_rng(25).integers(0, 2 ** 64, 300_000,
+                                              dtype=np.uint64)
+    table = bits.view(float).reshape(-1, 3)
+    path = tmp_path / "table.csv"
+    write_table(path, ["a", "b", "c"], table)
+    _assert_percent_table(path, ["a", "b", "c"], table)
+
+
+def _around(values, ulps):
+    """values and their `ulps` nearest doubles on each side, of both signs."""
+    cells, up, down = [values], values, values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        cells += [up, down]
+    return np.concatenate([*cells, -np.concatenate(cells)])
+
+
+def _ties(rng):
+    """Doubles halfway between two 17-digit decimals, (D + 1/2) / 10**m =
+    j / 2**(m + 1) with j = (2D + 1) / 5**m odd and below 2**53, and short
+    mantissas m * 2**e."""
+    ties = []
+    for m in range(2, 23):
+        lo = -(-2 * 10 ** 16 // 5 ** m)
+        hi = min(2 * 10 ** 17 // 5 ** m, 2 ** 53)
+        j = rng.integers(lo // 2, hi // 2, 64) * 2 + 1
+        ties.append(j * 2.0 ** -(m + 1))
+    short = rng.integers(1, 2 ** 12, 3000) * 2.0 ** rng.integers(-90, 90, 3000)
+    return np.concatenate([*ties, short, -short])
+
+
+WRITE_FAMILIES = {
+    "powers_of_ten": lambda rng: _around(
+        np.array([float(f"1e{k}") for k in range(-307, 309)]), 4),
+    # (10**17 - 1/2) * 10**(k - 16): where the 17 digits carry into an 18th
+    "carry_boundaries": lambda rng: _around(np.array(
+        [float(Fraction(2 * 10 ** 17 - 1, 2) * Fraction(10) ** (k - 16))
+         for k in range(-308, 308)]), 4),
+    "ties": _ties,
+    "subnormals_and_specials": lambda rng: np.concatenate([
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 1.7976931348623157e308,
+         1.7976931348623155e308],
+        _around(np.array([5e-324, 2.2250738585072014e-308,
+                          2.225073858507201e-308]), 3),
+        rng.integers(1, 2 ** 52, 500, dtype=np.uint64).view(float)]),
+}
+
+
+@pytest.mark.parametrize("family", WRITE_FAMILIES)
+def test_write_table_families_match_per_cell_format(tmp_path, monkeypatch,
+                                                    family):
+    # blocks of 96 cells, so cells printed by % fall on block edges
+    monkeypatch.setattr(deviceio, "_WRITE_CELLS", 96)
+    cells = WRITE_FAMILIES[family](np.random.default_rng(7))
+    table = np.append(cells, cells[:cells.size % 2]).reshape(-1, 2)
+    path = tmp_path / "table.csv"
+    write_table(path, ["a", "b"], table)
+    _assert_percent_table(path, ["a", "b"], table)
+
+
+@pytest.mark.parametrize("rows, shape", [
+    ([[1.0, 2.0, 3.0]], (1, 3)), (np.zeros((2, 2, 1)), (2, 2, 1)),
+    ([1.0, 2.0], (2,)), (np.zeros((0, 3)), (0, 3))],
+    ids=["three_columns", "three_d", "one_d", "no_rows_of_three"])
+def test_write_table_rejects_another_shape_before_opening(tmp_path, rows,
+                                                          shape):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ParameterError, match=re.escape(
+            f"{path}: 2 header names but a table of shape {shape}, "
+            "not (rows, 2)")):
+        write_table(path, ["a", "b"], rows)
+    with pytest.raises(ParameterError, match="at least one header name"):
+        write_table(path, [], [[]])
+    with pytest.raises(ParameterError, match="rows is not a table of numbers"):
+        write_table(path, ["a", "b"], [[1.0, 2.0], [3.0]])
+    assert path.read_bytes() == b"kept\n"
