@@ -21,7 +21,7 @@ from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
                       fit_optical_dip, fit_phase_detuning)
 from .link import LinkConfig, _measure, parse_bits, run_link
 from .spectra import driven_spectrum, s_oe_spectrum, thermal_spectrum
-from .swap import rabi_swap_sim, swap_feasibility
+from .swap import rabi_swap_sim
 from .sweep import SweepSpec, evaluate, override, sweep_table
 from .trace import grid
 
@@ -178,11 +178,11 @@ def cmd_swap(args) -> int:
         raise TransducerError("device file has no [qubit] section")
     if args.gamma_mi is not None:
         bundle, _ = override(bundle, {"device.gamma_mi": args.gamma_mi}, {})
-    report = swap_feasibility(bundle.device, qubit)
+    q = evaluate(("z_q", "g_em", "threshold_gamma", "c_em"), bundle, {})
     outputs = []
     if args.rabi_out:
         t_max = args.t_max if args.t_max is not None \
-            else 4.0 / max(report.g_em, 1.0)
+            else 4.0 / max(q["g_em"], 1.0)
         core.require(positive={"--t-max": t_max})
         t_grid = grid(0.0, t_max, _points(args), (None, "--t-max", "--points"))
         qubit_tr, mech_tr = rabi_swap_sim(bundle.device, qubit, t_grid,
@@ -191,12 +191,12 @@ def cmd_swap(args) -> int:
                     np.column_stack([t_grid, qubit_tr.y, mech_tr.y]))
         outputs.append(("rabi_out", args.rabi_out))
     _print_kv([
-        ("z_q_ohm", report.z_q),
-        ("g_em_hz", report.g_em),
-        ("threshold_gamma_hz", report.threshold_gamma),
+        ("z_q_ohm", q["z_q"]),
+        ("g_em_hz", q["g_em"]),
+        ("threshold_gamma_hz", q["threshold_gamma"]),
         ("gamma_mi_hz", bundle.device.gamma_mi),
-        ("feasible", report.feasible),
-        ("c_em", report.c_em),
+        ("feasible", bundle.device.gamma_mi < q["threshold_gamma"]),
+        ("c_em", q["c_em"]),
     ] + outputs)
     return 0
 

@@ -3,9 +3,9 @@
 All frequencies and rates are ordinary frequencies in Hz (cycles/s);
 angular factors of 2*pi live inside the formulas. Powers are watts.
 Every type is an immutable value and every operation is a pure function.
+The chain computes a scalar as a numpy value, as it computes a column.
 """
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Literal
@@ -27,16 +27,24 @@ NO_PUMP = ("no pump drive: add a [pump] section, or give pump.p_on_chip or "
 def violation(bad, message, *values):
     """message quoting values where bad first holds, or None where it never does.
 
-    bad is a comparison of scalars or of arrays. Each array value is
-    quoted by its element at the first failing index; every other value
-    is quoted as it is, so scalar calls keep their messages.
+    bad is a comparison of scalars or of arrays. Each numpy value is
+    quoted as the Python scalar at the first failing index ("inf", not
+    "np.float64(inf)"); every other value is quoted as it is.
     """
     bad = np.asarray(bad)
     if not bad.any():
         return None
     i = int(bad.argmax())
     return message.format(*(np.broadcast_to(v, bad.shape).flat[i].item()
-                            if isinstance(v, np.ndarray) else v for v in values))
+                            if isinstance(v, (np.ndarray, np.generic)) else v
+                            for v in values))
+
+
+def plain(value):
+    """value as a Python float where it is 0-d, else the column as is. The
+    chain squares by np.square and divides two scalars in numpy, never by
+    Python's pow or /, so a scalar takes a sweep row's bits and limits."""
+    return value if isinstance(value, np.ndarray) and value.ndim else float(value)
 
 
 def range_errors(record, positive=(), nonnegative=(), finite=()) -> list:
@@ -46,7 +54,7 @@ def range_errors(record, positive=(), nonnegative=(), finite=()) -> list:
     positive 0 < v < inf, nonnegative 0 <= v < inf, finite -inf < v < inf.
     Fields set to None (optional and absent) are skipped.
     """
-    inf, bad = math.inf, []
+    inf, bad = np.inf, []
     for names, rule, ok in (
             (positive, "finite and > 0", lambda v: (0 < v) & (v < inf)),
             (nonnegative, "finite and >= 0", lambda v: (0 <= v) & (v < inf)),
@@ -165,9 +173,9 @@ def photon_number(dev: DeviceParams, detuning: float, p_on_chip: float) -> float
     n_c = P/(h f_o) * 2*pi*kappa_oe / ((2*pi*detuning)^2 + (pi*kappa_o)^2)
     """
     require(nonnegative={"p_on_chip": p_on_chip}, finite={"detuning": detuning})
-    flux = p_on_chip / (CODATA.h * dev.f_o)
-    denom = (2 * math.pi * detuning) ** 2 + (math.pi * dev.kappa_o) ** 2
-    return flux * (2 * math.pi * dev.kappa_oe) / denom
+    flux = np.divide(p_on_chip, CODATA.h * dev.f_o)
+    denom = np.square(2 * np.pi * detuning) + np.square(np.pi * dev.kappa_o)
+    return plain(flux * (2 * np.pi * dev.kappa_oe) / denom)
 
 
 def resolve_photon_number(dev: DeviceParams, pump: PumpState) -> float:
@@ -182,7 +190,7 @@ def resolve_photon_number(dev: DeviceParams, pump: PumpState) -> float:
         derived = photon_number(dev, pump.detuning, pump.p_on_chip)
         ref = np.maximum(np.maximum(abs(derived), abs(pump.n_c)), 1.0)
         if msg := violation(
-                abs(derived - pump.n_c) / ref > N_C_CONSISTENCY_TOL,
+                np.logical_not(abs(derived - pump.n_c) / ref <= N_C_CONSISTENCY_TOL),
                 "declared n_c={:.4g} disagrees with n_c={:.4g} derived from "
                 "p_on_chip={:.4g} W", pump.n_c, derived, pump.p_on_chip):
             raise ParameterError(msg)
@@ -192,13 +200,13 @@ def resolve_photon_number(dev: DeviceParams, pump: PumpState) -> float:
 def cooperativity(dev: DeviceParams, n_c: float, gamma_m: float) -> float:
     """Optomechanical cooperativity C_om = 4 n_c g_om^2 / (kappa_o gamma_m)."""
     require(positive={"gamma_m": gamma_m}, nonnegative={"n_c": n_c})
-    return 4.0 * n_c * dev.g_om ** 2 / (dev.kappa_o * gamma_m)
+    return plain(4.0 * n_c * np.square(dev.g_om) / (dev.kappa_o * gamma_m))
 
 
 def backaction_rate(dev: DeviceParams, n_c: float) -> float:
     """Optical backaction rate gamma_om = 4 n_c g_om^2 / kappa_o, Hz."""
     require(nonnegative={"n_c": n_c})
-    return 4.0 * n_c * dev.g_om ** 2 / dev.kappa_o
+    return plain(4.0 * n_c * np.square(dev.g_om) / dev.kappa_o)
 
 
 def sign_factor(sign: DetuningSign) -> float:
@@ -209,17 +217,15 @@ def sign_factor(sign: DetuningSign) -> float:
 
 
 def stable_sign(dev: DeviceParams, gamma_om: float, sign: DetuningSign) -> float:
-    """sign_factor(sign), after an InstabilityError for a blue pump at
-    gamma_om >= gamma_mi: gamma_tot = gamma_mi - gamma_om reaches zero
-    there, and the mode self-oscillates. Both rates are quoted by repr,
-    so unequal rates never print equal."""
+    """sign_factor(sign), after an InstabilityError for a blue pump
+    unless gamma_om < gamma_mi: gamma_tot = gamma_mi - gamma_om reaches
+    zero at the threshold, and the mode self-oscillates. Both rates are
+    quoted by repr, so unequal rates never print equal."""
     s = sign_factor(sign)
     if s > 0 and (msg := violation(
-            gamma_om >= dev.gamma_mi,
+            np.logical_not(gamma_om < dev.gamma_mi),
             "backaction rate {!r} Hz >= intrinsic linewidth {!r} Hz: "
-            "parametric oscillation threshold",
-            np.asarray(gamma_om, dtype=float),
-            np.asarray(dev.gamma_mi, dtype=float))):
+            "parametric oscillation threshold", gamma_om, dev.gamma_mi)):
         raise InstabilityError(msg)
     return s
 
@@ -234,7 +240,7 @@ def total_mech_linewidth(dev: DeviceParams, n_c: float,
 def efficiencies(dev: DeviceParams, gamma_m: float) -> tuple[float, float]:
     """(eta_o, eta_em): cavity out-coupling and feedline coupling ratios."""
     require(positive={"gamma_m": gamma_m})
-    if msg := violation(gamma_m < dev.gamma_me,
+    if msg := violation(np.logical_not(gamma_m >= dev.gamma_me),
                         "gamma_m ({!r}) smaller than gamma_me ({!r})",
                         gamma_m, dev.gamma_me):
         raise ParameterError(msg)
@@ -258,20 +264,14 @@ def total_efficiency(dev: DeviceParams, pump: PumpState,
     c_om = cooperativity(dev, n_c, gamma_bare)
     s = stable_sign(dev, c_om * gamma_bare, sign)
     eta_o, eta_em = efficiencies(dev, gamma_bare)
-    return dev.eta_oc * eta_o * eta_em * 4.0 * c_om / (1.0 - s * c_om) ** 2
+    return plain(dev.eta_oc * eta_o * eta_em * 4.0 * c_om / np.square(1.0 - s * c_om))
 
 
 def thermal_occupation(f_m: float, temperature: float) -> float:
-    """Bose-Einstein occupation 1/(exp(h f / k_B T) - 1)."""
+    """Bose-Einstein occupation 1/expm1(x), x = h f / (k_B T): e^-x where
+    expm1(x) overflows, and the limit 0 where x does, without a warning."""
     require(positive={"f_m": f_m, "temperature": temperature})
-    x = CODATA.h * f_m / (CODATA.k_B * temperature)
-    # where expm1(x) overflows, 1/expm1(x) is e^-x to double precision
-    if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore"):
-            em1 = np.expm1(x)
-        return np.where(np.isinf(em1), np.exp(-x), 1.0 / em1)
-    # math.expm1 for a scalar: np.expm1 rounds differently on some arguments
-    try:
-        return 1.0 / math.expm1(x)
-    except OverflowError:
-        return math.exp(-x)
+    with np.errstate(over="ignore", divide="ignore"):
+        x = np.divide(CODATA.h * f_m, CODATA.k_B * temperature)
+        em1 = np.expm1(x)
+    return plain(np.where(np.isinf(em1), np.exp(-x), 1.0 / em1))

@@ -326,7 +326,9 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
 
     Fits the line gamma(n_c) = gamma_mi -/+ (4 g_om^2 / kappa_o) n_c
     (blue/red) by (optionally weighted) linear least squares:
-    g_om = sqrt(|slope| kappa_o / 4), intercept = gamma_mi.
+    g_om = sqrt(|slope| kappa_o / 4), intercept = gamma_mi. A kappa_o
+    that makes g_om or its slope to the fitted slope overflow raises
+    ParameterError; an error is inf only where the fit's covariance is.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -370,10 +372,15 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
     else:
         g_om = math.sqrt(signed * kappa_o / 4.0)
     dg = expected * _sqrt_slope(g_om, kappa_o / 4.0, se_slope)
-    return _propagate(fit, {"g_om": g_om, "gamma_mi": intercept,
-                            "slope": slope, "intercept": intercept},
-                      {"g_om": (dg, 0), "gamma_mi": (0, 1), "slope": (1, 0)},
-                      notes=tuple(notes))
+    result = _propagate(fit, {"g_om": g_om, "gamma_mi": intercept,
+                              "slope": slope, "intercept": intercept},
+                        {"g_om": (dg, 0), "gamma_mi": (0, 1), "slope": (1, 0)},
+                        notes=tuple(notes))
+    if not (math.isfinite(g_om) and math.isfinite(dg)):
+        raise ParameterError(
+            f"kappa_o = {kappa_o!r} Hz gives g_om = {g_om!r} +/- "
+            f"{float(result.stderr['g_om'])!r} Hz, which is not finite")
+    return result
 
 
 # ---------------------------------------------------------- multi-Lorentzian

@@ -181,13 +181,18 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     so a seed gives the same run. The detected voltage is beta times
     the factored carrier (_carrier), two in-place products per bit row.
     An I, Q or envelope sample that overflows raises OverflowError
-    naming that trace.
+    naming that trace; a time axis that overflows raises ParameterError
+    naming the rate.
     """
     rng = np.random.default_rng(seed)
     spb = cfg.samples_per_bit
     n_bits = len(cfg.bits)
     n_steps = n_bits * spb
     dt = 1.0 / cfg.sample_rate
+    if not n_steps * dt < math.inf:
+        raise ParameterError(
+            f"rate = {cfg.rate!r} bit/s: {n_steps} samples at "
+            f"{cfg.sample_rate!r} Hz span a time axis that overflows")
     t = np.arange(n_steps + 1) * dt
     rate_dt = math.pi * cfg.gamma_m * dt
     m = np.arange(1, spb + 1)

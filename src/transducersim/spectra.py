@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA
-from .core import DeviceParams, PumpState, require, resolve_photon_number
+from .core import DeviceParams, PumpState, plain, require, resolve_photon_number
 from .errors import FitError, ParameterError
 from .trace import Trace, axis
 
@@ -67,7 +67,7 @@ def mech_susceptibility(f, f_mode: float, gamma: float):
 
 def sideband_rate(mode: MechanicalMode, n_c: float, kappa_o: float) -> float:
     """Per-phonon sideband scattering rate 4 n_c g^2 / kappa_o, Hz."""
-    return 4.0 * n_c * mode.g ** 2 / kappa_o
+    return plain(4.0 * n_c * np.square(mode.g) / kappa_o)
 
 
 @np.errstate(over="ignore")
@@ -106,9 +106,9 @@ def steady_state_coherent_phonons(mode: MechanicalMode, p_mu: float,
     linear in p_mu.
     """
     require(positive={"drive_f": drive_f}, nonnegative={"p_mu": p_mu})
-    flux = p_mu / (CODATA.h * drive_f)
+    flux = np.divide(p_mu, CODATA.h * drive_f)
     chi = mech_susceptibility(drive_f, mode.f, mode.gamma)
-    return 2 * math.pi * mode.gamma_e * flux * np.abs(chi) ** 2
+    return plain(2 * math.pi * mode.gamma_e * flux * np.square(np.abs(chi)))
 
 
 def gamma_me_from_phonons(n_coh: float, f_m: float, gamma_m: float,
@@ -193,12 +193,11 @@ def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
         raise ParameterError(
             f"{peak} overlaps a cell of no finite width on the grid from "
             f"{f[0]:.10g} to {f[-1]:.10g} Hz")
-    for mode in modes:
-        # a float, so that an overflowing n_coh times a zero rate is a
-        # nan area, which the Trace rejects, and not a numpy warning
-        n_coh = float(steady_state_coherent_phonons(mode, p_mu, drive_f))
-        _deposit_peak(edges, y, drive_f, rbw,
-                      n_coh * sideband_rate(mode, n_c, dev.kappa_o))
+    with np.errstate(all="ignore"):   # the Trace rejects a non-finite y
+        for mode in modes:
+            n_coh = steady_state_coherent_phonons(mode, p_mu, drive_f)
+            _deposit_peak(edges, y, drive_f, rbw,
+                          n_coh * sideband_rate(mode, n_c, dev.kappa_o))
     return Trace(f, y, "hz", "lin", label="driven sideband spectrum", rbw=rbw)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DeviceParams, require
+from .core import DeviceParams, plain, require
 from .errors import ParameterError, SamplingError
 from .trace import Trace, axis
 
@@ -31,7 +31,7 @@ class QubitConfig:
 
 def qubit_impedance(q: QubitConfig, dev: DeviceParams) -> float:
     """Z_q = 1 / (2*pi*f_mu * (c_idt + c_q)), Ohm."""
-    return 1.0 / (2 * math.pi * q.f_mu * (dev.c_idt + q.c_q))
+    return plain(np.reciprocal(2 * math.pi * q.f_mu * (dev.c_idt + q.c_q)))
 
 
 def coupling_g_em(dev: DeviceParams, q: QubitConfig) -> float:
@@ -42,7 +42,7 @@ def coupling_g_em(dev: DeviceParams, q: QubitConfig) -> float:
     the mechanical mode (no detuning correction).
     """
     z_q = qubit_impedance(q, dev)
-    return 0.5 * np.sqrt(dev.gamma_me * dev.f_m) * np.sqrt(z_q / dev.z0)
+    return plain(0.5 * np.sqrt(dev.gamma_me * dev.f_m) * np.sqrt(z_q / dev.z0))
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def swap_feasibility(dev: DeviceParams, q: QubitConfig) -> SwapFeasibility:
     """
     g_em = coupling_g_em(dev, q)
     threshold = 4.0 * g_em
-    c_em = 4.0 * g_em ** 2 / (dev.gamma_m * q.kappa_mu)
+    c_em = plain(4.0 * np.square(g_em) / (dev.gamma_m * q.kappa_mu))
     return SwapFeasibility(
         g_em=g_em,
         z_q=qubit_impedance(q, dev),
@@ -91,7 +91,8 @@ def rabi_swap_sim(dev: DeviceParams, q: QubitConfig, t_grid,
     cannot be diagonalized, and the exponentials are combined as
     e^((mu +- W) t), whose real parts are <= 0, so no large t overflows.
     In the lossless limit the exchange oscillates at 2*g_em with the
-    first full swap at t = 1/(4*g_em).
+    first full swap at t = 1/(4*g_em). Rates whose mu or W overflows
+    raise a ParameterError naming them.
     """
     t = axis(t_grid, "t_grid")
     if t.size < 2 or t[0] < 0:
@@ -109,6 +110,10 @@ def rabi_swap_sim(dev: DeviceParams, q: QubitConfig, t_grid,
     half = math.pi * (gamma - kappa) / 2     # (M - mu I)[0, 0]
     g2 = 2 * math.pi * g_em                  # (M - mu I)[0, 1] = -i*g2
     omega = cmath.sqrt(half * half - g2 * g2)
+    if not (math.isfinite(mu) and cmath.isfinite(omega)):
+        raise ParameterError(
+            f"the Rabi exchange rates overflow at kappa_mu = {kappa!r} Hz, "
+            f"gamma_mi = {gamma!r} Hz, g_em = {g_em!r} Hz")
     e_up = np.exp((mu + omega) * t)
     e_down = np.exp((mu - omega) * t)
     cosh_part = 0.5 * (e_up + e_down)        # e^(mu t) cosh(W t)

@@ -138,6 +138,8 @@ def override(bundle: DeviceBundle, values: dict, env: dict, *, sign=None):
     given pump.n_c or pump.p_on_chip replaces both of the file's values
     (given together, both are kept and must agree), and sign, "blue" or
     "red", sets the sign of its detuning. No drive raises core.NO_PUMP.
+    env's temperature and drive.p_mu are checked whether or not a
+    quantity reads them.
     """
     changes, env = {"device": {}, "pump": {}, "qubit": {}}, dict(env)
     for path, column in values.items():
@@ -162,6 +164,8 @@ def override(bundle: DeviceBundle, values: dict, env: dict, *, sign=None):
                 f"unknown parameter path {path!r}; use device.<field>, "
                 "pump.<field>, qubit.<field>, drive.p_mu, or temperature")
         changes[head][field] = column
+    core.require(positive={"temperature": env.get("temperature")},
+                 nonnegative={"drive.p_mu": env.get("drive.p_mu")})
     factor = None if sign is None else core.sign_factor(sign)
     pump = changes.pop("pump")
     records = {head: replace(getattr(bundle, head), **fields)

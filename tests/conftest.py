@@ -12,6 +12,7 @@ from transducersim import (EyeDiagram, LinkRun, ParameterError, Trace,
                            sideband_rate, steady_state_coherent_phonons,
                            swap_feasibility, thermal_occupation,
                            total_efficiency, total_mech_linewidth)
+from transducersim.core import require
 from transducersim.link import EXTINCTION_CAP
 from transducersim.spectra import _pole, lumped_mode
 
@@ -159,7 +160,8 @@ def _reference_quantity(name, bundle, temperature, p_mu):
 
 def reference_sweep(spec, bundle, temperature=300.0, drive_p_mu=None):
     """run_sweep as the per-row loop computed it: replace the records for
-    each row, then call core on scalars."""
+    each row, check its temperature and drive power, then call core on
+    scalars."""
     rows = []
     for i in range(spec.n_rows):
         b, temp, p_mu, row = bundle, temperature, drive_p_mu, {}
@@ -175,6 +177,7 @@ def reference_sweep(spec, bundle, temperature=300.0, drive_p_mu=None):
                 if head == "pump" and field != "detuning":
                     changes["p_on_chip" if field == "n_c" else "n_c"] = None
                 b = replace(b, **{head: replace(getattr(b, head), **changes)})
+        require(positive={"temperature": temp}, nonnegative={"drive.p_mu": p_mu})
         for name in spec.quantities:
             row[name] = float(_reference_quantity(name, b, temp, p_mu))
         rows.append(row)

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import os
 import re
 import subprocess
@@ -514,8 +513,16 @@ def test_fit_dip_on_non_utf8_trace_exits_2(tmp_path, capsys):
       "1e-7,nan", "--quantity", "coherent_phonons"], "p_mu"),
     (["spectrum", "thermal", "--device", MEASURED, "--temperature", "inf",
       "--out", "never_written.csv"], "temperature"),
+    # every swept path and --temperature is checked, read or not
+    (["sweep", "--device", MEASURED, "--param", "drive.p_mu", "--values",
+      "inf,3", "--quantity", "eta_em"], "drive.p_mu"),
+    (["sweep", "--device", MEASURED, "--param", "temperature", "--values",
+      "1e12,nan,1", "--quantity", "eta_em"], "temperature"),
+    (["sweep", "--device", MEASURED, "--param", "pump.n_c", "--values", "1,2",
+      "--quantity", "eta_em", "--temperature", "nan"], "temperature"),
 ], ids=["sweep_nan_t", "sweep_t_column_nan", "sweep_t_column_inf",
-        "sweep_p_mu_nan", "spectrum_inf_t"])
+        "sweep_p_mu_nan", "spectrum_inf_t", "sweep_unread_p_mu",
+        "sweep_unread_t_column", "sweep_unread_t"])
 def test_non_finite_temperature_or_drive_exits_2(argv, name, capsys, tmp_path,
                                                 monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -539,13 +546,6 @@ def test_non_finite_or_overflowing_pump_power_exits_2(tmp_path, capsys, dbm,
     assert out == "" and message in err
 
 
-def _overflow_text():
-    try:
-        (2 * math.pi * 1e200) ** 2
-    except OverflowError as err:
-        return str(err)
-
-
 @pytest.mark.parametrize("argv,error", [
     (["efficiency", "--device", MEASURED, "--n-c", "1e300", "--detuning",
       "red"],
@@ -560,22 +560,43 @@ def _overflow_text():
       "--quantity", "eta_tot", "--quantity", "c_om", "--out", "{out}"],
      "backaction rate inf Hz >= intrinsic linewidth 8400000.0 Hz: parametric "
      "oscillation threshold"),
-    (["efficiency", "--device", "{f_m_1e200}", "--power", "-7.9dbm"],
-     f"numeric overflow ({_overflow_text()})"),
+    # (2 pi 1e200)^2 overflows, so the derived n_c is its limit 0, as in
+    # a sweep, and disagrees with the declared one
+    (["efficiency", "--device", "{f_m_1e200}", "--power", "-7.9dbm",
+      "--n-c", "1"],
+     "declared n_c=1 disagrees with n_c=0 derived from p_on_chip=0.0001622 W"),
     # the link's samples are finite, but the eye's mean high level overflows
     (["link", "--bits", "0101", "--rate", "1e6", "--gamma-m", "7.9e6",
       "--v0", "1e308", "--f-if", "0", "--out-prefix", "{out}"],
      "numeric overflow (eye mean high level is inf)"),
+    # |inf - 1| / inf is nan, which fails the agreement check
+    (["spectrum", "soe", "--device", MEASURED, "--power", "1e300w", "--n-c",
+      "1", "--out", "{out}"],
+     "declared n_c=1 disagrees with n_c=inf derived from p_on_chip=1e+300 W"),
+    (["fit", "linewidth", "--points", "{points}", "--sign", "blue",
+      "--kappa-o", "1.7e308"],
+     "kappa_o = 1.7e+308 Hz gives g_om = inf +/- 0.0 Hz, which is not finite"),
+    (["swap", "--device", MEASURED, "--gamma-mi", "1.7e308", "--rabi-out",
+      "{out}"],
+     "the Rabi exchange rates overflow at kappa_mu = 1200000.0 Hz, gamma_mi "
+     "= 1.7e+308 Hz, g_em = 809582.3929062795 Hz"),
+    (["link", "--bits", "0110", "--rate", "1e-320", "--gamma-m", "1e-320",
+      "--f-if", "0", "--samples-per-bit", "33", "--out-prefix", "{out}"],
+     "rate = 1e-320 bit/s: 132 samples at 3.29996e-319 Hz span a time axis "
+     "that overflows"),
 ], ids=["efficiency_n_c", "sweep_n_c", "sweep_n_c_blue", "efficiency_f_m",
-        "link_eye"])
+        "link_eye", "spectrum_soe_power", "fit_linewidth_kappa_o",
+        "swap_gamma_mi", "link_rate"])
 def test_chain_overflow_exits_2(argv, error, tmp_path, capsys):
     # finite inputs whose outputs overflow: a named error, no inf or nan
     # on stdout, no CSV and no RuntimeWarning
     big = tmp_path / "big_f_m.cfg"
     big.write_text(re.sub(r"(?m)^(f_m_hz|detuning_hz) = .*$", r"\1 = 1e200",
                           Path(MEASURED).read_text()))
+    points = tmp_path / "points.csv"
+    points.write_text("n_c,gamma_hz\n1e4,8.3e6\n5e4,7.9e6\n1e5,7.4e6\n")
     out = tmp_path / "never.csv"
-    argv = [a.format(out=out, f_m_1e200=big) for a in argv]
+    argv = [a.format(out=out, f_m_1e200=big, points=points) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert not list(tmp_path.glob("never*"))
@@ -654,6 +675,10 @@ CSV_RUNS = {
                "--out", "{dir}/w.csv"], ("w.csv",)),
     "swap": (["swap", "--device", MEASURED, "--gamma-mi", "3e6",
               "--rabi-out", "{dir}/r.csv"], ("r.csv",)),
+    # k_B T rounds to 0: n_th is its limit 0, as in a sweep
+    "spectrum_t_1e-320": (["spectrum", "thermal", "--device", MEASURED,
+                           "--temperature", "1e-320", "--points", "11",
+                           "--out", "{dir}/t.csv"], ("t.csv",)),
 }
 
 

@@ -315,6 +315,9 @@ def test_blue_detuned_nan_raises(table_dev):
                          "blue")
     with pytest.raises(ParameterError):
         DeviceParams(**{**TABLE, "g_om": math.nan})
+    # a nan backaction rate fails the threshold check written as "not ok"
+    with pytest.raises(InstabilityError):
+        core.stable_sign(table_dev, math.nan, "blue")
 
 
 def test_columns_quote_the_first_failing_element(table_dev):

@@ -23,7 +23,7 @@ from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
                                     parse_power, read_points,
                                     resolve_device_path, write_table)
 
-from transducersim.sweep import QUANTITIES, override
+from transducersim.sweep import QUANTITIES, evaluate, override
 from transducersim.trace import axis
 
 from conftest import reference_read_trace, reference_sweep, relerr
@@ -870,6 +870,55 @@ def test_sweep_table_columns_are_the_rows(measured, targets):
         for name, value in row.items():
             assert type(value) is float
             assert np.float64(value).tobytes() == table[name][i].tobytes()
+
+
+# log10 spans drawn per path, and values where a scalar once took another
+# path: k_B T rounds to 0 (n_th -> 0), (2 pi detuning)^2 overflows (n_c ->
+# 0), and a g_em whose square by C pow is not the correctly rounded g_em*g_em
+ONE_PATH_DRAWS = {
+    "temperature": ((-3.0, 4.0), (1e-320,)),
+    "pump.n_c": ((-3.0, 300.0), ()),
+    "pump.detuning": ((0.0, 300.0), (1e200, -1e200)),
+    "device.f_m": ((0.0, 300.0), ()),
+    "device.g_om": ((-3.0, 200.0), ()),
+    "qubit.c_q": ((-300.0, 300.0), (1.876942000562501e-15,)),
+}
+
+
+@pytest.mark.parametrize("path", ONE_PATH_DRAWS)
+def test_scalar_rows_take_the_bits_of_the_sweep_column(measured, path):
+    # one numeric path: each row's scalar evaluate is a Python float with
+    # the column's bits, and a row that raises makes the column raise one
+    # of the rows' messages
+    (lo, hi), limits = ONE_PATH_DRAWS[path]
+    rng = np.random.default_rng(sum(map(ord, path)))
+    values = 10.0 ** rng.uniform(lo, hi, 120)
+    if path == "pump.detuning":
+        values *= rng.choice((-1.0, 1.0), values.size)
+    values = np.concatenate((values, limits))
+    env = {"temperature": 4.0, "drive.p_mu": 1e-7}
+    groups = [override(measured, {path: v}, env) for v in values.tolist()]
+    for name in QUANTITIES:
+        scalars = []
+        for group in groups:
+            try:
+                scalars.append(evaluate((name,), *group)[name])
+            except TransducerError as err:
+                scalars.append(err)
+        ok = np.array([not isinstance(v, TransducerError) for v in scalars])
+        assert all(type(v) is float for v in np.array(scalars, object)[ok])
+        if ok.any():
+            spec = SweepSpec(((path, tuple(values[ok].tolist())),), (name,))
+            column = sweep_table(spec, measured, temperature=4.0,
+                                 drive_p_mu=1e-7)[name]
+            want = np.array([v for v, k in zip(scalars, ok) if k])
+            assert column.tobytes() == want.tobytes(), name
+        if not ok.all():
+            spec = SweepSpec(((path, tuple(values.tolist())),), (name,))
+            with pytest.raises(TransducerError) as err:
+                sweep_table(spec, measured, temperature=4.0, drive_p_mu=1e-7)
+            errors = {(type(v), str(v)) for v, k in zip(scalars, ok) if not k}
+            assert (type(err.value), str(err.value)) in errors, name
 
 
 @pytest.mark.parametrize("targets", TABLE_SWEEPS.values(), ids=TABLE_SWEEPS)
