@@ -197,16 +197,27 @@ def resolve_photon_number(dev: DeviceParams, pump: PumpState) -> float:
     return pump.n_c
 
 
+def _pumped_g_om_squared(dev: DeviceParams, n_c: float) -> float:
+    """4 n_c g_om^2, the numerator of both rates below: nan only as n_c = 0
+    times a g_om^2 that overflows, where it raises a ParameterError."""
+    term = 4.0 * n_c * np.square(dev.g_om)
+    if msg := violation(np.isnan(term), "backaction rate is not finite: "
+                        "g_om = {!r} Hz overflows when squared (n_c = {!r})",
+                        dev.g_om, n_c):
+        raise ParameterError(msg)
+    return term
+
+
 def cooperativity(dev: DeviceParams, n_c: float, gamma_m: float) -> float:
     """Optomechanical cooperativity C_om = 4 n_c g_om^2 / (kappa_o gamma_m)."""
     require(positive={"gamma_m": gamma_m}, nonnegative={"n_c": n_c})
-    return plain(4.0 * n_c * np.square(dev.g_om) / (dev.kappa_o * gamma_m))
+    return plain(_pumped_g_om_squared(dev, n_c) / (dev.kappa_o * gamma_m))
 
 
 def backaction_rate(dev: DeviceParams, n_c: float) -> float:
     """Optical backaction rate gamma_om = 4 n_c g_om^2 / kappa_o, Hz."""
     require(nonnegative={"n_c": n_c})
-    return plain(4.0 * n_c * np.square(dev.g_om) / dev.kappa_o)
+    return plain(_pumped_g_om_squared(dev, n_c) / dev.kappa_o)
 
 
 def sign_factor(sign: DetuningSign) -> float:

@@ -30,6 +30,9 @@ EXTINCTION_CAP = 1e12
 # largest square-wave run harmonic_spectrum simulates, in samples: about
 # 2 GB across the run's arrays and its transform
 HARMONIC_MAX_SAMPLES = 2 ** 24
+# samples of the detected voltage run_link forms at once, in whole bit
+# rows and at least one: 512 KiB of complex, unless one row is longer
+_DEMOD_SAMPLES = 2 ** 15
 
 
 def parse_bits(text: str) -> tuple:
@@ -97,6 +100,10 @@ class LinkConfig:
             raise ParameterError(
                 f"samples_per_bit must be <= {limit} "
                 f"for {len(self.bits)} bits, or the run outgrows one array")
+        if not float(self.rate) * float(spb) < math.inf:
+            raise ParameterError(
+                f"rate = {self.rate!r} bit/s times samples_per_bit = {spb} "
+                f"gives a sample rate that overflows")
         fs = self.sample_rate
         if fs < 20.0 * self.gamma_m:
             raise SamplingError(
@@ -151,7 +158,13 @@ def _carrier(cfg: LinkConfig):
     reduced modulo one cycle by an exact fmod (n*f_if % period), so no
     argument grows with the run length; it is 1 at t = 0, and everywhere
     at f_if = 0, where harmonic_spectrum runs so it need not demodulate.
+    A phase product n*f_if that overflows raises ParameterError first.
     """
+    for name, n in (("samples_per_bit", cfg.samples_per_bit),
+                    ("len(bits) - 1", len(cfg.bits) - 1)):
+        if not float(n) * float(cfg.f_if) < math.inf:
+            raise ParameterError(f"f_if = {cfg.f_if!r} Hz times {name} = "
+                                 f"{n} overflows the carrier phase")
     def phases(n, period):
         return np.exp(2j * np.pi * (n * cfg.f_if % period / period))
     within = phases(np.arange(1, cfg.samples_per_bit + 1), cfg.sample_rate)
@@ -179,7 +192,9 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     the drawn noise at the 1-bits, scanned alone. The noise is drawn
     for every sample in the same order as the per-sample update would,
     so a seed gives the same run. The detected voltage is beta times
-    the factored carrier (_carrier), two in-place products per bit row.
+    the factored carrier (_carrier), formed one block of bit rows at a
+    time and added into I and Q: a run holds its outputs (time, beta, I,
+    Q and the envelope, 48 bytes a sample) plus one block.
     An I, Q or envelope sample that overflows raises OverflowError
     naming that trace; a time axis that overflows raises ParameterError
     naming the rate.
@@ -222,22 +237,31 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     per_bit = beta[1:].reshape(n_bits, spb)
     np.multiply(np.asarray(starts)[:, None], d_m, out=per_bit)
     per_bit[ones] += rise
+    del rise                    # half a run when thermal; I and Q come next
 
-    v_det = np.empty_like(beta)
-    v_det[0] = beta[0]
-    rows = v_det[1:].reshape(n_bits, spb)
+    # I and Q start as the noise, drawn whole in the per-sample order, or
+    # as -0.0: adding v_det = beta * carrier, one block of bit rows at a
+    # time, then keeps every bit (0.0 would not: -0.0 + 0.0 is 0.0)
     phase, within = _carrier(cfg)
-    np.multiply(per_bit, within, out=rows)
-    rows *= phase
-    i_sig, q_sig = v_det.real, v_det.imag
+    step = max(1, _DEMOD_SAMPLES // spb)
+    block = np.empty((min(step, n_bits), spb), dtype=complex)
+    i_sig, q_sig = np.empty(t.size), np.empty(t.size)
+    i_rows, q_rows = (y[1:].reshape(n_bits, spb) for y in (i_sig, q_sig))
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.noise_rms > 0:
-            i_sig = rng.standard_normal(t.size)
-            i_sig *= cfg.noise_rms
-            i_sig += v_det.real
-            q_sig = rng.standard_normal(t.size)
-            q_sig *= cfg.noise_rms
-            q_sig += v_det.imag
+        for y in (i_sig, q_sig):
+            if cfg.noise_rms > 0:
+                rng.standard_normal(out=y)
+                y *= cfg.noise_rms
+            else:
+                y.fill(-0.0)
+            y[0] += 0.0         # v_det[0] = beta[0] = 0.0
+        for lo in range(0, n_bits, step):
+            rows = slice(lo, lo + step)
+            v_det = block[:n_bits - lo]
+            np.multiply(per_bit[rows], within, out=v_det)
+            v_det *= phase[rows]
+            i_rows[rows] += v_det.real
+            q_rows[rows] += v_det.imag
         env = np.hypot(i_sig, q_sig)
     if not np.isfinite(env).all():      # else I and Q are finite too
         for name, y in (("I", i_sig), ("Q", q_sig), ("envelope", env)):
@@ -275,14 +299,18 @@ def eye_diagram(run: LinkRun, cfg: LinkConfig) -> EyeDiagram:
     each unit interval; the eye opening is min(high) - max(low) there
     (floored at zero) and the extinction ratio is mean high / mean low,
     capped at EXTINCTION_CAP when the low level is zero. A mean level
-    that overflows raises OverflowError.
+    that overflows raises OverflowError. The windows are copied from a
+    sliding view of the envelope, so the eye holds its segments and no
+    index array as large.
     """
     spb = cfg.samples_per_bit
     bits = np.asarray(cfg.bits)
     edges = _edges(bits)
     if edges.size < 2:
         raise ParameterError("need at least 2 transitions for an eye diagram")
-    segments = run.envelope.y[edges[:, None] * spb + np.arange(-spb, spb + 1)]
+    windows = np.lib.stride_tricks.sliding_window_view(run.envelope.y,
+                                                       2 * spb + 1)
+    segments = windows[(edges - 1) * spb]
     t_rel = (np.arange(2 * spb + 1) - spb) / cfg.sample_rate
 
     # one high and one low instant per window; a rising edge's high is after

@@ -584,19 +584,36 @@ def test_non_finite_or_overflowing_pump_power_exits_2(tmp_path, capsys, dbm,
       "--f-if", "0", "--samples-per-bit", "33", "--out-prefix", "{out}"],
      "rate = 1e-320 bit/s: 132 samples at 3.29996e-319 Hz span a time axis "
      "that overflows"),
+    (["link", "--bits", "0110", "--rate", "1.7e308", "--f-if", "1.7e308",
+      "--noise-rms", "1.7e308", "--gamma-m", "1", "--samples-per-bit", "8",
+      "--out-prefix", "{out}"],
+     "rate = 1.7e+308 bit/s times samples_per_bit = 8 gives a sample rate "
+     "that overflows"),
+    # n_c = 0 times g_om^2 = inf is nan, which the threshold check quoted
+    (["efficiency", "--device", "{g_om_1e200}", "--n-c", "0"],
+     "backaction rate is not finite: g_om = 1e+200 Hz overflows when squared "
+     "(n_c = 0.0)"),
+    (["sweep", "--device", "{g_om_1e200}", "--param", "pump.n_c", "--values",
+      "1,0", "--quantity", "c_om", "--out", "{out}"],
+     "backaction rate is not finite: g_om = 1e+200 Hz overflows when squared "
+     "(n_c = 0.0)"),
 ], ids=["efficiency_n_c", "sweep_n_c", "sweep_n_c_blue", "efficiency_f_m",
         "link_eye", "spectrum_soe_power", "fit_linewidth_kappa_o",
-        "swap_gamma_mi", "link_rate"])
+        "swap_gamma_mi", "link_rate", "link_sample_rate", "efficiency_g_om",
+        "sweep_g_om"])
 def test_chain_overflow_exits_2(argv, error, tmp_path, capsys):
     # finite inputs whose outputs overflow: a named error, no inf or nan
     # on stdout, no CSV and no RuntimeWarning
-    big = tmp_path / "big_f_m.cfg"
-    big.write_text(re.sub(r"(?m)^(f_m_hz|detuning_hz) = .*$", r"\1 = 1e200",
-                          Path(MEASURED).read_text()))
+    devices = {}
+    for name, keys in (("f_m_1e200", "f_m_hz|detuning_hz"),
+                       ("g_om_1e200", "g_om_hz")):
+        devices[name] = tmp_path / f"big_{name}.cfg"
+        devices[name].write_text(re.sub(rf"(?m)^({keys}) = .*$", r"\1 = 1e200",
+                                        Path(MEASURED).read_text()))
     points = tmp_path / "points.csv"
     points.write_text("n_c,gamma_hz\n1e4,8.3e6\n5e4,7.9e6\n1e5,7.4e6\n")
     out = tmp_path / "never.csv"
-    argv = [a.format(out=out, f_m_1e200=big, points=points) for a in argv]
+    argv = [a.format(out=out, points=points, **devices) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert not list(tmp_path.glob("never*"))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,71 @@ def test_seeded_noise_draws_unchanged(mode):
         assert np.max(np.abs(new - old)) < 1e-15
 
 
+# 250 bits of 158 samples: the default demodulation block splits the run
+BLOCK_BITS = {"all_zero": (0,) * 250, "all_one": (1,) * 250,
+              "random": tuple(np.random.default_rng(8).integers(0, 2, 250)
+                              .tolist())}
+
+
+@pytest.mark.parametrize("mode", ["coherent", "thermal"])
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("f_if", [0.0, 10e6])
+@pytest.mark.parametrize("pattern", sorted(BLOCK_BITS))
+def test_demodulation_block_size_moves_no_bit(pattern, f_if, noise, mode,
+                                              monkeypatch):
+    cfg = LinkConfig(bits=BLOCK_BITS[pattern], rate=1e6, gamma_m=7.9e6,
+                     f_if=f_if, noise_rms=noise, drive_mode=mode,
+                     samples_per_bit=158)
+    spb = cfg.samples_per_bit
+    assert link._DEMOD_SAMPLES < 250 * spb
+
+    def outputs():
+        run = run_link(cfg, seed=5)
+        return (run.time, run.beta, run.i_trace.y, run.q_trace.y,
+                run.envelope.y)
+    default = outputs()
+    if noise == 0:      # I + iQ is beta * carrier, signed zeros and all
+        phase, within = link._carrier(cfg)
+        v_det = default[1][1:].reshape(-1, spb) * within
+        v_det *= phase
+        assert same_bytes(default[2], np.r_[0.0, v_det.real.ravel()])
+        assert same_bytes(default[3], np.r_[0.0, v_det.imag.ravel()])
+    # one bit row a block; three, so the last block holds one; the whole run
+    for samples in (1, 3 * spb, 10 ** 9):
+        monkeypatch.setattr(link, "_DEMOD_SAMPLES", samples)
+        for new, old in zip(outputs(), default):
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+@pytest.mark.parametrize("mode", ["coherent", "thermal"])
+def test_a_run_holds_its_outputs(mode):
+    # tracemalloc sees numpy's buffers. Over its outputs a run holds one
+    # demodulation block, the finiteness mask (a byte a sample) and its
+    # per-bit arrays, where a full-length complex v_det adds 16 bytes a
+    # sample; the eye cuts its segments from a view, where an index array
+    # adds as many bytes as the segments have
+    bits = tuple(np.random.default_rng(6).integers(0, 2, 2000).tolist())
+    cfg = LinkConfig(bits=bits, rate=1e6, gamma_m=7.9e6, noise_rms=0.05,
+                     drive_mode=mode)
+    tracemalloc.start()
+    try:
+        run = run_link(cfg, seed=4)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        link_metrics(run, cfg)
+        metrics_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    samples = run.time.size
+    assert samples == 316001
+    outputs = sum(a.nbytes for a in (run.time, run.beta, run.i_trace.y,
+                                     run.q_trace.y, run.envelope.y))
+    assert outputs == 48 * samples
+    assert run_peak - outputs < 16 * link._DEMOD_SAMPLES + samples + 2 ** 19
+    segments = eye_diagram(run, cfg).segments.nbytes
+    assert metrics_peak - segments < 2 ** 19
+
 def test_sampling_guard():
     # a too coarse sampling fails when the config is built
     with pytest.raises(SamplingError, match="gamma_m"):
@@ -191,6 +257,29 @@ def test_samples_per_bit_must_fit_one_array(kw):
                        f"{(most - 1) // 4} for 4 bits"):
         LinkConfig(**{**dict(bits=(0, 1, 0, 1), rate=1e6, gamma_m=7.9e6), **kw})
 
+
+def test_a_sample_rate_that_overflows_is_refused():
+    with pytest.raises(ParameterError) as err:
+        LinkConfig(bits=(0, 1, 1, 0), rate=1.7e308, gamma_m=1.0, f_if=1.7e308,
+                   samples_per_bit=np.int64(8))
+    assert str(err.value) == ("rate = 1.7e+308 bit/s times samples_per_bit = "
+                              "8 gives a sample rate that overflows")
+
+
+@pytest.mark.parametrize("bits,rate,spb,f_if,error", [
+    ((0, 1, 1, 0), 1e306, 100, 4e307, "samples_per_bit = 100"),
+    ((0, 1) * 5, 5e306, 8, 2e307, "len(bits) - 1 = 9"),
+], ids=["within_a_bit", "per_bit"])
+def test_carrier_phases_that_overflow_raise_before_any_arithmetic(
+        bits, rate, spb, f_if, error):
+    # the sample rate is finite and represents f_if, but a phase product
+    # n*f_if overflows; a RuntimeWarning would fail the test
+    cfg = LinkConfig(bits=bits, rate=rate, gamma_m=1.0, f_if=f_if,
+                     samples_per_bit=spb)
+    with pytest.raises(ParameterError) as err:
+        run_link(cfg)
+    assert str(err.value) == \
+        f"f_if = {f_if!r} Hz times {error} overflows the carrier phase"
 
 def test_parse_bits():
     assert parse_bits("0101") == (0, 1, 0, 1)
