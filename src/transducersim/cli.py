@@ -17,7 +17,7 @@ from .deviceio import (_write_rows, load_device, parse_power, read_points,
                        read_text, read_trace, write_eye, write_table,
                        write_trace)
 from .errors import FitError, TransducerError
-from .fitting import (FitResult, fit_linewidth_vs_photons, fit_lorentzian_multi,
+from .fitting import (fit_linewidth_vs_photons, fit_lorentzian_multi,
                       fit_optical_dip, fit_phase_detuning)
 from .link import LinkConfig, _measure, parse_bits, run_link
 from .spectra import driven_spectrum, s_oe_spectrum, thermal_spectrum
@@ -26,12 +26,19 @@ from .sweep import SweepSpec, evaluate, override, sweep_table
 from .trace import grid
 
 
-def _print_kv(pairs):
+def _report(pairs, notes=(), note_file=None) -> None:
+    """Print a command's report: one `name = value` line per pair, then
+    one `note: ...` line per note, on stdout or on note_file. A float
+    prints at 10 significant digits, a (value, error) tuple as `value +/-
+    error` with the error at 4, anything else by str()."""
     for name, value in pairs:
-        if isinstance(value, float):
-            print(f"{name} = {value:.10g}")
-        else:
-            print(f"{name} = {value}")
+        if isinstance(value, tuple):
+            value = f"{value[0]:.10g} +/- {value[1]:.4g}"
+        elif isinstance(value, float):
+            value = f"{value:.10g}"
+        print(f"{name} = {value}")
+    for note in notes:
+        print(f"note: {note}", file=note_file)
 
 
 def _pumped(args, env):
@@ -58,27 +65,13 @@ def _points(args) -> int:
     return args.points
 
 
-def _print_fit(result: FitResult) -> int:
-    for name in result.params:
-        se = result.stderr.get(name)
-        if se is None:
-            print(f"{name} = {result.params[name]:.10g}")
-        else:
-            print(f"{name} = {result.params[name]:.10g} +/- {se:.4g}")
-    print(f"residual_norm = {result.residual_norm:.6g}")
-    print(f"converged = {result.converged}")
-    for note in result.notes:
-        print(f"note: {note}")
-    return 0 if result.converged else 3
-
-
 # ---------------------------------------------------------------- subcommands
 
 def cmd_efficiency(args) -> int:
     bundle, env = _pumped(args, {})
     q = evaluate(("n_c", "gamma_om", "gamma_tot", "c_om", "eta_o", "eta_em",
                   "eta_tot"), bundle, env)
-    _print_kv([
+    _report([
         ("device", str(args.device)),
         ("detuning_sign", bundle.pump.sign),
         ("n_c", q["n_c"]),
@@ -111,8 +104,8 @@ def cmd_spectrum(args) -> int:
     else:
         trace = s_oe_spectrum(dev, modes, bundle.pump, f)
     write_trace(trace, args.out)
-    _print_kv([("kind", args.kind), ("points", len(trace)),
-               ("n_c", n_c), ("n_th", n_th), ("out", args.out)])
+    _report([("kind", args.kind), ("points", len(trace)),
+             ("n_c", n_c), ("n_th", n_th), ("out", args.out)])
     return 0
 
 
@@ -142,7 +135,12 @@ def cmd_fit(args) -> int:
             background = read_trace(args.reference)
         result = fit_lorentzian_multi(read_trace(args.trace), args.n_peaks,
                                       background)
-    return _print_fit(result)
+    errors = result.stderr
+    _report([(name, (value, errors[name]) if name in errors else value)
+             for name, value in result.params.items()]
+            + [("residual_norm", f"{result.residual_norm:.6g}"),
+               ("converged", result.converged)], result.notes)
+    return 0 if result.converged else 3
 
 
 def cmd_link(args) -> int:
@@ -152,6 +150,7 @@ def cmd_link(args) -> int:
                      f_if=args.f_if, v0=args.v0, noise_rms=args.noise_rms,
                      samples_per_bit=args.samples_per_bit,
                      drive_mode=args.drive_mode)
+    core.require(nonnegative={"--seed": args.seed})
     run = run_link(cfg, seed=args.seed)
     eye, metrics, notes = _measure(run, cfg)  # an overflow raises before a write
     env_path = f"{args.out_prefix}_envelope.csv"
@@ -164,10 +163,7 @@ def cmd_link(args) -> int:
         eye_path = f"{args.out_prefix}_eye.csv"
         write_eye(eye, eye_path)
         outputs.append(("eye", eye_path))
-    for note in notes:
-        print(f"note: {note}", file=sys.stderr)
-    _print_kv([(k, v) for k, v in metrics.items()]
-              + [(name, path) for name, path in outputs])
+    _report(list(metrics.items()) + outputs, notes, sys.stderr)
     return 0
 
 
@@ -190,7 +186,7 @@ def cmd_swap(args) -> int:
         write_table(args.rabi_out, ["t_s", "qubit_excitation", "phonons"],
                     np.column_stack([t_grid, qubit_tr.y, mech_tr.y]))
         outputs.append(("rabi_out", args.rabi_out))
-    _print_kv([
+    _report([
         ("z_q_ohm", q["z_q"]),
         ("g_em_hz", q["g_em"]),
         ("threshold_gamma_hz", q["threshold_gamma"]),
@@ -237,8 +233,7 @@ def cmd_sweep(args) -> int:
     rows = np.column_stack([table[name] for name in header])
     if args.out:
         write_table(args.out, header, rows)
-        print(f"rows = {spec.n_rows}")
-        print(f"out = {args.out}")
+        _report([("rows", spec.n_rows), ("out", args.out)])
     else:
         _write_rows(sys.stdout, header, rows, "%.10g")
     return 0

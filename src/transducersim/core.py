@@ -197,13 +197,16 @@ def resolve_photon_number(dev: DeviceParams, pump: PumpState) -> float:
     return pump.n_c
 
 
-def _pumped_g_om_squared(dev: DeviceParams, n_c: float) -> float:
-    """4 n_c g_om^2, the numerator of both rates below: nan only as n_c = 0
-    times a g_om^2 that overflows, where it raises a ParameterError."""
-    term = 4.0 * n_c * np.square(dev.g_om)
+def _pumped_g_squared(g: float, n_c: float, name: str = "g_om") -> float:
+    """4 n_c g^2, the numerator of every optomechanical rate 4 n_c g^2 /
+    kappa_o (the two below and spectra.sideband_rate): inf where it
+    overflows, and nan only as n_c = 0 times a g^2 that overflows, where
+    it raises a ParameterError naming g as name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = 4.0 * n_c * np.square(g)
     if msg := violation(np.isnan(term), "backaction rate is not finite: "
-                        "g_om = {!r} Hz overflows when squared (n_c = {!r})",
-                        dev.g_om, n_c):
+                        f"{name} = {{!r}} Hz overflows when squared "
+                        "(n_c = {!r})", g, n_c):
         raise ParameterError(msg)
     return term
 
@@ -211,13 +214,13 @@ def _pumped_g_om_squared(dev: DeviceParams, n_c: float) -> float:
 def cooperativity(dev: DeviceParams, n_c: float, gamma_m: float) -> float:
     """Optomechanical cooperativity C_om = 4 n_c g_om^2 / (kappa_o gamma_m)."""
     require(positive={"gamma_m": gamma_m}, nonnegative={"n_c": n_c})
-    return plain(_pumped_g_om_squared(dev, n_c) / (dev.kappa_o * gamma_m))
+    return plain(_pumped_g_squared(dev.g_om, n_c) / (dev.kappa_o * gamma_m))
 
 
 def backaction_rate(dev: DeviceParams, n_c: float) -> float:
     """Optical backaction rate gamma_om = 4 n_c g_om^2 / kappa_o, Hz."""
     require(nonnegative={"n_c": n_c})
-    return plain(_pumped_g_om_squared(dev, n_c) / dev.kappa_o)
+    return plain(_pumped_g_squared(dev.g_om, n_c) / dev.kappa_o)
 
 
 def sign_factor(sign: DetuningSign) -> float:

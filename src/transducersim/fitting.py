@@ -53,11 +53,14 @@ def _least_squares_result(names, p, J, r, converged, n_iter) -> FitResult:
 
     The one rule for fit uncertainties: cov = s2 * pinv(J^T J) with
     s2 = |r|^2 / max(m - n, 1) for m residuals and n parameters (inf if
-    pinv fails; a FitError if r = 0 leaves no noise to estimate s2 from),
-    residual_norm the rms of r.
+    pinv fails; a FitError if r = 0 leaves no noise to estimate s2 from,
+    an OverflowError if |r|^2 overflows), residual_norm the rms of r.
     """
     m, n = J.shape
-    cost = float(r @ r)
+    with np.errstate(over="ignore"):
+        cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise OverflowError(f"residual sum of squares is {cost!r}")
     if cost == 0:
         raise FitError("zero residual: no noise to estimate uncertainties from")
     try:
@@ -159,8 +162,11 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
     return _least_squares_result(names, p, J, r, converged, it)
 
 
+@np.errstate(over="ignore")
 def _edge_median(y):
-    """Median of the trace edges: the outer 5% (at least 3 points) each side."""
+    """Median of the trace edges: the outer 5% (at least 3 points) each
+    side; inf where the mean of the middle two overflows, so the fit's
+    first cost does."""
     n = max(3, y.size // 20)
     return float(np.median(np.concatenate([y[:n], y[-n:]])))
 
@@ -460,9 +466,14 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     if background not in ("constant", "linear"):
         raise ParameterError(
             "background must be 'constant', 'linear', or a reference Trace")
-    span = float(f[-1] - f[0]) if f.size > 1 else 1.0
-    mid = 0.5 * float(f[0] + f[-1])
+    # in Python floats, where an end sum that overflows is inf, unwarned
+    f_lo, f_hi = float(f[0]), float(f[-1])
+    span = f_hi - f_lo if f.size > 1 else 1.0
+    mid = 0.5 * (f_lo + f_hi)
     n_bg = 1 if background == "constant" else 2
+    if f.size < 3 * n_peaks + n_bg:     # before the peaks are seeded
+        raise ParameterError(f"more parameters ({3 * n_peaks + n_bg}) than "
+                             f"residuals ({f.size})")
     u = (f - mid) / span if n_bg == 2 else None     # conditioned linear basis
 
     bg0 = _edge_median(y)

@@ -195,9 +195,10 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     the factored carrier (_carrier), formed one block of bit rows at a
     time and added into I and Q: a run holds its outputs (time, beta, I,
     Q and the envelope, 48 bytes a sample) plus one block.
-    An I, Q or envelope sample that overflows raises OverflowError
-    naming that trace; a time axis that overflows raises ParameterError
-    naming the rate.
+    A beta that overflows (a thermal drive near the float limit) raises
+    ParameterError naming v0; an I, Q or envelope sample that overflows
+    raises OverflowError naming that trace; a time axis that overflows
+    raises ParameterError naming the rate.
     """
     rng = np.random.default_rng(seed)
     spb = cfg.samples_per_bit
@@ -214,29 +215,32 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
     d_m = np.exp(-rate_dt * m)                  # d^m, m = 1..spb
 
     ones = np.flatnonzero(cfg.bits)
-    if cfg.drive_mode == "coherent":
-        # settled drive level is v0; response of every 1-bit from rest
-        rise = cfg.v0 * -np.expm1(-rate_dt * m)
-    else:
-        # gated white-noise bath; stationary mean square |beta|^2 = v0^2
-        decay = math.exp(-rate_dt)
-        sigma = cfg.v0 * math.sqrt(max(1.0 - decay ** 2, 0.0) / 2.0)
-        rise = np.empty((ones.size, spb), dtype=complex)
-        rise.real = rng.standard_normal(n_steps).reshape(n_bits, spb)[ones]
-        rise.imag = rng.standard_normal(n_steps).reshape(n_bits, spb)[ones]
-        rise *= sigma
-        _scan_rows(rise, d_m)
-    ends = np.zeros(n_bits, dtype=rise.dtype)
-    ends[ones] = rise[..., -1]
-    starts, s = [], 0.0
-    for end in ends.tolist():
-        starts.append(s)
-        s = s * d_m[-1] + end
-    beta = np.empty(n_steps + 1, dtype=complex)
-    beta[0] = 0.0
-    per_bit = beta[1:].reshape(n_bits, spb)
-    np.multiply(np.asarray(starts)[:, None], d_m, out=per_bit)
-    per_bit[ones] += rise
+    # a thermal envelope near the float limit overflows to inf or nan,
+    # which stays so through the scan and the sums, and is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.drive_mode == "coherent":
+            # settled drive level is v0; response of every 1-bit from rest
+            rise = cfg.v0 * -np.expm1(-rate_dt * m)
+        else:
+            # gated white-noise bath; stationary mean square |beta|^2 = v0^2
+            decay = math.exp(-rate_dt)
+            sigma = cfg.v0 * math.sqrt(max(1.0 - decay ** 2, 0.0) / 2.0)
+            rise = np.empty((ones.size, spb), dtype=complex)
+            rise.real = rng.standard_normal(n_steps).reshape(n_bits, spb)[ones]
+            rise.imag = rng.standard_normal(n_steps).reshape(n_bits, spb)[ones]
+            rise *= sigma
+            _scan_rows(rise, d_m)
+        ends = np.zeros(n_bits, dtype=rise.dtype)
+        ends[ones] = rise[..., -1]
+        starts, s = [], 0.0
+        for end in ends.tolist():
+            starts.append(s)
+            s = s * d_m[-1] + end
+        beta = np.empty(n_steps + 1, dtype=complex)
+        beta[0] = 0.0
+        per_bit = beta[1:].reshape(n_bits, spb)
+        np.multiply(np.asarray(starts)[:, None], d_m, out=per_bit)
+        per_bit[ones] += rise
     del rise                    # half a run when thermal; I and Q come next
 
     # I and Q start as the noise, drawn whole in the per-sample order, or
@@ -263,7 +267,10 @@ def run_link(cfg: LinkConfig, seed=0) -> LinkRun:
             i_rows[rows] += v_det.real
             q_rows[rows] += v_det.imag
         env = np.hypot(i_sig, q_sig)
-    if not np.isfinite(env).all():      # else I and Q are finite too
+    if not np.isfinite(env).all():      # else I and Q and beta are finite
+        if not np.isfinite(beta).all():
+            raise ParameterError(f"v0 = {cfg.v0!r} V drives the mechanical "
+                                 "envelope past the float range")
         for name, y in (("I", i_sig), ("Q", q_sig), ("envelope", env)):
             if not np.isfinite(y).all():
                 raise OverflowError(f"{name} trace is not finite")

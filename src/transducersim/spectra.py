@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA
-from .core import DeviceParams, PumpState, plain, require, resolve_photon_number
+from .core import (DeviceParams, PumpState, _pumped_g_squared, plain, require,
+                   resolve_photon_number)
 from .errors import FitError, ParameterError
 from .trace import Trace, axis
 
@@ -66,8 +67,9 @@ def mech_susceptibility(f, f_mode: float, gamma: float):
 
 
 def sideband_rate(mode: MechanicalMode, n_c: float, kappa_o: float) -> float:
-    """Per-phonon sideband scattering rate 4 n_c g^2 / kappa_o, Hz."""
-    return plain(4.0 * n_c * np.square(mode.g) / kappa_o)
+    """Per-phonon sideband scattering rate 4 n_c g^2 / kappa_o, Hz: the
+    mode's backaction rate, inf where it overflows."""
+    return plain(_pumped_g_squared(mode.g, n_c, "g") / kappa_o)
 
 
 @np.errstate(over="ignore")
@@ -85,12 +87,18 @@ def thermal_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
     Mode j contributes a unit-area Lorentzian of width gamma_j scaled by
     its sideband photon rate Gamma_j = n_th * 4 n_c g_j^2 / kappa_o, so
     the integrated area of each mode equals Gamma_j and the peak
-    density is 2 Gamma_j / (pi gamma_j).
+    density is 2 Gamma_j / (pi gamma_j). A rate that overflows raises a
+    ParameterError naming n_th, n_c and the mode's g.
     """
     f = axis(grid, "grid")
     y = np.zeros_like(f)
     for mode in modes:
-        rate = n_th * sideband_rate(mode, n_c, dev.kappa_o)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate = n_th * sideband_rate(mode, n_c, dev.kappa_o)
+        if not abs(rate) < math.inf:
+            raise ParameterError(
+                f"the thermal sideband rate n_th * 4 n_c g^2 / kappa_o is not "
+                f"finite at n_th = {n_th!r}, n_c = {n_c!r}, g = {mode.g!r} Hz")
         y += rate * _lorentzian_density(f, mode.f, mode.gamma)
     return Trace(f, y, "hz", "lin", label="thermal sideband spectrum")
 

@@ -46,7 +46,8 @@ def grid(start: float, stop: float, count: int, names,
     if scale == "log" and start <= 0:
         raise ParameterError(f"log scale needs {start_name} > 0")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = build(start, stop, count)
+        values = build(start, stop, count) if count > 1 \
+            else np.array([start], dtype=float)  # geomspace rejects a stop 0
     if not np.isfinite(values).all():
         raise ParameterError(f"{' and '.join(ends)} span a grid that overflows "
                              f"(got {', '.join(map(repr, ends.values()))})")

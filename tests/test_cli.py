@@ -13,6 +13,7 @@ from transducersim import SweepSpec, Trace, write_trace
 from transducersim import cli, core, deviceio, link
 from transducersim.cli import main
 from transducersim.deviceio import load_device, resolve_device_path, write_table
+from transducersim.fitting import FitResult
 from transducersim.link import eye_diagram
 from transducersim.spectra import lumped_mode
 
@@ -597,10 +598,25 @@ def test_non_finite_or_overflowing_pump_power_exits_2(tmp_path, capsys, dbm,
       "1,0", "--quantity", "c_om", "--out", "{out}"],
      "backaction rate is not finite: g_om = 1e+200 Hz overflows when squared "
      "(n_c = 0.0)"),
+    # 4 n_c g^2 overflows in the sideband rate of a mode
+    (["spectrum", "thermal", "--device", "table1_sim_adjusted", "--out",
+      "{out}", "--points", "2", "--n-c", "1e300"],
+     "the thermal sideband rate n_th * 4 n_c g^2 / kappa_o is not finite at "
+     "n_th = 1401.066368201296, n_c = 1e+300, g = 139000.0 Hz"),
+    (["spectrum", "driven", "--device", "table1_sim_adjusted", "--out",
+      "{out}", "--points", "2", "--n-c", "1e300", "--power-mu", "-30dbm"],
+     "the thermal sideband rate n_th * 4 n_c g^2 / kappa_o is not finite at "
+     "n_th = 1401.066368201296, n_c = 1e+300, g = 139000.0 Hz"),
+    # the thermal envelope's scan overflows
+    (["link", "--bits", "0101", "--rate", "1e6", "--gamma-m", "7.9e6",
+      "--v0", "1e308", "--f-if", "0", "--drive-mode", "thermal",
+      "--out-prefix", "{out}"],
+     "v0 = 1e+308 V drives the mechanical envelope past the float range"),
 ], ids=["efficiency_n_c", "sweep_n_c", "sweep_n_c_blue", "efficiency_f_m",
         "link_eye", "spectrum_soe_power", "fit_linewidth_kappa_o",
         "swap_gamma_mi", "link_rate", "link_sample_rate", "efficiency_g_om",
-        "sweep_g_om"])
+        "sweep_g_om", "spectrum_thermal_n_c", "spectrum_driven_n_c",
+        "link_thermal_v0"])
 def test_chain_overflow_exits_2(argv, error, tmp_path, capsys):
     # finite inputs whose outputs overflow: a named error, no inf or nan
     # on stdout, no CSV and no RuntimeWarning
@@ -617,6 +633,47 @@ def test_chain_overflow_exits_2(argv, error, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert not list(tmp_path.glob("never*"))
+
+
+def test_a_fit_report_prints_errors_notes_and_exit_3(monkeypatch, tmp_path,
+                                                     capsys):
+    # the report's layout on hand-built values: a param with an error
+    # prints `value +/- error` at 10 and 4 digits, one without prints its
+    # value, the residual norm prints at 6 digits, and notes go to stdout
+    result = FitResult(
+        params={"f_o": 4321500000.123456, "kappa_o": 1e9 / 3,
+                "depth": 0.123456789012345},
+        residual_norm=0.0123456789, converged=False,
+        notes=("non-convergence", "a second note"),
+        cov=np.diag([123.456789 ** 2, (1e-3 / 3) ** 2]),
+        param_order=("f_o", "kappa_o"))
+    monkeypatch.setattr(cli, "fit_optical_dip", lambda trace, branch: result)
+    trace = tmp_path / "dip.csv"
+    write_trace(Trace(np.arange(8.0), np.ones(8)), trace)
+    assert main(["fit", "dip", "--trace", str(trace)]) == 3
+    assert capsys.readouterr() == (
+        "f_o = 4321500000 +/- 123.5\n"
+        "kappa_o = 333333333.3 +/- 0.0003333\n"
+        "depth = 0.123456789\n"
+        "residual_norm = 0.0123457\n"
+        "converged = False\n"
+        "note: non-convergence\n"
+        "note: a second note\n", "")
+
+
+def test_link_notes_go_to_stderr(monkeypatch, tmp_path, capsys):
+    # a metric left out is a note on stderr; the metrics and the files
+    # written stay on stdout
+    monkeypatch.setattr(cli, "_measure", lambda run, cfg: (
+        None, {"eye_opening": 0.25, "extinction_ratio": 1e12},
+        ["a hand-built note"]))
+    prefix = tmp_path / "link"
+    assert main(["link", "--bits", "0110", "--rate", "1e6", "--gamma-m",
+                 "7.9e6", "--out-prefix", str(prefix)]) == 0
+    assert capsys.readouterr() == (
+        f"eye_opening = 0.25\nextinction_ratio = 1e+12\n"
+        f"envelope = {prefix}_envelope.csv\niq = {prefix}_iq.csv\n",
+        "note: a hand-built note\n")
 
 
 @pytest.mark.parametrize("v0", ["1e156", "1e200"])
