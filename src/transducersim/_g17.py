@@ -126,12 +126,13 @@ def _scale(m, e2, k):
     return (col >> _U(32)) + (d >> _U(32)) + (f >> _U(32)) + m1 * t2, frac
 
 
-def rows(table, step):
-    """Yield the text of the rows of a 2-D float array, step rows at a
-    time: each cell as "%.17g", cells joined by ',' and each row ended by
-    a newline. The rows of one block are laid out in one buffer, reused."""
-    n_cols = table.shape[1]
-    n_rows = min(step, len(table))
+def rows(columns, step):
+    """Yield the text of the rows of columns (1-D float arrays and 2-D
+    groups of adjacent columns, of one row count), step rows at a time,
+    each block copied from slices of them into one buffer, reused: each
+    cell as "%.17g", cells joined by ',' and each row ended by a newline."""
+    n_cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    n_rows = min(step, len(columns[0]))
     sep = np.full(n_cols, ord(","), np.uint8)
     sep[-1] = ord("\n")
     blank = np.empty((n_rows * n_cols, 64), np.uint8)
@@ -140,8 +141,8 @@ def rows(table, step):
     blank[:, 27] = ord(".")
     blank[:, 49] = np.tile(sep, n_rows)
     buf = blank.copy()
-    for start in range(0, len(table), step):
-        x = table[start:start + step].ravel()
+    for start in range(0, len(columns[0]), step):
+        x = np.column_stack([c[start:start + step] for c in columns]).ravel()
         yield _cells(x, buf[:x.size], blank)
 
 

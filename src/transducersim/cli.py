@@ -10,11 +10,9 @@ import argparse
 import re
 import sys
 
-import numpy as np
-
 from . import core
 from .deviceio import (_write_rows, load_device, parse_power, read_points,
-                       read_text, read_trace, write_eye, write_table,
+                       read_text, read_trace, write_columns, write_eye,
                        write_trace)
 from .errors import FitError, TransducerError
 from .fitting import (fit_linewidth_vs_photons, fit_lorentzian_multi,
@@ -153,11 +151,12 @@ def cmd_link(args) -> int:
     core.require(nonnegative={"--seed": args.seed})
     run = run_link(cfg, seed=args.seed)
     eye, metrics, notes = _measure(run, cfg)  # an overflow raises before a write
+    envelope, iq = run.envelope, [run.time, run.i_trace.y, run.q_trace.y]
+    del run     # beta, never written, is freed before the writes
     env_path = f"{args.out_prefix}_envelope.csv"
-    write_trace(run.envelope, env_path)
+    write_trace(envelope, env_path)
     iq_path = f"{args.out_prefix}_iq.csv"
-    write_table(iq_path, ["t_s", "i_v", "q_v"],
-                np.column_stack([run.time, run.i_trace.y, run.q_trace.y]))
+    write_columns(iq_path, ["t_s", "i_v", "q_v"], iq)
     outputs = [("envelope", env_path), ("iq", iq_path)]
     if eye is not None:
         eye_path = f"{args.out_prefix}_eye.csv"
@@ -183,8 +182,8 @@ def cmd_swap(args) -> int:
         t_grid = grid(0.0, t_max, _points(args), (None, "--t-max", "--points"))
         qubit_tr, mech_tr = rabi_swap_sim(bundle.device, qubit, t_grid,
                                           lossless=args.lossless)
-        write_table(args.rabi_out, ["t_s", "qubit_excitation", "phonons"],
-                    np.column_stack([t_grid, qubit_tr.y, mech_tr.y]))
+        write_columns(args.rabi_out, ["t_s", "qubit_excitation", "phonons"],
+                      [t_grid, qubit_tr.y, mech_tr.y])
         outputs.append(("rabi_out", args.rabi_out))
     _report([
         ("z_q_ohm", q["z_q"]),
@@ -230,12 +229,12 @@ def cmd_sweep(args) -> int:
     table = sweep_table(spec, bundle, temperature=args.temperature,
                         drive_p_mu=drive_p_mu)
     header = [path for path, _ in spec.targets] + list(spec.quantities)
-    rows = np.column_stack([table[name] for name in header])
+    columns = [table[name] for name in header]
     if args.out:
-        write_table(args.out, header, rows)
+        write_columns(args.out, header, columns)
         _report([("rows", spec.n_rows), ("out", args.out)])
     else:
-        _write_rows(sys.stdout, header, rows, "%.10g")
+        _write_rows(sys.stdout, header, columns, "%.10g")
     return 0
 
 

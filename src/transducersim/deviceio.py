@@ -328,15 +328,14 @@ _PLAIN = b"0123456789eE.+-, \r\n"
 
 
 def write_trace(trace: Trace, path) -> None:
-    """Two-column CSV with a `x_unit,y_unit` header, 17 significant digits."""
-    write_table(path, [trace.x_unit, trace.y_unit],
-                np.column_stack([trace.x, trace.y]))
+    """CSV of the trace's x and y columns under a `x_unit,y_unit` header."""
+    write_columns(path, [trace.x_unit, trace.y_unit], [trace.x, trace.y])
 
 
 def write_eye(eye, path) -> None:
-    """Eye-diagram CSV: a t_s column, then one seg_NNN column per segment."""
+    """Eye-diagram CSV of columns t_s (eye.t) and seg_NNN (eye.segments.T)."""
     header = ["t_s"] + [f"seg_{k:03d}" for k in range(len(eye.segments))]
-    write_table(path, header, np.vstack([eye.t, eye.segments]).T)
+    write_columns(path, header, [eye.t, eye.segments.T])
 
 
 def read_trace(path) -> Trace:
@@ -422,10 +421,9 @@ def write_table(path, header, rows) -> None:
     """CSV with one header line and one line per row of a 2-D numeric array.
 
     rows is any rectangular array-like with len(header) columns, or []
-    for none; every cell is printed as "%.17g" prints it, 17 significant
-    digits, so reading it back with float() reproduces the value bit for
-    bit. A table of any other shape raises ParameterError before the
-    file is opened.
+    for none, written as one column group by write_columns, so reading a
+    cell back with float() reproduces its value bit for bit. A table of
+    any other shape raises ParameterError before the file is opened.
     """
     if not header:
         raise ParameterError(f"{path}: a table needs at least one header name")
@@ -439,24 +437,30 @@ def write_table(path, header, rows) -> None:
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ParameterError(f"{path}: {len(header)} header names but a table "
                              f"of shape {table.shape}, not (rows, {len(header)})")
+    write_columns(path, header, [table])
+
+
+def write_columns(path, header, columns) -> None:
+    """CSV of the columns (_write_rows), each cell as "%.17g" prints it."""
     with open(path, "w") as out:
-        _write_rows(out, header, table, "%.17g")
+        _write_rows(out, header, columns, "%.17g")
 
 
-def _write_rows(out, header, table: np.ndarray, fmt: str) -> None:
-    """Write the header line, then each row of the float array table with
-    every cell in the %-format fmt, to the text stream out, in blocks of
-    _WRITE_CELLS cells: "%.17g" by _g17's vectorised formatter, which
-    prints the same bytes, any other fmt by one % operation per block."""
+def _write_rows(out, header, columns, fmt: str) -> None:
+    """Write the header line, then each row of the columns (1-D float
+    arrays and 2-D groups of adjacent columns, of one row count) in the
+    %-format fmt to the text stream out, one block of _WRITE_CELLS cells
+    copied from slices of them at a time: "%.17g" by _g17's formatter,
+    which prints the same bytes, any other fmt by one % per block."""
     step = max(1, _WRITE_CELLS // len(header))
     out.write(",".join(header) + "\n")
     if fmt == "%.17g":
         from ._g17 import rows  # builds its tables on first use
-        out.writelines(rows(table, step))
+        out.writelines(rows(columns, step))
         return
     row = ",".join([fmt] * len(header)) + "\n"
-    for start in range(0, len(table), step):
-        block = table[start:start + step]
+    for start in range(0, len(columns[0]), step):
+        block = np.column_stack([c[start:start + step] for c in columns])
         out.write(row * len(block) % tuple(block.ravel().tolist()))
 
 

@@ -474,6 +474,10 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
     if f.size < 3 * n_peaks + n_bg:     # before the peaks are seeded
         raise ParameterError(f"more parameters ({3 * n_peaks + n_bg}) than "
                              f"residuals ({f.size})")
+    if n_bg == 2 and not span < math.inf:   # u would be all zero
+        raise ParameterError(f"the trace's x span {f_lo!r} to {f_hi!r} "
+                             "overflows, so a linear background cannot be "
+                             "fitted")
     u = (f - mid) / span if n_bg == 2 else None     # conditioned linear basis
 
     bg0 = _edge_median(y)

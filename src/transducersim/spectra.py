@@ -181,7 +181,8 @@ def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
     quantity. Coherent phonons scale linearly with p_mu while the
     thermal part is unaffected. A rectangle that overlaps none of the
     grid's cells, or a cell of no finite width, is an error, not a
-    spectrum without its peak.
+    spectrum without its peak; so is a coherent phonon number or peak
+    area that overflows, a ParameterError naming p_mu.
     """
     require(positive={"rbw": rbw, "drive_f": drive_f})
     thermal = thermal_spectrum(dev, modes, n_c, n_th, grid)
@@ -204,8 +205,13 @@ def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
     with np.errstate(all="ignore"):   # the Trace rejects a non-finite y
         for mode in modes:
             n_coh = steady_state_coherent_phonons(mode, p_mu, drive_f)
-            _deposit_peak(edges, y, drive_f, rbw,
-                          n_coh * sideband_rate(mode, n_c, dev.kappa_o))
+            area = n_coh * sideband_rate(mode, n_c, dev.kappa_o)
+            if not abs(area) < math.inf:    # n_coh = inf gives inf or nan
+                raise ParameterError(
+                    f"p_mu = {p_mu!r} W gives the mode at {mode.f!r} Hz "
+                    f"n_coh = {n_coh!r} coherent phonons and a drive peak "
+                    f"area of {area!r}, which is not finite")
+            _deposit_peak(edges, y, drive_f, rbw, area)
     return Trace(f, y, "hz", "lin", label="driven sideband spectrum", rbw=rbw)
 
 

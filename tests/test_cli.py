@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -607,6 +608,11 @@ def test_non_finite_or_overflowing_pump_power_exits_2(tmp_path, capsys, dbm,
       "{out}", "--points", "2", "--n-c", "1e300", "--power-mu", "-30dbm"],
      "the thermal sideband rate n_th * 4 n_c g^2 / kappa_o is not finite at "
      "n_th = 1401.066368201296, n_c = 1e+300, g = 139000.0 Hz"),
+    # the drive's photon flux, and with it n_coh and the peak area, overflow
+    (["spectrum", "driven", "--device", MEASURED, "--out", "{out}",
+      "--points", "64", "--power-mu", "1e300w"],
+     "p_mu = 1e+300 W gives the mode at 4320000000.0 Hz n_coh = inf coherent "
+     "phonons and a drive peak area of inf, which is not finite"),
     # the thermal envelope's scan overflows
     (["link", "--bits", "0101", "--rate", "1e6", "--gamma-m", "7.9e6",
       "--v0", "1e308", "--f-if", "0", "--drive-mode", "thermal",
@@ -616,7 +622,7 @@ def test_non_finite_or_overflowing_pump_power_exits_2(tmp_path, capsys, dbm,
         "link_eye", "spectrum_soe_power", "fit_linewidth_kappa_o",
         "swap_gamma_mi", "link_rate", "link_sample_rate", "efficiency_g_om",
         "sweep_g_om", "spectrum_thermal_n_c", "spectrum_driven_n_c",
-        "link_thermal_v0"])
+        "spectrum_driven_p_mu", "link_thermal_v0"])
 def test_chain_overflow_exits_2(argv, error, tmp_path, capsys):
     # finite inputs whose outputs overflow: a named error, no inf or nan
     # on stdout, no CSV and no RuntimeWarning
@@ -674,6 +680,28 @@ def test_link_notes_go_to_stderr(monkeypatch, tmp_path, capsys):
         f"eye_opening = 0.25\nextinction_ratio = 1e+12\n"
         f"envelope = {prefix}_envelope.csv\niq = {prefix}_iq.csv\n",
         "note: a hand-built note\n")
+
+
+def test_link_peaks_at_its_run_and_eye(tmp_path, capsys):
+    # tracemalloc sees numpy's buffers. A run's outputs take 48 bytes a
+    # sample (time, beta, I, Q, envelope) and the eye of 2000 random bits
+    # about 8 more; the files are written a block of rows at a time after
+    # beta is dropped, where a full I/Q table copy added 24 bytes a sample
+    # on top of the run
+    args = ["--rate", "1e6", "--gamma-m", "7.9e6", "--noise-rms", "0.05",
+            "--out-prefix", str(tmp_path / "link")]
+    assert main(["link", "--bits", "0110", *args]) == 0  # built-once tables
+    bits = np.random.default_rng(6).integers(0, 2, 2000).tolist()
+    samples = len(bits) * link.LinkConfig(
+        bits=tuple(bits), rate=1e6, gamma_m=7.9e6).samples_per_bit + 1
+    tracemalloc.start()
+    try:
+        assert main(["link", "--bits", "".join(map(str, bits)), *args]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 60 * samples
 
 
 @pytest.mark.parametrize("v0", ["1e156", "1e200"])

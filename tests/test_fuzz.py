@@ -258,9 +258,14 @@ def test_derived_samples_per_bit_keeps_the_contract():
     (["fit", "lorentz", "--trace", "{d}/wide.csv", "--n-peaks", "0"],
      0, "bg0 = 1.333333333 +/- 0.3333\nresidual_norm = 0.471405\n"
      "converged = True\n", ""),
+    # a linear background's slope is per unit of that span
+    (["fit", "lorentz", "--trace", "{d}/wide.csv", "--n-peaks", "0",
+      "--background", "linear"],
+     2, "", "error: the trace's x span -1.7e+308 to 1.7e+308 overflows, so a "
+     "linear background cannot be fitted\n"),
 ], ids=["link_seed", "sweep_log_one_value", "lorentz_one_point",
         "dip_near_the_float_limit", "linewidth_near_the_float_limit",
-        "lorentz_span_overflows"])
+        "lorentz_span_overflows", "lorentz_linear_span_overflows"])
 def test_classes_the_fuzzer_found(argv, code, out, err, tmp_path, capsys):
     # one argv of each class this module found first: each raised a
     # ValueError or a RuntimeWarning

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import re
 import sys
@@ -21,7 +22,9 @@ from transducersim import deviceio
 from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
                                     parse_device, parse_device_text,
                                     parse_power, read_points,
-                                    resolve_device_path, write_table)
+                                    resolve_device_path, write_eye,
+                                    write_table)
+from transducersim.link import EyeDiagram
 
 from transducersim.sweep import QUANTITIES, evaluate, override
 from transducersim.trace import axis
@@ -1120,6 +1123,64 @@ def test_write_table_families_match_per_cell_format(tmp_path, monkeypatch,
     path = tmp_path / "table.csv"
     write_table(path, ["a", "b"], table)
     _assert_percent_table(path, ["a", "b"], table)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 16, 2 * 16 + 5])
+@pytest.mark.parametrize("layout", ["one_d", "group", "eye"])
+def test_columns_write_the_rows_of_their_table(tmp_path, monkeypatch, layout,
+                                               n_rows):
+    # 96 cells a block over 6 columns: 16 rows a block, and 37 rows end in
+    # a part block; random bit patterns, so some cells are printed by %
+    monkeypatch.setattr(deviceio, "_WRITE_CELLS", 96)
+    bits = np.random.default_rng(n_rows).integers(0, 2 ** 64, (n_rows, 6),
+                                                   dtype=np.uint64)
+    table = bits.view(float)
+    header = [f"c{k}" for k in range(6)]
+    path = tmp_path / "columns.csv"
+    if layout == "eye":     # segments are rows; the file holds them as columns
+        header = ["t_s"] + [f"seg_{k:03d}" for k in range(5)]
+        eye = EyeDiagram(table[:, 0].copy(), table[:, 1:].T.copy(), 0.0, 1.0)
+        write_eye(eye, path)
+        columns = [eye.t, eye.segments.T]
+    else:
+        columns = ([c.copy() for c in table.T] if layout == "one_d" else
+                   [table[:, 0].copy(), table[:, 1:4], table[:, 4:]])
+        deviceio.write_columns(path, header, columns)
+    _assert_percent_table(path, header, table)
+    # the %-format path reads the same blocks
+    out = io.StringIO()
+    deviceio._write_rows(out, header, columns, "%.10g")
+    row = ",".join(["%.10g"] * 6) + "\n"
+    assert out.getvalue() == (",".join(header) + "\n"
+                              + row * n_rows % tuple(table.ravel().tolist()))
+
+
+@pytest.mark.parametrize("kind", ["trace", "table"])
+def test_a_write_holds_blocks_not_a_copy_of_its_table(tmp_path, kind):
+    # tracemalloc sees numpy's buffers: a write holds one block of rows
+    # and its text, whatever the row count, where a copy of the whole
+    # table adds 8 bytes a cell
+    from transducersim import _g17  # noqa: F401  (its tables, built once)
+    path = tmp_path / "written.csv"
+
+    def peak(n_rows):
+        x = np.linspace(1.0, 2.0, n_rows)
+        table = np.sin(np.outer(x, np.arange(1.0, 7.0)))
+        trace = Trace(x, table[:, 0])
+        tracemalloc.start()
+        try:
+            if kind == "trace":
+                write_trace(trace, path)
+            else:
+                write_table(path, list("abcdef"), table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(200_000)
+    assert large - small < 2 ** 16
+    if kind == "table":
+        assert large < 8 * 6 * 200_000
 
 
 @pytest.mark.parametrize("rows, shape", [

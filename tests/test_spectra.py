@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from transducersim import (CODATA, FitError, MechanicalMode, ParameterError,
-                           PumpState, Trace, TraceError,
+                           PumpState, Trace,
                            calibrate_coherent_phonons,
                            dbm_to_w, driven_spectrum, gamma_me_from_phonons,
                            s_oe_spectrum, sideband_rate,
@@ -191,15 +191,20 @@ def test_drive_peak_matches_the_whole_grid_formula(kind, seed):
 
 @pytest.mark.parametrize("g, gamma_e", [(130e3, 58.0), (130e3, 0.0),
                                         (0.0, 58.0)])
-def test_drive_peak_with_a_non_finite_area_is_a_trace_error(dev, g, gamma_e):
+def test_drive_peak_with_a_non_finite_area_names_p_mu(dev, g, gamma_e):
     # the drive's photon flux overflows: an inf area, or inf * 0 = nan for
     # a mode with no feedline decay or no optomechanical coupling
     mode = MechanicalMode(f=dev.f_m, gamma=dev.gamma_mi, g=g, gamma_e=gamma_e)
     grid = grid_around(dev.f_m, 20e6, 401)
-    with pytest.raises(TraceError) as err:
+    with pytest.raises(ParameterError) as err:
         driven_spectrum(dev, [mode], 1.0e4, N_TH_300K, dev.f_m, 1e300, 50e3,
                         grid)
-    assert str(err.value) == "trace contains NaN or infinite values"
+    n_coh, area = ("nan", "nan") if gamma_e == 0 else \
+        ("inf", "nan" if g == 0 else "inf")
+    assert str(err.value) == (
+        f"p_mu = 1e+300 W gives the mode at {dev.f_m!r} Hz n_coh = {n_coh} "
+        f"coherent phonons and a drive peak area of {area}, which is not "
+        "finite")
 
 
 @pytest.mark.parametrize("drive_f, rbw", [
