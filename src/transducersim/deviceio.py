@@ -113,31 +113,24 @@ _ALTERNATIVES = {
     "p_on_chip_dbm": ("p_on_chip", lambda v: dbm_to_w(v["p_on_chip_dbm"])),
 }
 
+# section -> (keys of which at most one may be given, keys of which one is
+# needed)
+_CHOICES = {
+    "optical": (("kappa_o_hz", "kappa_oi_hz"), ("kappa_o_hz", "kappa_oi_hz")),
+    "pump": (("p_on_chip_dbm", "p_on_chip_w"),
+             ("p_on_chip_dbm", "p_on_chip_w", "n_c")),
+}
+
 
 def _field(key: str) -> str:
     """The record field a key sets: the key without its unit suffix."""
     return key if key in ("eta_oc", "n_c") else key.rsplit("_", 1)[0]
 
 
-def _tokenize(text: str):
-    """Yield (line_no, kind, payload) where kind is 'section' or 'pair'."""
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            yield no, "section", ("modes", line[2:-2].strip())
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            yield no, "section", ("plain", line[1:-1].strip())
-            continue
-        for sep in ("=", ":"):
-            if sep in line:
-                key, value = line.split(sep, 1)
-                yield no, "pair", (key.strip(), value.strip())
-                break
-        else:
-            yield no, "bad", line
+def _listed(keys) -> str:
+    """'a or b', or 'a, b, or c'."""
+    return (" or " if len(keys) == 2 else ", or ").join(
+        [", ".join(keys[:-1]), keys[-1]])
 
 
 def _suffix_hint(section: str, key: str) -> str | None:
@@ -170,92 +163,82 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
     current: dict | None = None
     current_name = None
 
-    for no, kind, payload in _tokenize(text):
-        if kind == "bad":
-            violations.append(f"{source}:{no}: expected 'key = value' (got {payload!r})")
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        if kind == "section":
-            style, name = payload
-            current, current_name = None, name
-            if style == "modes" and name != "modes":
-                violations.append(f"{source}:{no}: unknown block [[{name}]]")
-            elif style == "modes":
+        at = f"{source}:{no}:"
+        if line.startswith("[") and line.endswith("]"):
+            block = line.startswith("[[") and line.endswith("]]")
+            current, current_name = None, line[1 + block:-1 - block].strip()
+            if block and current_name != "modes":
+                violations.append(f"{at} unknown block [[{current_name}]]")
+            elif block:
                 current = {}
                 modes_raw.append(current)
-            elif name not in _SCHEMA or name == "modes":
-                violations.append(f"{source}:{no}: unknown section [{name}]")
+            elif current_name not in _SCHEMA or current_name == "modes":
+                violations.append(f"{at} unknown section [{current_name}]")
             else:
-                if name in sections:
-                    violations.append(f"{source}:{no}: duplicate section [{name}]")
-                current = sections.setdefault(name, {})
+                if current_name in sections:
+                    violations.append(f"{at} duplicate section [{current_name}]")
+                current = sections.setdefault(current_name, {})
             continue
-        # key/value pair
-        key, value = payload
+        key, sep, value = line.partition("=" if "=" in line else ":")
+        if not sep:
+            violations.append(f"{at} expected 'key = value' (got {line!r})")
+            continue
+        key, value = key.strip(), value.strip()
         if current is None:
-            violations.append(f"{source}:{no}: '{key}' outside any section")
+            violations.append(f"{at} '{key}' outside any section")
             continue
         if key not in _SCHEMA[current_name][1]:
             hint = _suffix_hint(current_name, key)
             if hint:
-                violations.append(
-                    f"{source}:{no}: '{key}' is missing its unit suffix; "
-                    f"expected '{hint}'")
+                violations.append(f"{at} '{key}' is missing its unit suffix; "
+                                  f"expected '{hint}'")
                 current.setdefault(hint, None)
             else:
-                violations.append(
-                    f"{source}:{no}: unknown key '{key}' in [{current_name}]")
+                violations.append(f"{at} unknown key '{key}' in [{current_name}]")
             continue
         if key in current:
-            violations.append(f"{source}:{no}: duplicate key '{key}'")
+            violations.append(f"{at} duplicate key '{key}'")
             continue
         # a key that is present but unusable holds None: not also missing
         try:
             current[key] = float(value)
         except ValueError:
             current[key] = None
-            violations.append(f"{source}:{no}: cannot parse number {value!r} "
-                              f"for '{key}'")
+            violations.append(f"{at} cannot parse number {value!r} for '{key}'")
             continue
         if not math.isfinite(current[key]):
             current[key] = None
-            violations.append(f"{source}:{no}: non-finite number {value!r} "
-                              f"for '{key}'")
+            violations.append(f"{at} non-finite number {value!r} for '{key}'")
 
     # the sections and [[modes]] blocks that pass the key checks make records
+    units = [(name, name, f"[{name}] missing key", sections.get(name))
+             for name in _SCHEMA]
+    units += [("modes", i, f"[[modes]] block {i} missing", block)
+              for i, block in enumerate(modes_raw, start=1)]
     passed = {}
-    for name, (kind, keys) in _SCHEMA.items():
-        sec = sections.get(name)
+    for name, unit, missing, sec in units:
+        kind, keys = _SCHEMA[name]
         if sec is None:
             if kind is DeviceParams:
                 violations.append(f"{source}: missing required section [{name}]")
             continue
         before = len(violations)
-        violations += [f"{source}: [{name}] missing key '{key}'"
+        violations += [f"{source}: {missing} '{key}'"
                        for key, required in keys.items()
                        if required and key not in sec]
-        if name == "optical":
-            if "kappa_o_hz" in sec and "kappa_oi_hz" in sec:
-                violations.append(f"{source}: [optical] give kappa_o_hz or "
-                                  "kappa_oi_hz, not both")
-            if not sec.keys() & {"kappa_o_hz", "kappa_oi_hz"}:
-                violations.append(f"{source}: [optical] needs kappa_o_hz or "
-                                  "kappa_oi_hz")
-        if name == "pump":
-            if "p_on_chip_dbm" in sec and "p_on_chip_w" in sec:
-                violations.append(f"{source}: [pump] give p_on_chip_dbm or "
-                                  "p_on_chip_w, not both")
-            if not sec.keys() & {"p_on_chip_dbm", "p_on_chip_w", "n_c"}:
-                violations.append(f"{source}: [pump] needs p_on_chip_dbm, "
-                                  "p_on_chip_w, or n_c")
+        if name in _CHOICES:
+            at_most_one, needed = _CHOICES[name]
+            if len(sec.keys() & set(at_most_one)) > 1:
+                violations.append(f"{source}: [{name}] give "
+                                  f"{_listed(at_most_one)}, not both")
+            if not sec.keys() & set(needed):
+                violations.append(f"{source}: [{name}] needs {_listed(needed)}")
         if len(violations) == before and None not in sec.values():
-            passed[name] = sec
-    for i, block in enumerate(modes_raw, start=1):
-        missing = [f"{source}: [[modes]] block {i} missing '{key}'"
-                   for key, required in _SCHEMA["modes"][1].items()
-                   if required and key not in block]
-        violations += missing
-        if not missing and None not in block.values():
-            passed[i] = block
+            passed[unit] = sec
 
     device_sections = [name for name, (kind, _) in _SCHEMA.items()
                        if kind is DeviceParams]

@@ -207,6 +207,8 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
     the under/over-coupled branch; both candidates are always reported
     and `branch` ("under" or "over") selects which one fills kappa_oe.
     """
+    if branch not in (None, "under", "over"):
+        raise ParameterError(f"branch must be 'under' or 'over' (got {branch!r})")
     f, y = trace.x, trace.y
     if f.size < 8:
         raise FitError("trace too short to fit a dip")
@@ -242,8 +244,6 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
             "kappa_oe_over": (0, (1 + d) / 2, kappa / 2 * dd)}
     notes = []
     if branch is not None:
-        if branch not in ("under", "over"):
-            raise ParameterError(f"branch must be 'under' or 'over' (got {branch!r})")
         params["kappa_oe"] = params[f"kappa_oe_{branch}"]
         params["kappa_oi"] = kappa - params["kappa_oe"]
         rows["kappa_oe"] = rows[f"kappa_oe_{branch}"]

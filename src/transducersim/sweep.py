@@ -148,7 +148,7 @@ def override(bundle: DeviceBundle, values: dict, env: dict, *, sign=None):
             if field not in DeviceParams.__dataclass_fields__:
                 raise ParameterError(f"unknown device field {field!r}")
         elif head == "pump":
-            if field not in ("n_c", "p_on_chip", "detuning"):
+            if field not in PumpState.__dataclass_fields__:
                 raise ParameterError(f"unknown pump field {field!r}")
         elif head == "qubit":
             if field not in _qubit(bundle).__dataclass_fields__:

@@ -12,7 +12,7 @@ from transducersim import (EyeDiagram, LinkRun, ParameterError, Trace,
                            sideband_rate, steady_state_coherent_phonons,
                            swap_feasibility, thermal_occupation,
                            total_efficiency, total_mech_linewidth)
-from transducersim.core import require
+from transducersim.core import DeviceParams, require
 from transducersim.link import EXTINCTION_CAP
 from transducersim.spectra import _pole, lumped_mode
 
@@ -29,6 +29,20 @@ def dev(measured):
 
 def relerr(value, reference):
     return abs(value / reference - 1.0)
+
+
+def random_device(rng):
+    return DeviceParams(
+        f_o=rng.uniform(150e12, 250e12),
+        kappa_o=(ko := rng.uniform(0.5e9, 5e9)),
+        kappa_oe=ko * rng.uniform(0.05, 0.95),
+        f_m=rng.uniform(1e9, 8e9),
+        gamma_mi=rng.uniform(1e5, 5e7),
+        gamma_me=rng.uniform(1.0, 1e4),
+        g_om=rng.uniform(1e4, 5e5),
+        eta_oc=rng.uniform(0.05, 0.9),
+        c_idt=rng.uniform(0.1e-15, 2e-15),
+        z0=50.0)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from transducersim import (DeviceBundle, DeviceParams, InstabilityError,
                            total_mech_linewidth)
 from transducersim.sweep import evaluate, override
 
-from conftest import relerr
+from conftest import random_device, relerr
 
 # parameter set quoted to the same precision as the published table
 TABLE = dict(f_o=194.9e12, kappa_o=2.1e9, kappa_oe=0.99e9, f_m=4.32e9,
@@ -24,20 +24,6 @@ TABLE = dict(f_o=194.9e12, kappa_o=2.1e9, kappa_oe=0.99e9, f_m=4.32e9,
 @pytest.fixture(scope="module")
 def table_dev():
     return DeviceParams(**TABLE)
-
-
-def random_device(rng):
-    return DeviceParams(
-        f_o=rng.uniform(150e12, 250e12),
-        kappa_o=(ko := rng.uniform(0.5e9, 5e9)),
-        kappa_oe=ko * rng.uniform(0.05, 0.95),
-        f_m=rng.uniform(1e9, 8e9),
-        gamma_mi=rng.uniform(1e5, 5e7),
-        gamma_me=rng.uniform(1.0, 1e4),
-        g_om=rng.uniform(1e4, 5e5),
-        eta_oc=rng.uniform(0.05, 0.9),
-        c_idt=rng.uniform(0.1e-15, 2e-15),
-        z0=50.0)
 
 
 # ------------------------------------------------------------- photon number

@@ -82,6 +82,15 @@ def test_dip_intrinsic_quality_factor():
     assert relerr(q_oi, F_O / (KAPPA_O - KAPPA_OE)) < 0.02
 
 
+def test_dip_rejects_a_bad_branch_before_it_fits(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(fitting, "_gauss_newton", no_fit)
+    with pytest.raises(ParameterError, match="'sideways'"):
+        fit_optical_dip(dip_trace(), branch="sideways")
+
+
 def test_dip_residual_not_worse_than_branch_initializations():
     tr = dip_trace(noise=0.01, seed=3)
     fit = fit_optical_dip(tr, branch="under")
