@@ -101,6 +101,9 @@ def cmd_spectrum(args) -> int:
                                 args.rbw, f)
     else:
         trace = s_oe_spectrum(dev, modes, bundle.pump, f)
+    # gamma_tot raises at a blue pump's parametric threshold, as efficiency
+    # does; after the spectrum, whose own overflow errors name their inputs
+    evaluate(("gamma_tot",), bundle, env)
     write_trace(trace, args.out)
     _report([("kind", args.kind), ("points", len(trace)),
              ("n_c", n_c), ("n_th", n_th), ("out", args.out)])

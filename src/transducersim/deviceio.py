@@ -162,6 +162,9 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
     modes_raw: list[dict] = []
     current: dict | None = None
     current_name = None
+    # (id of a section's or block's dict, key) of each key a suffix hint
+    # holds present, as None, only so that it is not also reported missing
+    hinted = set()
 
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -197,12 +200,14 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
                 violations.append(f"{at} '{key}' is missing its unit suffix; "
                                   f"expected '{hint}'")
                 current.setdefault(hint, None)
+                hinted.add((id(current), hint))
             else:
                 violations.append(f"{at} unknown key '{key}' in [{current_name}]")
             continue
-        if key in current:
+        if key in current and (id(current), key) not in hinted:
             violations.append(f"{at} duplicate key '{key}'")
             continue
+        hinted.discard((id(current), key))
         # a key that is present but unusable holds None: not also missing
         try:
             current[key] = float(value)
@@ -232,7 +237,8 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
                        if required and key not in sec]
         if name in _CHOICES:
             at_most_one, needed = _CHOICES[name]
-            if len(sec.keys() & set(at_most_one)) > 1:
+            given = {key for key in sec if (id(sec), key) not in hinted}
+            if len(given & set(at_most_one)) > 1:
                 violations.append(f"{source}: [{name}] give "
                                   f"{_listed(at_most_one)}, not both")
             if not sec.keys() & set(needed):

@@ -1,11 +1,14 @@
 """Parameter extraction from measured or synthetic traces.
 
-All nonlinear fits run a damped Gauss-Newton iteration with analytic
-Jacobians (max 200 iterations, convergence when the relative parameter
-step drops below 1e-8). Initial guesses are deterministic: centers from
-extrema, widths from half-max crossings, backgrounds from trace edges.
-No fitter touches a global RNG; noise in synthetic tests is owned by
-the caller.
+All nonlinear fits run a damped Gauss-Newton iteration on the normal
+equations A = J^T J, g = J^T r of analytic Jacobians (max 200
+iterations, convergence when the relative parameter step drops below
+1e-8). Each model forms A and g itself: the dip, Lorentzian and ring
+models from their real J (_normal), the phase model from its complex
+response without building a real J (_phase_normal). Initial guesses
+are deterministic: centers from extrema, widths from half-max
+crossings, backgrounds from trace edges. No fitter touches a global
+RNG; noise in synthetic tests is owned by the caller.
 """
 
 import math
@@ -48,23 +51,22 @@ class FitResult:
             zip(self.param_order, np.sqrt(np.abs(np.diag(self.cov)))))
 
 
-def _least_squares_result(names, p, J, r, converged, n_iter) -> FitResult:
-    """FitResult of the least-squares point p (Jacobian J, residual r).
+def _least_squares_result(names, p, A, cost, m, converged, n_iter) -> FitResult:
+    """FitResult of the least-squares point p: A = J^T J there, and cost
+    the sum of squares of its m residuals r.
 
-    The one rule for fit uncertainties: cov = s2 * pinv(J^T J) with
-    s2 = |r|^2 / max(m - n, 1) for m residuals and n parameters (inf if
-    pinv fails; a FitError if r = 0 leaves no noise to estimate s2 from,
-    an OverflowError if |r|^2 overflows), residual_norm the rms of r.
+    The one rule for fit uncertainties: cov = s2 * pinv(A) with
+    s2 = cost / max(m - n, 1) for n parameters (inf if pinv fails; a
+    FitError if a zero cost leaves no noise to estimate s2 from, an
+    OverflowError if the cost is not finite), residual_norm the rms of r.
     """
-    m, n = J.shape
-    with np.errstate(over="ignore"):
-        cost = float(r @ r)
+    n = A.shape[0]
     if not math.isfinite(cost):
         raise OverflowError(f"residual sum of squares is {cost!r}")
     if cost == 0:
         raise FitError("zero residual: no noise to estimate uncertainties from")
     try:
-        cov = cost / max(m - n, 1) * np.linalg.pinv(J.T @ J)
+        cov = cost / max(m - n, 1) * np.linalg.pinv(A)
     except np.linalg.LinAlgError:
         cov = np.full((n, n), np.inf)
     return FitResult(dict(zip(names, p)), math.sqrt(cost / m), converged,
@@ -91,19 +93,47 @@ def _sqrt_slope(y, c, se_x):
     return c / (2.0 * y) if y > 0 else math.sqrt(c / se_x) if se_x > 0 else 0.0
 
 
+def _normal(J, r):
+    """The normal equations (J^T J, J^T r) of a real Jacobian J.
+
+    The models that build J allocate it column-major, np.empty((n, m)).T,
+    so each column op reads and writes m*8 contiguous bytes instead of a
+    strided pass over every cache line of J, and drop it once A and g
+    are formed.
+    """
+    return J.T @ J, J.T @ r
+
+
+def _phase_normal(u, m, rz):
+    """_normal of the phase model from its complex columns, by five
+    complex dot products and no real Jacobian.
+
+    The complex residual rz = a m - z has the columns (u, m, i m) over
+    (detuning, amp_re, amp_im), so its real Jacobian J stacks
+    [Re u, Re m, -Im m] over [Im u, Im m, Re m], and with <x, y> =
+    sum conj(x) y: A = [[|u|^2, Re<u,m>, -Im<u,m>], [., |m|^2, 0],
+    [., 0, |m|^2]] and g = [Re<u,rz>, Re<m,rz>, Im<m,rz>].
+    """
+    um, mm = np.vdot(u, m), np.vdot(m, m).real
+    ur, mr = np.vdot(u, rz), np.vdot(m, rz)
+    A = np.array([[np.vdot(u, u).real, um.real, -um.imag],
+                  [um.real, mm, 0.0],
+                  [-um.imag, 0.0, mm]])
+    return A, np.array([ur.real, mr.real, mr.imag])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
-    """Levenberg-damped Gauss-Newton on a model p -> (r(p), jac).
+    """Levenberg-damped Gauss-Newton on a model p -> (r(p), normal).
 
-    jac() builds J(p) from the intermediates of r(p); it is called only
-    at accepted points and dropped before the next trial. One Jacobian
-    is alive at a time: the last point's J and r are released before
-    jac() fills the next J, one preallocated (m, n) array, column by
-    column. The large-trace models allocate it column-major,
-    np.empty((n, m)).T, so each column op reads and writes m*8
-    contiguous bytes instead of a strided pass over every cache line of J.
-    More parameters than residuals raise ParameterError before J is
-    built.
+    normal() forms the normal equations A = J^T J and g = J^T r of the
+    Jacobian J of r at p from the intermediates of r(p), by _normal or
+    _phase_normal. It is called only at accepted points, and A, g and
+    the cost are all the solver keeps between steps: each residual is
+    dropped once its cost is summed, and each point's normal, with the
+    arrays it keeps, before the model runs again, so no Jacobian or
+    residual outlives its point. More parameters than residuals raise
+    ParameterError before normal() runs.
     Returns the _least_squares_result of the last accepted point,
     converged if the relative step fell below REL_STEP_TOL within
     MAX_ITER. Only cost-decreasing steps are accepted, so the final
@@ -114,22 +144,22 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
     trial point whose cost is not finite is rejected like one that
     raises it, and a start whose cost is not finite raises OverflowError.
     """
+    def at(q):      # (cost, residual count, normal) of the model at q
+        r, normal = model(q)
+        return float(r @ r), r.size, normal
+
     p = np.array(p0, dtype=float)
     scale = np.maximum(np.abs(p), 1e-30)
-    r, jac = model(p)
-    if p.size > r.size:
-        raise ParameterError(
-            f"more parameters ({p.size}) than residuals ({r.size})")
-    J = jac()
-    cost = float(r @ r)
+    cost, m, normal = at(p)
+    if p.size > m:
+        raise ParameterError(f"more parameters ({p.size}) than residuals ({m})")
     if not math.isfinite(cost):
         raise OverflowError(f"residual sum of squares at the start is {cost!r}")
+    A, g = normal()
     lam = 1e-3
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        A = J.T @ J
-        g = J.T @ r
         accepted = False
         for _ in range(40):
             damped = A + lam * np.diag(np.maximum(np.diag(A), 1e-30))
@@ -142,14 +172,12 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
             if valid is not None and not valid(p_new):
                 lam *= 10.0
                 continue
-            jac = r_new = None      # drop the last trial's arrays first
-            r_new, jac = model(p_new)
-            cost_new = float(r_new @ r_new)
+            normal = None       # drop the last point's arrays first
+            cost_new, _, normal = at(p_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 scale = np.maximum(np.abs(p_new), scale)
                 rel_step = float(np.max(np.abs(step) / scale))
-                J = r = None    # release the last point's J before the next
-                p, r, J, cost = p_new, r_new, jac(), cost_new
+                p, cost, (A, g) = p_new, cost_new, normal()
                 lam = max(lam * 0.3, 1e-14)
                 accepted = True
                 break
@@ -159,7 +187,7 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
         if rel_step < REL_STEP_TOL:
             converged = True
             break
-    return _least_squares_result(names, p, J, r, converged, it)
+    return _least_squares_result(names, p, A, cost, m, converged, it)
 
 
 @np.errstate(over="ignore")
@@ -180,9 +208,10 @@ def _dip(f, y, p):
     x = f - f_o
     x2 = 4.0 * x ** 2
     D = kappa ** 2 + x2
+    r = (e * kappa ** 2 + x2) / D - y
 
-    def jac():
-        J = np.empty((3, f.size)).T     # column-major: see _gauss_newton
+    def normal():
+        J = np.empty((3, f.size)).T     # column-major: see _normal
         dR_dfo, dR_dk, dR_de = J.T
         one_me = 1.0 - e
         D2 = D ** 2
@@ -194,8 +223,8 @@ def _dip(f, y, p):
         dR_dk *= one_me
         dR_dk /= D2
         np.divide(kappa ** 2, D, out=dR_de)
-        return J
-    return (e * kappa ** 2 + x2) / D - y, jac
+        return _normal(J, r)
+    return r, normal
 
 
 def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
@@ -258,31 +287,25 @@ def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
 # ---------------------------------------------------------- sideband detuning
 
 def _phase(f, z, gain, kappa_o, p):
-    # p = (detuning, amp_re, amp_im): the response a * gain / pole with
-    # a = amp_re + i amp_im, minus z; real parts over imaginary parts
+    # p = (detuning, amp_re, amp_im): the response a m with m = gain / pole
+    # and a = amp_re + i amp_im, minus z; r holds the real parts of this
+    # complex residual rz over its imaginary parts
     delta, a_re, a_im = p
+    a = a_re + 1j * a_im
     n = f.size
     pole = _pole(f, delta, kappa_o)
-    rz = gain / pole    # rz = a * gain / pole - z, built in place
-    np.multiply(a_re + 1j * a_im, rz, out=rz)
-    np.subtract(rz, z, out=rz)
+    m = gain / pole
+    rz = np.multiply(a, m)
+    rz -= z
     r = np.empty(2 * n)
     r[:n], r[n:] = rz.real, rz.imag
-    del rz
 
-    def jac():
-        J = np.empty((3, 2 * n)).T     # column-major: see _gauss_newton
-        m = gain / pole     # recomputed: keeping m too raises the peak memory
-        J[:n, 1], J[n:, 1] = m.real, m.imag
-        np.negative(m.imag, out=J[:n, 2])
-        J[n:, 2] = m.real
-        del m
-        dm = pole ** 2      # dm = a (-i 2 pi gain) / pole**2, built in place
-        np.divide((-1j * 2 * np.pi) * gain, dm, out=dm)
-        np.multiply(a_re + 1j * a_im, dm, out=dm)
-        J[:n, 0], J[n:, 0] = dm.real, dm.imag
-        return J
-    return r, jac
+    def normal():
+        u = pole ** 2       # u = a dm/d(detuning) = a (-i 2 pi gain) / pole**2
+        np.divide((-1j * 2 * np.pi) * gain, u, out=u)
+        np.multiply(a, u, out=u)
+        return _phase_normal(u, m, rz)
+    return r, normal
 
 
 def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
@@ -309,7 +332,7 @@ def fit_phase_detuning(trace_mag: Trace, trace_phase: Trace,
         m0 = gain / _pole(f, delta0, kappa_o)
         denom = float(np.vdot(m0, m0).real)
         a0 = complex(np.vdot(m0, z)) / denom if denom > 0 else 0.0 + 0.0j
-        del m0      # a third of J: not held through the fit
+        del m0      # not held through the fit
         return _gauss_newton(lambda p: _phase(f, z, gain, kappa_o, p),
                              [delta0, a0.real, a0.imag],
                              ("detuning", "amp_re", "amp_im"))
@@ -356,8 +379,11 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
     X = np.column_stack([n_c, np.ones_like(n_c)]) * sw[:, None]
     b = gam * sw
     coef, *_ = np.linalg.lstsq(X, b, rcond=None)
-    fit = _least_squares_result(("slope", "intercept"), coef, X, X @ coef - b,
-                                converged=True, n_iter=1)
+    r = X @ coef - b
+    with np.errstate(over="ignore"):
+        cost = float(r @ r)
+    fit = _least_squares_result(("slope", "intercept"), coef, X.T @ X, cost,
+                                r.size, converged=True, n_iter=1)
     slope, intercept = float(coef[0]), float(coef[1])
     se_slope = fit.stderr["slope"]
 
@@ -412,10 +438,11 @@ def _lorentz(f, y, u, n_peaks, p):
         c, g, a = p[3 * k: 3 * k + 3]
         hw = 0.5 * g
         r = r + a * (hw / np.pi) / ((f - c) ** 2 + hw ** 2)
+    r = r - y
 
-    def jac():
+    def normal():
         # the denominators are recomputed: keeping them raises the peak memory
-        J = np.empty((p.size, f.size)).T    # column-major: see _gauss_newton
+        J = np.empty((p.size, f.size)).T    # column-major: see _normal
         cols = J.T
         for k in range(n_peaks):
             c, g, a = p[3 * k: 3 * k + 3]
@@ -434,8 +461,8 @@ def _lorentz(f, y, u, n_peaks, p):
         cols[3 * n_peaks] = 1.0
         if u is not None:
             cols[3 * n_peaks + 1] = u
-        return J
-    return r - y, jac
+        return _normal(J, r)
+    return r, normal
 
 
 def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
@@ -478,6 +505,10 @@ def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
         raise ParameterError(f"the trace's x span {f_lo!r} to {f_hi!r} "
                              "overflows, so a linear background cannot be "
                              "fitted")
+    if n_bg == 2 and not abs(mid) < math.inf:   # u would be all -inf
+        raise ParameterError(f"the midpoint of the trace's x ends {f_lo!r} and "
+                             f"{f_hi!r} overflows, so a linear background "
+                             "cannot be fitted")
     u = (f - mid) / span if n_bg == 2 else None     # conditioned linear basis
 
     bg0 = _edge_median(y)
@@ -557,7 +588,9 @@ def fit_ring(segment: Trace, kind: str) -> FitResult:
         v, gam = p
         e = np.exp(-math.pi * gam * t)
         shape = e if kind == "ringdown" else 1.0 - e
-        return v * shape - y, lambda: np.column_stack([shape, slope * t * v * e])
+        r = v * shape - y
+        return r, lambda: _normal(
+            np.column_stack([shape, slope * t * v * e]), r)
 
     fit = _gauss_newton(model, [v0, 1.0 / (math.pi * t_e)], (name, "gamma_m"),
                         valid=lambda q: q[1] > 0)

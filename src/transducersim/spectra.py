@@ -44,7 +44,8 @@ class MechanicalMode:
         require(positive={"f": self.f, "gamma": self.gamma},
                 nonnegative={"g": self.g, "gamma_e": self.gamma_e},
                 finite={"phi": self.phi})
-        object.__setattr__(self, "phi", self.phi % (2 * math.pi))
+        phi = self.phi % (2 * math.pi)     # 2 pi where a tiny negative rounds
+        object.__setattr__(self, "phi", phi if phi < 2 * math.pi else 0.0)
 
 
 def lumped_mode(dev: DeviceParams) -> MechanicalMode:

@@ -1083,14 +1083,22 @@ def test_red_pump_on_a_zero_detuning_exits_2(tmp_path, capsys):
     ["sweep", "--param", "pump.n_c", "--values", "262190",
      "--quantity", "eta_tot"],
     ["efficiency", "--n-c", "262190"],
-], ids=["gamma_tot", "c_om", "eta_tot", "efficiency"])
-def test_one_blue_threshold_for_every_quantity(argv, capsys):
+    ["spectrum", "soe", "--n-c", "262190", "--out", "o.csv"],
+    ["spectrum", "thermal", "--n-c", "262190", "--out", "o.csv"],
+    ["spectrum", "driven", "--n-c", "262190", "--power-mu", "-30dbm",
+     "--out", "o.csv"],
+], ids=["gamma_tot", "c_om", "eta_tot", "efficiency", "spectrum_soe",
+        "spectrum_thermal", "spectrum_driven"])
+def test_one_blue_threshold_for_every_quantity(argv, capsys, tmp_path,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
     # gamma_om = gamma_mi (8.4 MHz) while C_om, taken at gamma_mi +
     # gamma_me, is still 0.99999558: every quantity is past the threshold
     assert main([*argv, "--device", MEASURED]) == 2
     assert capsys.readouterr() == (
         "", "error: backaction rate 8400020.853080569 Hz >= intrinsic "
             "linewidth 8400000.0 Hz: parametric oscillation threshold\n")
+    assert not (tmp_path / "o.csv").exists()
 
 
 # ------------------------------------------- spectra of a device without modes

@@ -277,6 +277,23 @@ def test_lorentzian_linear_background(solved):
                                              rel=1e-12)
 
 
+def test_lorentzian_linear_background_whose_midpoint_overflows(tmp_path,
+                                                              capsys):
+    # the span 7e307 is finite, but the ends' sum is not: u = (f - mid) /
+    # span would be -inf, and the fit's first cost nan
+    tr = Trace(np.array([1e308, 1.5e308, 1.7e308]), np.array([1.0, 2.0, 1.0]))
+    message = ("the midpoint of the trace's x ends 1e+308 and 1.7e+308 "
+               "overflows, so a linear background cannot be fitted")
+    with pytest.raises(ParameterError) as err:
+        fit_lorentzian_multi(tr, 0, "linear")
+    assert str(err.value) == message
+    write_trace(tr, tmp_path / "far.csv")
+    assert cli.main(["fit", "lorentz", "--trace", str(tmp_path / "far.csv"),
+                     "--n-peaks", "0", "--background", "linear"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert fit_lorentzian_multi(tr, 0).converged   # a constant never reads it
+
+
 def test_lorentzian_reference_background():
     true = (4.32e9, 8.4e6, 5e9)
     tr = lorentz_trace([true], bg=7.5)
@@ -427,25 +444,47 @@ def test_dip_stopped_short_keeps_its_three_parameters(one_iteration, tmp_path):
 @pytest.fixture
 def runs(monkeypatch):
     """Each Gauss-Newton run's start p0 and its model, wrapped to count the
-    calls of the model and of the jac() it returns."""
+    calls of the model and of the normal() it returns."""
     seen, solve = [], fitting._gauss_newton
 
     def capture(model, p0, names, **kwargs):
-        run = {"p0": np.array(p0, dtype=float), "model": 0, "jac": 0}
+        run = {"p0": np.array(p0, dtype=float), "model": 0, "normal": 0}
 
         def counted(p):
             run["model"] += 1
-            r, jac = model(p)
+            r, normal = model(p)
 
-            def counted_jac():
-                run["jac"] += 1
-                return jac()
-            return r, counted_jac
+            def counted_normal():
+                run["normal"] += 1
+                return normal()
+            return r, counted_normal
         run["fn"] = counted
         seen.append(run)
         return solve(counted, p0, names, **kwargs)
     monkeypatch.setattr(fitting, "_gauss_newton", capture)
     return seen
+
+
+def stacked_phase_jacobian(u, m):
+    """The phase model's real Jacobian, stacked from its complex columns
+    (u, m, i m) as reference_phase builds it."""
+    return np.column_stack([np.concatenate([u.real, u.imag]),
+                            np.concatenate([m.real, m.imag]),
+                            np.concatenate([-m.imag, m.real])])
+
+
+def jacobian_of(normal):
+    """The real Jacobian J whose normal equations normal() forms: the J
+    handed to _normal, or the one stacked from the complex columns handed
+    to _phase_normal."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_normal", lambda J, r: seen.append(J))
+        mp.setattr(fitting, "_phase_normal", lambda u, m, rz: seen.append(
+            stacked_phase_jacobian(u, m)))
+        normal()
+    (J,) = seen
+    return J
 
 
 def ring_up_trace():
@@ -477,8 +516,8 @@ def test_model_jacobian_matches_central_differences(name, dev, runs):
     assert runs
     for run in runs:
         model, p0 = run["fn"], run["p0"]
-        r, jac = model(p0)
-        J = jac()
+        r, normal = model(p0)
+        J = jacobian_of(normal)
         assert J.shape == (r.size, p0.size)
         for i in range(p0.size):
             up, down = p0.copy(), p0.copy()
@@ -494,7 +533,8 @@ def test_model_jacobian_matches_central_differences(name, dev, runs):
 def test_jacobian_is_built_once_per_accepted_point(name, dev, runs):
     fit = FITS[name](dev)
     assert fit.converged
-    assert [run["jac"] for run in runs] == [fit.n_iter + 1]   # start, each step
+    # the start, then each step
+    assert [run["normal"] for run in runs] == [fit.n_iter + 1]
 
 
 @pytest.mark.parametrize("name", ["lorentzian_1_constant", "ringdown"])
@@ -502,12 +542,11 @@ def test_gauss_newton_uncertainties_follow_the_least_squares_rule(name, dev,
                                                                   runs):
     fit = FITS[name](dev)
     (run,) = runs
-    r, jac = run["fn"](np.array([fit.params[n] for n in fit.param_order]))
-    J = jac()
-    (m, n), cost = J.shape, float(r @ r)
+    r, normal = run["fn"](np.array([fit.params[n] for n in fit.param_order]))
+    A, _ = normal()
+    (m,), (n, _), cost = r.shape, A.shape, float(r @ r)
     assert fit.residual_norm == math.sqrt(cost / m)
-    np.testing.assert_array_equal(
-        fit.cov, cost / (m - n) * np.linalg.pinv(J.T @ J))
+    np.testing.assert_array_equal(fit.cov, cost / (m - n) * np.linalg.pinv(A))
     assert list(fit.stderr.values()) == list(np.sqrt(np.diag(fit.cov)))
 
 
@@ -534,8 +573,8 @@ def test_rejected_steps_build_no_jacobian(runs):
                                              seed=8), 1)
     assert fit.converged
     (run,) = runs
-    assert run["jac"] == fit.n_iter + 1
-    assert run["model"] > run["jac"]
+    assert run["normal"] == fit.n_iter + 1
+    assert run["model"] > run["normal"]
 
 
 def test_fit_whose_start_overflows_raises_overflow_error():
@@ -578,35 +617,64 @@ def _random_model(name, rng):
                                   "lorentz_1_linear", "lorentz_3_constant",
                                   "lorentz_3_linear"])
 def test_filled_jacobians_have_the_column_stack_bytes(name, seed):
-    (r, jac), (r_ref, J_ref) = _random_model(name, np.random.default_rng(seed))
-    J = jac()
-    assert J.flags.f_contiguous and J.shape == J_ref.shape
+    # the real models fill a column-major J; the phase model's complex
+    # columns hold the bytes of the stacked J
+    (r, normal), (r_ref, J_ref) = _random_model(name,
+                                                np.random.default_rng(seed))
+    J = jacobian_of(normal)
+    assert J.shape == J_ref.shape
+    assert J.flags.f_contiguous or name == "phase"
     assert J.tobytes() == J_ref.tobytes()
     assert r.tobytes() == r_ref.tobytes()
 
 
-def _row_major(model):
-    """model with jac() returning a C-order copy of its J."""
-    def wrapped(p):
-        r, jac = model(p)
-        return r, lambda: np.ascontiguousarray(jac())
-    return wrapped
+def test_phase_normal_equations_are_those_of_the_stacked_jacobian():
+    # the five complex dot products against J^T J and J^T r of the oracle
+    for seed in range(4):
+        (r, normal), (r_ref, J_ref) = _random_model(
+            "phase", np.random.default_rng(seed))
+        A, g = normal()
+        A_ref, g_ref = fitting._normal(J_ref, r_ref)
+        scale = np.sqrt(np.outer(np.diag(A_ref), np.diag(A_ref)))
+        assert np.max(np.abs(A - A_ref) / scale) < 1e-14
+        assert np.max(np.abs(g - g_ref) / np.sqrt(np.diag(A_ref) * (r @ r))) \
+            < 1e-14
+
+
+def _stacked_phase_model(f, z, gain, kappa_o):
+    """The phase model with a stacked real J, as an oracle: reference_phase's
+    (r, J) handed to _normal."""
+    def model(p):
+        r, J = reference_phase(f, z, gain, kappa_o, p)
+        return r, lambda: fitting._normal(J, r)
+    return model
 
 
 @pytest.mark.parametrize("name", ["dip", "phase", "lorentz_1", "lorentz_3"])
 def test_column_major_jacobian_fits_as_a_row_major_one(monkeypatch, dev, name):
-    # the layout moves only the last bits of J^T r, never the fit
-    pairs, solve = [], fitting._gauss_newton
+    # the layout moves only the last bits of J^T r, never the fit; the phase
+    # fit's five complex dot products move only those bits of A and g, and
+    # it fits as the stacked real J does
+    pairs, solve, normal = [], fitting._gauss_newton, fitting._normal
+    mag, ph = phase_traces(3e9, noise=0.01)
+    stacked = _stacked_phase_model(mag.x, mag.y * np.exp(1j * ph.y),
+                                   2 * np.pi * dev.kappa_oe, dev.kappa_o)
 
     def both(model, p0, names, **kwargs):
         fit = solve(model, p0, names, **kwargs)
-        pairs.append((fit, solve(_row_major(model), p0, names, **kwargs)))
+        if name == "phase":
+            pairs.append((fit, solve(stacked, p0, names, **kwargs)))
+            return fit
+        with monkeypatch.context() as mp:
+            mp.setattr(fitting, "_normal", lambda J, r: normal(
+                np.ascontiguousarray(J), r))
+            pairs.append((fit, solve(model, p0, names, **kwargs)))
         return fit
     monkeypatch.setattr(fitting, "_gauss_newton", both)
     if name == "dip":
         fit_optical_dip(dip_trace(noise=0.01, seed=1))
     elif name == "phase":
-        fit_phase_detuning(*phase_traces(3e9, noise=0.01), dev)
+        fit_phase_detuning(mag, ph, dev)
     elif name == "lorentz_1":
         fit_lorentzian_multi(lorentz_trace([(4.32e9, 8.4e6, 5e9)], noise=0.01,
                                            seed=8), 1)
@@ -615,10 +683,10 @@ def test_column_major_jacobian_fits_as_a_row_major_one(monkeypatch, dev, name):
             [(4.28e9, 4e6, 5e9), (4.32e9, 8.4e6, 8e9), (4.36e9, 6e6, 3e9)],
             noise=0.01, seed=3, slope=1e-9), 3, background="linear")
     assert len(pairs) == (2 if name == "phase" else 1)
-    for fit, row_major in pairs:
-        assert fit.converged and fit.n_iter == row_major.n_iter
+    for fit, other in pairs:
+        assert fit.converged and fit.n_iter == other.n_iter
         for key, value in fit.params.items():
-            assert relerr(value, row_major.params[key]) < 1e-12, key
+            assert relerr(value, other.params[key]) < 1e-12, key
 
 
 def _peak_bytes(fit):
@@ -635,21 +703,20 @@ def test_lorentzian_fit_holds_one_jacobian(runs):
     tr = lorentz_trace([(4.28e9, 4e6, 5e9), (4.32e9, 8.4e6, 8e9),
                         (4.36e9, 6e6, 3e9)], noise=0.01, seed=3, n=20_000)
     peak = _peak_bytes(lambda: fit_lorentzian_multi(tr, 3))
-    J = runs[0]["fn"](runs[0]["p0"])[1]()
+    J = jacobian_of(runs[0]["fn"](runs[0]["p0"])[1])
     assert J.shape == (20_000, 10)
     # two live Jacobians alone are 2 J
     assert peak < 2.0 * J.nbytes
 
 
-def test_phase_fit_holds_one_jacobian(dev, runs):
-    mag, ph = phase_traces(3e9, noise=0.01, n=20_000)
+def test_phase_fit_holds_no_real_jacobian(dev):
+    n = 20_000
+    mag, ph = phase_traces(3e9, noise=0.01, n=n)
     peak = _peak_bytes(lambda: fit_phase_detuning(mag, ph, dev))
-    J = runs[0]["fn"](runs[0]["p0"])[1]()
-    assert J.shape == (40_000, 3)
-    # a trial step peaks at 8/3 J: J, and z, r, the pole and two residual
-    # buffers, 1/3 J each; keeping the last J and r while jac() fills the
-    # next J, beside z, the pole, the new r and m, would reach 11/3 J
-    assert peak < 3.0 * J.nbytes
+    J_bytes = 2 * n * 3 * 8     # the stacked real J of the 2n residuals
+    # the fit peaks at 5/3 J: z, the pole, m, rz, and r or u, complex
+    # n-arrays of 1/3 J each; a real J beside them would reach 8/3 J
+    assert peak < 2.0 * J_bytes
 
 
 # ------------------------------------------------- errors from one covariance

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transducersim import (DeviceBundle, DeviceFileError, ParameterError,
-                           SweepSpec, Trace, TraceError, TransducerError,
-                           driven_spectrum, load_device, rabi_swap_sim,
-                           read_trace, run_sweep, s_oe_spectrum, sweep_table,
-                           thermal_occupation, thermal_spectrum, write_device,
-                           write_trace)
+from transducersim import (DeviceBundle, DeviceFileError, MechanicalMode,
+                           ParameterError, SweepSpec, Trace, TraceError,
+                           TransducerError, driven_spectrum, load_device,
+                           rabi_swap_sim, read_trace, run_sweep, s_oe_spectrum,
+                           sweep_table, thermal_occupation, thermal_spectrum,
+                           write_device, write_trace)
 from transducersim import deviceio
 from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
                                     parse_device, parse_device_text,
@@ -192,6 +192,14 @@ VIOLATIONS = {
     "pump_power_both": (edit(("p_on_chip_dbm = -7.9",
                               "p_on_chip_dbm = -7.9\np_on_chip_w = 1e-4")), [
         "<string>: [pump] give p_on_chip_dbm or p_on_chip_w, not both"]),
+    "pump_power_unsuffixed": (edit(("p_on_chip_dbm = -7.9",
+                                    "p_on_chip_w = 1e-4\np_on_chip = 2")), [
+        "<string>:21: 'p_on_chip' is missing its unit suffix; expected "
+        "'p_on_chip_dbm'"]),
+    "pump_power_unsuffixed_first": (edit((
+        "p_on_chip_dbm = -7.9", "p_on_chip = 2\np_on_chip_dbm = -7.9")), [
+        "<string>:20: 'p_on_chip' is missing its unit suffix; expected "
+        "'p_on_chip_dbm'"]),
     "pump_power_neither": (edit(("p_on_chip_dbm = -7.9\n", "")), [
         "<string>: [pump] needs p_on_chip_dbm, p_on_chip_w, or n_c"]),
     "pump_missing_detuning": (edit(("detuning_hz = 4.32e9\n", "")), [
@@ -327,6 +335,16 @@ def test_write_device_bytes_of_alternative_keys(tmp_path):
     write_device(bundle, path)
     assert path.read_text() == WRITTEN_ALTERNATIVES
     assert parse_device(path) == bundle
+
+
+@pytest.mark.parametrize("phi", [-1e-20, -5e-324, 2 * math.pi])
+def test_a_phase_that_wraps_to_two_pi_round_trips(phi, tmp_path):
+    # -1e-20 % 2 pi rounds to 2 pi itself, which the wrap stores as 0
+    mode = MechanicalMode(f=4e9, gamma=1e6, g=1e5, phi=phi)
+    assert mode.phi == 0.0
+    bundle = replace(load_device("table1_measured"), modes=(mode,))
+    write_device(bundle, tmp_path / "phi.cfg")
+    assert parse_device(tmp_path / "phi.cfg") == bundle
 
 
 def test_device_file_with_a_byte_order_mark(tmp_path):
