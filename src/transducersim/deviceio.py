@@ -133,13 +133,14 @@ def _listed(keys) -> str:
         [", ".join(keys[:-1]), keys[-1]])
 
 
-def _suffix_hint(section: str, key: str) -> str | None:
-    """If key matches a schema key up to the unit suffix, say what's expected."""
-    for known in _SCHEMA[section][1]:
-        base = _field(known)
-        if key == base or key.rsplit("_", 1)[0] == base:
-            return known
-    return None
+def _suffix_hints(section: str, key: str) -> list:
+    """The schema keys that key matches up to the unit suffix: those whose
+    field is key, else those whose field is key less its last suffix."""
+    for stem in (key, key.rsplit("_", 1)[0]):
+        hints = [known for known in _SCHEMA[section][1] if _field(known) == stem]
+        if hints:
+            return hints
+    return []
 
 
 def _record(kind, values: dict, prefix: str, violations: list):
@@ -195,12 +196,15 @@ def parse_device_text(text: str, source: str = "<string>") -> DeviceBundle:
             violations.append(f"{at} '{key}' outside any section")
             continue
         if key not in _SCHEMA[current_name][1]:
-            hint = _suffix_hint(current_name, key)
-            if hint:
+            hints = _suffix_hints(current_name, key)
+            if hints:
                 violations.append(f"{at} '{key}' is missing its unit suffix; "
-                                  f"expected '{hint}'")
-                current.setdefault(hint, None)
-                hinted.add((id(current), hint))
+                                  "expected " + " or ".join(
+                                      f"'{hint}'" for hint in hints))
+                for hint in hints:
+                    if hint not in current:
+                        current[hint] = None
+                        hinted.add((id(current), hint))
             else:
                 violations.append(f"{at} unknown key '{key}' in [{current_name}]")
             continue

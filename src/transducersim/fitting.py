@@ -4,11 +4,12 @@ All nonlinear fits run a damped Gauss-Newton iteration on the normal
 equations A = J^T J, g = J^T r of analytic Jacobians (max 200
 iterations, convergence when the relative parameter step drops below
 1e-8). Each model forms A and g itself: the dip, Lorentzian and ring
-models from their real J (_normal), the phase model from its complex
-response without building a real J (_phase_normal). Initial guesses
-are deterministic: centers from extrema, widths from half-max
-crossings, backgrounds from trace edges. No fitter touches a global
-RNG; noise in synthetic tests is owned by the caller.
+models from their real J, filled one block of rows at a time
+(_blocked_normal), the phase model from its complex response without
+building a real J (_phase_normal). Initial guesses are deterministic:
+centers from extrema, widths from half-max crossings, backgrounds from
+trace edges. No fitter touches a global RNG; noise in synthetic tests
+is owned by the caller.
 """
 
 import math
@@ -94,14 +95,39 @@ def _sqrt_slope(y, c, se_x):
 
 
 def _normal(J, r):
-    """The normal equations (J^T J, J^T r) of a real Jacobian J.
-
-    The models that build J allocate it column-major, np.empty((n, m)).T,
-    so each column op reads and writes m*8 contiguous bytes instead of a
-    strided pass over every cache line of J, and drop it once A and g
-    are formed.
-    """
+    """The normal equations (J^T J, J^T r) of a real Jacobian J."""
     return J.T @ J, J.T @ r
+
+
+# Rows of J per block of _blocked_normal: large enough that the per-block
+# overhead is negligible, small enough that a block of up to 10 columns
+# (640 KiB) stays in cache while both products read it.
+_FIT_ROWS = 8192
+
+
+def _blocked_normal(r, n_cols, fill):
+    """_normal(J, r) of the n_cols-column Jacobian J of the residual r,
+    summed over blocks of at most _FIT_ROWS rows, so J is never whole.
+
+    fill(rows, cols) writes the rows slice of J's columns into cols, a
+    view of one reused buffer with a row per column of J: each block is
+    column-major, so each column op writes contiguous bytes. A trace of
+    one block forms _normal(J, r) itself, bit for bit.
+    """
+    n = r.size
+    buf = np.empty((n_cols, min(n, _FIT_ROWS)))
+    A = g = None
+    for lo in range(0, n, _FIT_ROWS):
+        rows = slice(lo, min(lo + _FIT_ROWS, n))
+        cols = buf[:, :rows.stop - lo]
+        fill(rows, cols)
+        A_b, g_b = _normal(cols.T, r[rows])
+        if A is None:
+            A, g = A_b, g_b
+        else:
+            A += A_b
+            g += g_b
+    return A, g
 
 
 def _phase_normal(u, m, rz):
@@ -127,13 +153,13 @@ def _gauss_newton(model, p0, names, *, valid=None) -> FitResult:
     """Levenberg-damped Gauss-Newton on a model p -> (r(p), normal).
 
     normal() forms the normal equations A = J^T J and g = J^T r of the
-    Jacobian J of r at p from the intermediates of r(p), by _normal or
-    _phase_normal. It is called only at accepted points, and A, g and
-    the cost are all the solver keeps between steps: each residual is
-    dropped once its cost is summed, and each point's normal, with the
-    arrays it keeps, before the model runs again, so no Jacobian or
-    residual outlives its point. More parameters than residuals raise
-    ParameterError before normal() runs.
+    Jacobian J of r at p from the intermediates of r(p), by
+    _blocked_normal or _phase_normal. It is called only at accepted
+    points, and A, g and the cost are all the solver keeps between
+    steps: each residual is dropped once its cost is summed, and each
+    point's normal, with the arrays it keeps, before the model runs
+    again, so no Jacobian or residual outlives its point. More
+    parameters than residuals raise ParameterError before normal() runs.
     Returns the _least_squares_result of the last accepted point,
     converged if the relative step fell below REL_STEP_TOL within
     MAX_ITER. Only cost-decreasing steps are accepted, so the final
@@ -210,21 +236,19 @@ def _dip(f, y, p):
     D = kappa ** 2 + x2
     r = (e * kappa ** 2 + x2) / D - y
 
-    def normal():
-        J = np.empty((3, f.size)).T     # column-major: see _normal
-        dR_dfo, dR_dk, dR_de = J.T
+    def fill(rows, cols):
+        dR_dfo, dR_dk, dR_de = cols
         one_me = 1.0 - e
-        D2 = D ** 2
-        np.multiply(-8.0, x, out=dR_dfo)
+        D2 = D[rows] ** 2
+        np.multiply(-8.0, x[rows], out=dR_dfo)
         dR_dfo *= kappa ** 2
         dR_dfo *= one_me
         dR_dfo /= D2
-        np.multiply(-2.0 * kappa, x2, out=dR_dk)
+        np.multiply(-2.0 * kappa, x2[rows], out=dR_dk)
         dR_dk *= one_me
         dR_dk /= D2
-        np.divide(kappa ** 2, D, out=dR_de)
-        return _normal(J, r)
-    return r, normal
+        np.divide(kappa ** 2, D[rows], out=dR_de)
+    return r, lambda: _blocked_normal(r, 3, fill)
 
 
 def fit_optical_dip(trace: Trace, branch: str | None = None) -> FitResult:
@@ -378,7 +402,12 @@ def fit_linewidth_vs_photons(points, sign: str, kappa_o: float,
     sw = np.sqrt(w)
     X = np.column_stack([n_c, np.ones_like(n_c)]) * sw[:, None]
     b = gam * sw
-    coef, *_ = np.linalg.lstsq(X, b, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(X, b, rcond=None)
+    if rank < 2:
+        raise FitError(
+            f"rank-deficient design: over n_c {n_c.min():.4g} to "
+            f"{n_c.max():.4g} the slope and the intercept cannot be told "
+            "apart")
     r = X @ coef - b
     with np.errstate(over="ignore"):
         cost = float(r @ r)
@@ -431,24 +460,29 @@ def _half_max_width(f, y, idx):
 def _lorentz(f, y, u, n_peaks, p):
     # p = (f_1, gamma_1, area_1, ..., bg0[, bg1]): n_peaks Lorentzians on
     # the background bg0 (+ bg1 u when u is given), minus y
+    # summed in place through one scratch n-array d: an evaluation
+    # allocates two n-arrays whatever the number of peaks
     r = np.full(f.size, p[3 * n_peaks])
+    d = np.empty_like(r)
     if u is not None:
-        r = r + p[3 * n_peaks + 1] * u
+        r += np.multiply(p[3 * n_peaks + 1], u, out=d)
     for k in range(n_peaks):
         c, g, a = p[3 * k: 3 * k + 3]
         hw = 0.5 * g
-        r = r + a * (hw / np.pi) / ((f - c) ** 2 + hw ** 2)
-    r = r - y
+        np.subtract(f, c, out=d)
+        np.square(d, out=d)
+        d += hw ** 2
+        np.divide(a * (hw / np.pi), d, out=d)
+        r += d
+    r -= y
 
-    def normal():
+    def fill(rows, cols):
         # the denominators are recomputed: keeping them raises the peak memory
-        J = np.empty((p.size, f.size)).T    # column-major: see _normal
-        cols = J.T
         for k in range(n_peaks):
             c, g, a = p[3 * k: 3 * k + 3]
             hw = 0.5 * g
             d_c, d_g, d_a = cols[3 * k: 3 * k + 3]
-            x = f - c
+            x = f[rows] - c
             denom = np.square(x)
             np.subtract(denom, hw ** 2, out=d_g)
             denom += hw ** 2
@@ -460,9 +494,8 @@ def _lorentz(f, y, u, n_peaks, p):
             d_g /= denom
         cols[3 * n_peaks] = 1.0
         if u is not None:
-            cols[3 * n_peaks + 1] = u
-        return _normal(J, r)
-    return r, normal
+            cols[3 * n_peaks + 1] = u[rows]
+    return r, lambda: _blocked_normal(r, p.size, fill)
 
 
 def fit_lorentzian_multi(trace: Trace, n_peaks: int, background="constant",
@@ -589,8 +622,13 @@ def fit_ring(segment: Trace, kind: str) -> FitResult:
         e = np.exp(-math.pi * gam * t)
         shape = e if kind == "ringdown" else 1.0 - e
         r = v * shape - y
-        return r, lambda: _normal(
-            np.column_stack([shape, slope * t * v * e]), r)
+
+        def fill(rows, cols):
+            cols[0] = shape[rows]
+            np.multiply(slope, t[rows], out=cols[1])
+            cols[1] *= v
+            cols[1] *= e[rows]
+        return r, lambda: _blocked_normal(r, 2, fill)
 
     fit = _gauss_newton(model, [v0, 1.0 / (math.pi * t_e)], (name, "gamma_m"),
                         valid=lambda q: q[1] > 0)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,28 @@ def test_linewidth_rank_deficiency():
     pts = np.array([[1e4, 8.0e6], [1e4, 8.1e6], [1e4, 8.2e6]])
     with pytest.raises(FitError):
         fit_linewidth_vs_photons(pts, "blue", KAPPA_O)
+
+
+def test_linewidth_rank_deficient_at_large_n_c():
+    # lstsq finds rank 1 and returned gamma_mi = 1.5e-24 Hz
+    pts = np.array([[1e15, 8.4e6], [2e15, 8.3e6], [3e15, 8.1e6]])
+    with pytest.raises(FitError, match=r"^rank-deficient design: over n_c "
+                       r"1e\+15 to 3e\+15 the slope and the intercept "
+                       r"cannot be told apart$"):
+        fit_linewidth_vs_photons(pts, "red", 2.11e9)
+
+
+def test_fit_linewidth_rank_deficient_at_huge_n_c_exits_3(tmp_path, capsys):
+    # X^T X overflowed: a warning, then gamma_mi = 0 +/- 0 and exit 0
+    path = tmp_path / "points.csv"
+    path.write_text("n_c,gamma_hz\n1e200,8.4e6\n2e200,8.3e6\n3e200,8.1e6\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fit", "linewidth", "--points", str(path), "--sign",
+                         "red", "--kappa-o", "2.11e9"]) == 3
+    assert capsys.readouterr() == (
+        "", "fit error: rank-deficient design: over n_c 1e+200 to 3e+200 the "
+        "slope and the intercept cannot be told apart\n")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -474,17 +497,24 @@ def stacked_phase_jacobian(u, m):
 
 
 def jacobian_of(normal):
-    """The real Jacobian J whose normal equations normal() forms: the J
-    handed to _normal, or the one stacked from the complex columns handed
-    to _phase_normal."""
-    seen = []
+    """The real Jacobian J whose normal equations normal() forms: the
+    blocks of rows handed to _normal, stacked (one block is J itself, in
+    its layout), or the J stacked from the complex columns handed to
+    _phase_normal. Each call passes through, so normal() runs as in a fit."""
+    seen, real, phase = [], fitting._normal, fitting._phase_normal
+
+    def block(J, r):
+        seen.append(np.copy(J, order="K"))      # the buffer is reused
+        return real(J, r)
+
+    def complex_columns(u, m, rz):
+        seen.append(stacked_phase_jacobian(u, m))
+        return phase(u, m, rz)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "_normal", lambda J, r: seen.append(J))
-        mp.setattr(fitting, "_phase_normal", lambda u, m, rz: seen.append(
-            stacked_phase_jacobian(u, m)))
+        mp.setattr(fitting, "_normal", block)
+        mp.setattr(fitting, "_phase_normal", complex_columns)
         normal()
-    (J,) = seen
-    return J
+    return seen[0] if len(seen) == 1 else np.concatenate(seen)
 
 
 def ring_up_trace():
@@ -699,14 +729,78 @@ def _peak_bytes(fit):
         tracemalloc.stop()
 
 
-def test_lorentzian_fit_holds_one_jacobian(runs):
+def test_lorentzian_fit_holds_no_whole_jacobian(runs):
+    n = 50_000      # 7 blocks of rows
     tr = lorentz_trace([(4.28e9, 4e6, 5e9), (4.32e9, 8.4e6, 8e9),
-                        (4.36e9, 6e6, 3e9)], noise=0.01, seed=3, n=20_000)
+                        (4.36e9, 6e6, 3e9)], noise=0.01, seed=3, n=n)
     peak = _peak_bytes(lambda: fit_lorentzian_multi(tr, 3))
     J = jacobian_of(runs[0]["fn"](runs[0]["p0"])[1])
-    assert J.shape == (20_000, 10)
-    # two live Jacobians alone are 2 J
-    assert peak < 2.0 * J.nbytes
+    assert J.shape == (n, 10) and n > 3 * fitting._FIT_ROWS
+    # the fit peaks near 0.5 J: n-arrays of 0.1 J each (the trace's copy,
+    # the residuals and their scratch array) and one block of J; a whole J
+    # beside them reaches 1.6 J
+    assert peak < J.nbytes
+
+
+# every fit of a real model: the dip on each branch, the Lorentzian with 1
+# and 3 peaks on each background, both ring edges
+BLOCKED = {
+    **{f"dip_{branch}": (lambda branch=branch: fit_optical_dip(
+        dip_trace(noise=0.01, seed=1), branch=branch))
+       for branch in ("under", "over", None)},
+    **{f"lorentzian_{n}_{bg}": (lambda n=n, bg=bg: fit_lorentzian_multi(
+        lorentz_peaks(n), n, bg))
+       for n in (1, 3) for bg in ("constant", "linear")},
+    "ringup": lambda: fit_ring(ring_up_trace(), "ringup"),
+    "ringdown": lambda: fit_ring(ring_down_trace(), "ringdown"),
+}
+
+
+@pytest.mark.parametrize("name", BLOCKED)
+def test_a_fit_in_blocks_of_rows_is_the_one_block_fit(name, monkeypatch, runs):
+    # the block sums move only the last bits of A and g. The errors read
+    # from pinv(A) move by more where A's condition number nears pinv's
+    # cutoff (ROADMAP item 3): the dip's f_o error is left out, and the
+    # narrowest peak's width and area errors move by up to 3e-7 over a
+    # linear background, by 1e-13 over a constant one
+    monkeypatch.setattr(fitting, "_FIT_ROWS", 10 ** 9)
+    whole = BLOCKED[name]()
+    rows, normal = [], fitting._normal
+
+    def counted(J, r):
+        rows.append(J.shape[0])
+        return normal(J, r)
+    monkeypatch.setattr(fitting, "_normal", counted)
+    monkeypatch.setattr(fitting, "_FIT_ROWS", 97)
+    blocked = BLOCKED[name]()
+    assert max(rows) == 97 and len(rows) >= 3 * runs[-1]["normal"]
+    assert (blocked.n_iter, blocked.converged) == (whole.n_iter,
+                                                   whole.converged)
+    for key, value in whole.params.items():
+        assert relerr(blocked.params[key], value) < 1e-12, key
+    errors = [key for key in whole.stderr
+              if key.startswith(("depth", "gamma_", "area_"))]
+    assert errors
+    tol = 1e-6 if name.endswith("linear") else 1e-9
+    for key in errors:
+        assert relerr(blocked.stderr[key], whole.stderr[key]) < tol, key
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", ["dip", "lorentz_0_constant",
+                                  "lorentz_1_linear", "lorentz_3_linear"])
+def test_blocks_of_rows_sum_to_the_whole_jacobian(name, seed, monkeypatch):
+    # 1001 rows in 11 blocks, the last of 31: the blocks stack to the
+    # oracle's J, and their sums are its normal equations to rounding
+    monkeypatch.setattr(fitting, "_FIT_ROWS", 97)
+    (r, normal), (r_ref, J_ref) = _random_model(name,
+                                                np.random.default_rng(seed))
+    assert jacobian_of(normal).tobytes() == J_ref.tobytes()
+    A, g = normal()
+    A_ref, g_ref = fitting._normal(J_ref, r_ref)
+    scale = np.sqrt(np.diag(A_ref))
+    assert np.max(np.abs(A - A_ref) / np.outer(scale, scale)) < 1e-14
+    assert np.max(np.abs(g - g_ref) / (scale * np.sqrt(r @ r))) < 1e-14
 
 
 def test_phase_fit_holds_no_real_jacobian(dev):

@@ -195,11 +195,20 @@ VIOLATIONS = {
     "pump_power_unsuffixed": (edit(("p_on_chip_dbm = -7.9",
                                     "p_on_chip_w = 1e-4\np_on_chip = 2")), [
         "<string>:21: 'p_on_chip' is missing its unit suffix; expected "
-        "'p_on_chip_dbm'"]),
+        "'p_on_chip_dbm' or 'p_on_chip_w'"]),
     "pump_power_unsuffixed_first": (edit((
         "p_on_chip_dbm = -7.9", "p_on_chip = 2\np_on_chip_dbm = -7.9")), [
         "<string>:20: 'p_on_chip' is missing its unit suffix; expected "
-        "'p_on_chip_dbm'"]),
+        "'p_on_chip_dbm' or 'p_on_chip_w'"]),
+    "pump_power_wrong_suffix": (edit(("p_on_chip_dbm = -7.9",
+                                      "p_on_chip_mw = -7.9")), [
+        "<string>:20: 'p_on_chip_mw' is missing its unit suffix; expected "
+        "'p_on_chip_dbm' or 'p_on_chip_w'"]),
+    # the key whose field gamma_e is, not gamma_hz less a suffix _e
+    "mode_gamma_e_unsuffixed": (edit(("gamma_hz = 8.4e6",
+                                      "gamma_hz = 8.4e6\ngamma_e = 1")), [
+        "<string>:30: 'gamma_e' is missing its unit suffix; expected "
+        "'gamma_e_hz'"]),
     "pump_power_neither": (edit(("p_on_chip_dbm = -7.9\n", "")), [
         "<string>: [pump] needs p_on_chip_dbm, p_on_chip_w, or n_c"]),
     "pump_missing_detuning": (edit(("detuning_hz = 4.32e9\n", "")), [
