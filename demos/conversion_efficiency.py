@@ -14,7 +14,7 @@ from transducersim import (PumpState, backaction_rate, cooperativity,
                            dbm_to_w, efficiencies, load_device,
                            resolve_photon_number, total_efficiency,
                            total_mech_linewidth, w_to_dbm)
-from transducersim.deviceio import write_table
+from transducersim.deviceio import write_columns
 
 OUT_DIR = os.environ.get("DEMO_OUT", "demo_output")
 
@@ -51,8 +51,8 @@ def main():
                      total_efficiency(dev, pump, "red")])
     table = np.array(rows)
     path = os.path.join(OUT_DIR, "efficiency_vs_power.csv")
-    write_table(path, ["p_on_chip_dbm", "n_c", "c_om", "eta_tot_blue",
-                       "eta_tot_red"], table)
+    write_columns(path, ["p_on_chip_dbm", "n_c", "c_om", "eta_tot_blue",
+                         "eta_tot_red"], [table])
     print(f"\nwrote {path}")
 
     try:

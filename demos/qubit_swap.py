@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from transducersim import load_device, rabi_swap_sim, swap_feasibility
-from transducersim.deviceio import write_table
+from transducersim.deviceio import write_columns
 
 OUT_DIR = os.environ.get("DEMO_OUT", "demo_output")
 
@@ -40,10 +40,9 @@ def main():
     qu_damped, ph_damped = rabi_swap_sim(dev, measured.qubit, t)
     qu_ideal, ph_ideal = rabi_swap_sim(dev, measured.qubit, t, lossless=True)
     path = os.path.join(OUT_DIR, "rabi_exchange.csv")
-    write_table(path, ["t_s", "qubit_damped", "phonons_damped",
-                       "qubit_lossless", "phonons_lossless"],
-                np.column_stack([t, qu_damped.y, ph_damped.y,
-                                 qu_ideal.y, ph_ideal.y]))
+    write_columns(path, ["t_s", "qubit_damped", "phonons_damped",
+                         "qubit_lossless", "phonons_lossless"],
+                  [t, qu_damped.y, ph_damped.y, qu_ideal.y, ph_ideal.y])
     print(f"\nwrote {path}")
     print(f"first swap completes near t = {1 / (4 * rep.g_em) * 1e9:.0f} ns")
 

@@ -47,8 +47,10 @@ def dbm_to_w(dbm: float) -> float:
 
 
 def w_to_dbm(w: float) -> float:
-    if w <= 0:
-        raise ParameterError(f"power must be > 0 W for dBm (got {w!r})")
+    """dBm of a power in watts, finite and > 0."""
+    if not 0 < w < math.inf:
+        raise ParameterError(
+            f"power must be finite and > 0 W for dBm (got {w!r})")
     return 10.0 * math.log10(w / 1e-3)
 
 

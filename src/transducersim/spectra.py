@@ -120,14 +120,26 @@ def steady_state_coherent_phonons(mode: MechanicalMode, p_mu: float,
     return plain(2 * math.pi * mode.gamma_e * flux * np.square(np.abs(chi)))
 
 
+@np.errstate(over="ignore")
 def gamma_me_from_phonons(n_coh: float, f_m: float, gamma_m: float,
                           p_mu: float) -> float:
     """Invert the resonant steady state for the feedline decay rate.
 
     gamma_me = (pi/2) * n_coh * h * f_m * gamma_m^2 / p_mu
+
+    A result that overflows is a ParameterError naming the inputs.
     """
-    require(positive={"p_mu": p_mu})
-    return 0.5 * math.pi * n_coh * CODATA.h * f_m * gamma_m ** 2 / p_mu
+    require(nonnegative={"n_coh": n_coh},
+            positive={"f_m": f_m, "gamma_m": gamma_m, "p_mu": p_mu})
+    try:
+        gamma_me = 0.5 * math.pi * n_coh * CODATA.h * f_m * gamma_m ** 2 / p_mu
+    except OverflowError:                   # from gamma_m ** 2
+        gamma_me = math.inf
+    if not np.all(gamma_me < math.inf):
+        raise ParameterError(f"gamma_me is not finite at n_coh = {n_coh!r}, "
+                             f"f_m = {f_m!r} Hz, gamma_m = {gamma_m!r} Hz, "
+                             f"p_mu = {p_mu!r} W")
+    return gamma_me
 
 
 def _cell_edges(f: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -141,35 +153,6 @@ def _cell_edges(f: np.ndarray, center: float, width: float) -> np.ndarray:
         return np.concatenate(([f[0] - 0.5 * (f[1] - f[0])],
                                0.5 * (f[:-1] + f[1:]),
                                [f[-1] + 0.5 * (f[-1] - f[-2])]))
-
-
-def _overlapped(edges: np.ndarray, lo: float, hi: float) -> tuple:
-    """(first, stop): the cells (_cell_edges) first to stop - 1 are the
-    only ones the interval from lo to hi can overlap."""
-    first = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)
-    stop = min(int(np.searchsorted(edges, hi, side="left")), edges.size - 1)
-    return first, stop
-
-
-def _deposit_peak(edges: np.ndarray, y: np.ndarray, center: float,
-                  width: float, area: float) -> None:
-    """Add a rectangle of the given area to the cells (_cell_edges) it
-    overlaps.
-
-    Only the cells between the edges around the rectangle are updated:
-    every other cell would add area * 0 = 0.
-    """
-    if area == 0.0:
-        return
-    lo, hi = center - 0.5 * width, center + 0.5 * width
-    first, stop = _overlapped(edges, lo, hi)
-    edges = edges[first:stop + 1]
-    overlap = np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo),
-                      0.0, None)
-    cells = np.diff(edges)
-    with np.errstate(invalid="ignore"):
-        y[first:stop] += np.where(cells > 0, area * (overlap / width) / cells,
-                                  0.0)
 
 
 def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
@@ -196,13 +179,17 @@ def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
         raise ParameterError(
             f"{peak} lies outside the grid's cells "
             f"({edges[0]:.10g} to {edges[-1]:.10g} Hz)")
-    first, stop = _overlapped(edges, lo, hi)
+    # cells first to stop - 1 hold the rectangle; the others would add 0
+    first = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)
+    stop = min(int(np.searchsorted(edges, hi, side="left")), edges.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         widths = np.diff(edges[first:stop + 1])
     if not np.isfinite(widths).all():
         raise ParameterError(
             f"{peak} overlaps a cell of no finite width on the grid from "
             f"{f[0]:.10g} to {f[-1]:.10g} Hz")
+    share = np.clip(np.minimum(edges[first + 1:stop + 1], hi)
+                    - np.maximum(edges[first:stop], lo), 0.0, None) / rbw
     with np.errstate(all="ignore"):   # the Trace rejects a non-finite y
         for mode in modes:
             n_coh = steady_state_coherent_phonons(mode, p_mu, drive_f)
@@ -212,7 +199,7 @@ def driven_spectrum(dev: DeviceParams, modes, n_c: float, n_th: float,
                     f"p_mu = {p_mu!r} W gives the mode at {mode.f!r} Hz "
                     f"n_coh = {n_coh!r} coherent phonons and a drive peak "
                     f"area of {area!r}, which is not finite")
-            _deposit_peak(edges, y, drive_f, rbw, area)
+            y[first:stop] += np.where(widths > 0, area * share / widths, 0.0)
     return Trace(f, y, "hz", "lin", label="driven sideband spectrum", rbw=rbw)
 
 

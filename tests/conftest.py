@@ -291,8 +291,8 @@ def reference_lorentz(f, y, u, n_peaks, p):
 # ------------------------------------------- drive peak (oracle)
 
 def reference_deposit_peak(f, y, center, width, area):
-    """_deposit_peak as the whole-grid formula computed it: every cell
-    adds its overlap, 0 for the cells the rectangle misses."""
+    """driven_spectrum's drive peak as the whole-grid formula computes it:
+    every cell adds its overlap, 0 for the cells the rectangle misses."""
     if area == 0.0:
         return
     edges = np.concatenate(([f[0] - 0.5 * (f[1] - f[0])],

@@ -419,9 +419,19 @@ def test_stdout_sweep_across_blocks_is_the_reference_rows(capsys, monkeypatch):
     (["--param", "pump.n_c", "--values", "262190", "--quantity", "c_om"],
      "backaction rate 8400020.853080569 Hz >= intrinsic linewidth "
      "8400000.0 Hz: parametric oscillation threshold"),
+    (["--param", "pump.n_c", "--param", "temperature", "--values", "1e3",
+      "--quantity", "n_c"], "each --param needs a matching --values list"),
+    (["--param", "pump.n_c", "--param", "temperature", "--start", "1",
+      "--stop", "2", "--quantity", "n_c"],
+     "range sweeps take exactly one --param"),
+    (["--param", "pump.n_c", "--start", "1", "--quantity", "n_c"],
+     "range sweeps need --start and --stop"),
+    (["--param", "pump.n_c", "--start", "0", "--stop", "1e4", "--scale",
+      "log", "--quantity", "n_c"], "log scale needs --start > 0"),
 ], ids=["stop_inf", "grid_overflow", "repeated_values", "values_and_range",
         "values_and_count",
-        "values_and_default_scale", "threshold"])
+        "values_and_default_scale", "threshold", "two_params_one_values",
+        "range_of_two_params", "range_without_stop", "log_scale_from_0"])
 def test_sweep_input_errors_are_one_line(capsys, argv, message):
     assert_one_line_error(capsys, ["sweep", "--device", MEASURED, *argv],
                           message)
@@ -1157,6 +1167,26 @@ def test_spectrum_driven_off_the_grid_exits_2(tmp_path, capsys):
         "", "error: drive peak at drive_f = 1e+300 Hz, rbw = 50000.0 Hz lies "
             "outside the grid's cells (4235160000 to 4404840000 Hz)\n")
     assert not out.exists()
+
+
+def test_fit_linewidth_without_kappa_o_or_device_exits_2(tmp_path, capsys):
+    assert_one_line_error(capsys, [
+        "fit", "linewidth", "--points", str(tmp_path / "never.csv"),
+        "--sign", "blue"], "fit linewidth needs --kappa-o or --device")
+
+
+def test_swap_without_a_qubit_section_exits_2(tmp_path, capsys):
+    text = re.sub(r"(?ms)^\[qubit\]\n.*?\n\n", "", MEASURED_TEXT)
+    assert "[qubit]" not in text
+    assert_one_line_error(capsys, [
+        "swap", "--device", device_file(tmp_path, text, "no_qubit")],
+        "device file has no [qubit] section")
+
+
+def test_seed_without_a_command_prints_usage_and_exits_2(capsys):
+    assert main(["--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: transducersim")
 
 
 def test_fit_lorentz_reference_with_linear_background_exits_2(tmp_path,

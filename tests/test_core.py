@@ -435,6 +435,12 @@ def _argument_cases():
          lambda v: steady_state_coherent_phonons(mode, v, 4.32e9)),
         ("steady_state_coherent_phonons", "drive_f", "positive",
          lambda v: steady_state_coherent_phonons(mode, 1e-9, v)),
+        ("gamma_me_from_phonons", "n_coh", "nonnegative",
+         lambda v: gamma_me_from_phonons(v, 4.32e9, 8.4e6, 1e-9)),
+        ("gamma_me_from_phonons", "f_m", "positive",
+         lambda v: gamma_me_from_phonons(1e3, v, 8.4e6, 1e-9)),
+        ("gamma_me_from_phonons", "gamma_m", "positive",
+         lambda v: gamma_me_from_phonons(1e3, 4.32e9, v, 1e-9)),
         ("gamma_me_from_phonons", "p_mu", "positive",
          lambda v: gamma_me_from_phonons(1e3, 4.32e9, 8.4e6, v)),
         ("driven_spectrum", "rbw", "positive", lambda v: driven(rbw=v)),

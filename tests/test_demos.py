@@ -1,4 +1,5 @@
-"""Every demo runs to completion and writes the CSVs it reports."""
+"""Every demo runs to completion, with numpy warnings as errors, and
+writes the CSVs it reports."""
 
 import os
 import re
@@ -16,7 +17,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, DEMO_OUT=str(tmp_path), MPLCONFIGDIR=str(tmp_path),
                PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     for path in re.findall(r"^wrote (.+\.csv)$", proc.stdout, re.MULTILINE):

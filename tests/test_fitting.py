@@ -410,6 +410,37 @@ def test_fitters_contract_as_noise_vanishes(dev, noise_levels):
         assert errs[0] < 0.03
 
 
+# --------------------------------------------------------- named input errors
+
+FLAT = Trace(np.linspace(-1.0, 1.0, 64), np.ones(64))
+RAMP = Trace(np.linspace(0.0, 1e-6, 50), np.linspace(0.0, 1.0, 50), "s", "v")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: fit_linewidth_vs_photons(np.array([1e4, 5e4, 1e5]), "blue",
+                                      KAPPA_O),
+     ParameterError, "points must be (n_c, gamma) pairs"),
+    (lambda: fit_linewidth_vs_photons(linewidth_points(), "blue", KAPPA_O,
+                                      weights=[1.0, 1.0]),
+     ParameterError, "weights must hold one value per point"),
+    (lambda: fit_lorentzian_multi(FLAT, -1),
+     ParameterError, "n_peaks must be >= 0 (got -1)"),
+    (lambda: fit_lorentzian_multi(FLAT, 1, background="cubic"),
+     ParameterError,
+     "background must be 'constant', 'linear', or a reference Trace"),
+    (lambda: fit_ring(RAMP, "up"),
+     ParameterError, "kind must be 'ringup' or 'ringdown' (got 'up')"),
+    (lambda: fit_ring(Trace(RAMP.x[:5], RAMP.y[:5], "s", "v"), "ringup"),
+     FitError, "segment too short to fit"),
+], ids=["linewidth_1d_points", "linewidth_weights_length",
+        "lorentz_negative_peaks", "lorentz_cubic_background", "ring_kind_up",
+        "ring_five_points"])
+def test_fitters_name_the_input_they_reject(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------ non-convergence
 
 @pytest.fixture

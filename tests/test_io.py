@@ -22,12 +22,12 @@ from transducersim import deviceio
 from transducersim.deviceio import (_ALTERNATIVES, _SCHEMA, _field, dbm_to_w,
                                     parse_device, parse_device_text,
                                     parse_power, read_points,
-                                    resolve_device_path, write_eye,
-                                    write_table)
+                                    resolve_device_path, w_to_dbm,
+                                    write_eye, write_table)
 from transducersim.link import EyeDiagram
 
 from transducersim.sweep import QUANTITIES, evaluate, override
-from transducersim.trace import axis
+from transducersim.trace import axis, grid
 
 from conftest import reference_read_trace, reference_sweep, relerr
 
@@ -140,6 +140,19 @@ def test_parse_power():
 def test_dbm_to_w_overflows_to_inf():
     assert dbm_to_w(1e4) == math.inf
     assert dbm_to_w(-math.inf) == 0.0
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_w_to_dbm_needs_a_finite_positive_power(w):
+    # nan and inf passed through as nan and inf dBm
+    with pytest.raises(ParameterError) as err:
+        w_to_dbm(w)
+    assert str(err.value) == \
+        f"power must be finite and > 0 W for dBm (got {w!r})"
+
+
+def test_w_to_dbm_inverts_dbm_to_w():
+    assert abs(w_to_dbm(dbm_to_w(-7.9)) + 7.9) < 1e-12
 
 
 PUMP = "\n[pump]\ndetuning_hz = 4.32e9\np_on_chip_dbm = -7.9\n"
@@ -772,6 +785,11 @@ def test_trace_validates_on_construction():
         Trace(np.array([1.0, 2.0]), np.array([0.0, np.nan]))
     tr = Trace(np.array([1.0, 2.0, 4.0]), np.array([0.0, 1.0, 0.5]))
     assert len(tr.restrict(1.5, 4.5)) == 2
+    with pytest.raises(TraceError) as err:
+        tr.restrict(2.5, 3.5)
+    assert str(err.value) == "no samples in [2.5, 3.5]"
+    assert Trace(np.array([3.0]), np.array([1.0])).cell_widths().tolist() \
+        == [1.0]
     with pytest.raises(ValueError):
         tr.y[0] = 5.0                                       # read-only view
 
@@ -841,6 +859,38 @@ def test_sweep_range_validation():
                                (-1e308, 1e308, "linear")):
         with pytest.raises(ParameterError):
             SweepSpec.from_range("pump.n_c", start, stop, 3, scale, ["c_om"])
+
+
+@pytest.mark.parametrize("targets, quantities, message", [
+    ((), ("n_c",), "sweep needs at least one parameter path"),
+    ((("pump.n_c", (1.0, 2.0)), ("temperature", (4.0,))), ("n_c",),
+     "zipped sweep value lists must share a length"),
+    ((("pump.n_c", ()),), ("n_c",), "sweep needs at least one value"),
+    ((("pump.n_c", (1.0,)),), (), "sweep needs at least one quantity"),
+], ids=["no_targets", "unequal_lists", "empty_list", "no_quantities"])
+def test_sweep_spec_names_what_it_lacks(targets, quantities, message):
+    with pytest.raises(ParameterError) as err:
+        SweepSpec(targets, quantities)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("path, message", [
+    ("pump.nonsense", "unknown pump field 'nonsense'"),
+    ("qubit.nonsense", "unknown qubit field 'nonsense'"),
+    ("optical.f_o", "unknown parameter path 'optical.f_o'; use "
+     "device.<field>, pump.<field>, qubit.<field>, drive.p_mu, or "
+     "temperature"),
+], ids=["pump_field", "qubit_field", "path_head"])
+def test_override_names_an_unknown_path(measured, path, message):
+    with pytest.raises(ParameterError) as err:
+        override(measured, {path: 1.0}, {})
+    assert str(err.value) == message
+
+
+def test_grid_scale_must_be_linear_or_log():
+    with pytest.raises(ParameterError) as err:
+        grid(1.0, 2.0, 3, ("start", "stop", "count"), scale="x")
+    assert str(err.value) == "scale must be 'linear' or 'log' (got 'x')"
 
 
 N_C = tuple(np.geomspace(1e2, 1e5, 40).tolist())

@@ -439,6 +439,40 @@ def assert_rings_match_the_loop(run, cfg):
             assert same_bytes(new.x, old.x) and same_bytes(new.y, old.y)
 
 
+def random_link_config(rng):
+    """1 to 64 bits, 8 to 64 samples a bit at 1e4 to 1e8 bit/s, gamma_m up
+    to the sampling limit 20 gamma_m = rate * samples_per_bit, f_if 0 or
+    up to half the sample rate, v0 over six decades, either drive."""
+    spb = int(rng.integers(8, 65))
+    rate = 10.0 ** rng.uniform(4, 8)
+    v0 = 10.0 ** rng.uniform(-3, 3)
+    return LinkConfig(
+        bits=tuple(rng.integers(0, 2, rng.integers(1, 65)).tolist()),
+        rate=rate, gamma_m=rate * spb / 20 * 10.0 ** rng.uniform(-3, 0),
+        f_if=float(rng.choice([0.0, rng.uniform(0.0, 0.5 * rate * spb)])),
+        v0=v0, noise_rms=float(rng.choice([0.0, 0.1 * v0])),
+        samples_per_bit=spb,
+        drive_mode=str(rng.choice(["coherent", "thermal"])))
+
+
+def test_drawn_links_match_the_per_sample_loop():
+    rng = np.random.default_rng(33)
+    for n in range(300):
+        cfg = random_link_config(rng)
+        seed = int(rng.integers(1000))
+        run = run_link(cfg, seed=seed)
+        ref = reference_beta(*reference_drive(cfg,
+                                              np.random.default_rng(seed)))
+        assert np.max(np.abs(run.beta - ref)) <= 1e-13 * cfg.v0, \
+            f"draw {n}: {cfg}"
+        if sum(a != b for a, b in zip(cfg.bits, cfg.bits[1:])) >= 2:
+            eye, ref = eye_diagram(run, cfg), reference_eye(run, cfg)
+            for field in ("t", "segments", "opening", "extinction_ratio"):
+                assert same_bytes(getattr(eye, field), getattr(ref, field)), \
+                    f"draw {n}, {field}: {cfg}"
+            assert_rings_match_the_loop(run, cfg)
+
+
 def test_link_metrics_bundle():
     cfg = cfg_for(PRBS48, 1e6, gamma_m=7.9e6)
     metrics = link_metrics(run_link(cfg), cfg)
@@ -578,6 +612,25 @@ def test_harmonic_spectrum_rejects_runs_over_its_budget(f0, n_periods, samples,
     # 2 * (2 warm-up + 65534) periods * 128 samples is the budget exactly
     with pytest.raises(_Reached):
         harmonic_spectrum(cfg, 0.5e6, 65534)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(bits=()), "bits must be nonempty"),
+    (dict(bits=(0, 2)), "bits must contain only 0 and 1"),
+    (dict(bits=(0, 1), drive_mode="x"),
+     "drive_mode must be 'coherent' or 'thermal' (got 'x')"),
+], ids=["no_bits", "bit_2", "drive_mode_x"])
+def test_link_config_names_a_bad_pattern_or_drive(kw, message):
+    with pytest.raises(ParameterError) as err:
+        LinkConfig(rate=1e6, gamma_m=7.9e6, **kw)
+    assert str(err.value) == message
+
+
+def test_harmonic_spectrum_needs_two_periods():
+    cfg = LinkConfig(bits=(1, 0), rate=1e6, gamma_m=5e6)
+    with pytest.raises(ParameterError) as err:
+        harmonic_spectrum(cfg, 0.5e6, 1)
+    assert str(err.value) == "n_periods must be >= 2 (got 1)"
 
 
 def test_run_link_takes_a_seed_or_a_generator():

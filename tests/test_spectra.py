@@ -12,7 +12,6 @@ from transducersim import (CODATA, FitError, MechanicalMode, ParameterError,
                            thermal_spectrum, total_efficiency,
                            total_mech_linewidth)
 from transducersim.core import DeviceParams
-from transducersim.spectra import _cell_edges, _deposit_peak
 
 from conftest import reference_deposit_peak, relerr
 
@@ -147,7 +146,8 @@ def test_driven_coherent_area_linear_in_power(dev, mode):
 
 def _rectangles(f, rng):
     """(center, width) of rectangles inside the grid, across either end,
-    over all of it, and wholly outside it."""
+    over all of it, and wholly outside it; every center is above 0 on
+    the grids of _random_grid, which start above twice their span."""
     lo, hi = f[0], f[-1]
     span = max(hi - lo, 1.0)
     inside = [(rng.uniform(lo, hi), rng.uniform(0.0, 0.2) * span + 1e-3)
@@ -155,19 +155,19 @@ def _rectangles(f, rng):
     return inside + [
         (lo, 0.5 * span), (hi, 0.5 * span), (0.5 * (lo + hi), 3.0 * span),
         (lo - span, 0.5 * span), (hi + span, 0.5 * span),
-        (hi + 0.5 * span, span),        # its low edge is the grid's last edge
+        (hi + 0.5 * span, span),        # its low edge is the grid's last point
     ]
 
 
 def _random_grid(kind, rng):
     if kind == "one_cell":
-        return np.array([rng.normal()])
+        return np.array([rng.uniform(2.0, 3.0)])
     if kind == "two_cells":
-        return np.sort(rng.normal(size=2))
+        return np.sort(rng.uniform(2.0, 3.0, 2))
     if kind == "uneven":
-        return np.unique(rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(0, 9))
+        return np.unique(rng.uniform(2.0, 3.0, 400) * 10.0 ** rng.uniform(0, 9))
     if kind == "ulp_cell":          # neighbours an ulp apart
-        f = np.unique(rng.uniform(1.0, 2.0, 50))
+        f = np.unique(rng.uniform(2.0, 3.0, 50))
         f[-1] = np.nextafter(f[-2], np.inf)
         return f
     return np.linspace(4.2e9, 4.4e9, 2001) + rng.uniform(0.0, 1e5)
@@ -176,17 +176,30 @@ def _random_grid(kind, rng):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["one_cell", "two_cells", "uneven",
                                   "ulp_cell", "ghz"])
-def test_drive_peak_matches_the_whole_grid_formula(kind, seed):
+def test_drive_peak_matches_the_whole_grid_formula(dev, mode, kind, seed):
     rng = np.random.default_rng(seed)
     f = _random_grid(kind, rng)
-    base = rng.uniform(0.0, 1.0, f.size)
+    modes = [mode, MechanicalMode(f=mode.f + 40e6, gamma=5e6, g=8e4,
+                                  gamma_e=10.0)]
+    p_mu = rng.uniform(1e-12, 1e-6)
+    thermal = thermal_spectrum(dev, modes, 1.0e4, N_TH_300K, f).y
     for center, width in _rectangles(f, rng):
-        for area in (rng.uniform(0.1, 10.0), -2.5):
-            got, want = base.copy(), base.copy()
-            _deposit_peak(_cell_edges(f, center, width), got, center, width,
-                          area)
-            reference_deposit_peak(f, want, center, width, area)
-            assert got.tobytes() == want.tobytes(), (center, width, area)
+        unit = np.zeros(f.size)
+        reference_deposit_peak(f, unit, center, width, 1.0)
+        if not unit.any():                      # the rectangle misses
+            with pytest.raises(ParameterError, match="outside the grid's"):
+                driven_spectrum(dev, modes, 1.0e4, N_TH_300K, center, p_mu,
+                                width, f)
+            continue
+        want = thermal.copy()
+        for m in modes:
+            reference_deposit_peak(
+                f, want, center, width,
+                steady_state_coherent_phonons(m, p_mu, center)
+                * sideband_rate(m, 1.0e4, dev.kappa_o))
+        got = driven_spectrum(dev, modes, 1.0e4, N_TH_300K, center, p_mu,
+                              width, f).y
+        assert got.tobytes() == want.tobytes(), (center, width)
 
 
 @pytest.mark.parametrize("g, gamma_e", [(130e3, 58.0), (130e3, 0.0),
@@ -311,6 +324,19 @@ def test_calibration_recovers_gamma_me(dev):
     assert relerr(gamma_me, 58.0) < 0.05
 
 
+@pytest.mark.parametrize("n_coh, f_m, gamma_m, p_mu", [
+    (1e300, 1e300, 8.4e6, 1e-3),        # the product overflows
+    (1.0, 4.32e9, 1e200, 1e-3),         # gamma_m ** 2 overflows
+    (1e3, 4.32e9, 8.4e6, 5e-324),       # the quotient overflows
+])
+def test_gamma_me_that_overflows_names_the_inputs(n_coh, f_m, gamma_m, p_mu):
+    with pytest.raises(ParameterError) as err:
+        gamma_me_from_phonons(n_coh, f_m, gamma_m, p_mu)
+    assert str(err.value) == (
+        f"gamma_me is not finite at n_coh = {n_coh!r}, f_m = {f_m!r} Hz, "
+        f"gamma_m = {gamma_m!r} Hz, p_mu = {p_mu!r} W")
+
+
 def test_calibration_rejects_featureless_data(dev):
     from transducersim import Trace
     rng = np.random.default_rng(6)
@@ -318,6 +344,33 @@ def test_calibration_rejects_featureless_data(dev):
     tr = Trace(grid, np.abs(rng.standard_normal(grid.size)), rbw=50e3)
     with pytest.raises(FitError):
         calibrate_coherent_phonons(tr, N_TH_300K)
+
+
+def _calibration_input(case, dev):
+    f = grid_around(dev.f_m, 60e6, 2001)
+    thermal = (dev.gamma_mi / (2 * np.pi)) \
+        / ((f - dev.f_m) ** 2 + (dev.gamma_mi / 2) ** 2)
+    return {
+        "no_rbw": Trace(f, thermal),
+        "15_points": Trace(f[:15], thermal[:15], rbw=50e3),
+        "window_covers_the_trace": Trace(f[:20], thermal[:20], rbw=1e9),
+        "thermal_dip": Trace(f, 1e-6 - thermal, rbw=50e3),
+    }[case]
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("no_rbw", ParameterError, "rbw must be finite and > 0 (got None)"),
+    ("15_points", FitError,
+     "spectrum too short to resolve a Lorentzian and a peak"),
+    ("window_covers_the_trace", FitError,
+     "drive peak window covers the whole trace; peaks unresolvable"),
+    ("thermal_dip", FitError,
+     "residual too large: thermal peak not resolvable"),
+])
+def test_calibration_names_the_spectrum_it_rejects(dev, case, error, message):
+    with pytest.raises(error) as err:
+        calibrate_coherent_phonons(_calibration_input(case, dev), N_TH_300K)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("rbw", [math.nan, math.inf, 0.0, -50e3])
